@@ -186,7 +186,7 @@ def cmd_quantize(args) -> int:
     oracle = quantize(f, weight, method="direct")
     two_path = float(np.abs(op - oracle).max())
     _diag(f"two_path_residual {two_path:.3e}")
-    if two_path > _TWO_PATH_TOL:
+    if not two_path <= _TWO_PATH_TOL:
         raise ToleranceError(f"quantization paths disagree by {two_path:.3e}")
     _emit(args.out, format_complex_matrix_csv(op))
     _diag(f"hermiticity_residual {np.abs(op - op.conj().T).max():.3e}")
@@ -208,7 +208,7 @@ def cmd_portrait(args) -> int:
     oracle = portrait(quantize(f, weight), weight)
     two_path = float(np.abs(smoothed - oracle).max())
     _diag(f"two_path_residual {two_path:.3e}")
-    if two_path > _TWO_PATH_TOL:
+    if not two_path <= _TWO_PATH_TOL:
         raise ToleranceError(f"portrait paths disagree by {two_path:.3e}")
     _emit(args.out, format_complex_matrix_csv(smoothed, row_label="m", col_label="n"))
     mass = overlap_distribution(weight).sum() / d

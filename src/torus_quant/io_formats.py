@@ -8,6 +8,7 @@ occupy two adjacent columns (re, im); the header row names the indices.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +30,12 @@ _FMT = "%.15e"
 
 def _parse_number(token: str, where: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise InputFormatError(f"could not parse number {token!r} at {where}") from None
+    if not math.isfinite(value):
+        raise InputFormatError(f"non-finite number {token!r} at {where}")
+    return value
 
 
 def read_vector_csv(path: str | Path) -> np.ndarray:

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from torus_quant import (
     quantize_momentum,
     realize_fiducial,
 )
+from torus_quant import cli
 from torus_quant.cli import main
 from torus_quant.io_formats import (
     format_complex_matrix_csv,
@@ -19,7 +22,7 @@ from torus_quant.io_formats import (
     read_complex_matrix_csv,
 )
 
-from conftest import random_map
+from conftest import random_map, random_symmetric_weight
 
 
 def run(*argv):
@@ -276,3 +279,88 @@ class TestSelectorErrors:
         assert run("quantize", "--d", "3", "--symbol", "ones",
                    "--weight", "thermal", "--out", str(tmp_path / "x.csv")) == 2
         assert "weight" in capsys.readouterr().err
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("selector", ["weight", "symbol", "vector"])
+    def test_non_finite_entry_is_input_error(self, tmp_path, capsys, selector, token):
+        d = 3
+        path = tmp_path / "in.csv"
+        if selector == "vector":
+            path.write_text(f"1\n{token}\n1\n")
+            argv = ["--symbol", f"position:file:{path}", "--weight", "parity"]
+        else:
+            # all-ones matrix with the real part of entry (1, 0) replaced
+            rows = [",".join([str(i), token if i == 1 else "1", "0"] + ["1", "0"] * (d - 1))
+                    for i in range(d)]
+            path.write_text("\n".join(["header", *rows]) + "\n")
+            argv = (["--weight", f"file:{path}", "--symbol", "ones"] if selector == "weight"
+                    else ["--symbol", f"file:{path}", "--weight", "parity"])
+        assert run("quantize", "--d", str(d), *argv, "--out", str(tmp_path / "op.csv")) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+
+def _corrupted(values, kind):
+    """Copy of ``values`` with its largest entry negated or replaced by NaN."""
+    out = np.array(values, dtype=complex)
+    worst = np.unravel_index(np.abs(out).argmax(), out.shape)
+    out[worst] = -out[worst] if kind == "flip" else np.nan
+    return out
+
+
+class TestCheckCatchesInjectedErrors:
+    """The two-path checks fail on one wrong entry of the production route."""
+
+    @pytest.mark.parametrize("kind", ["flip", "nan"])
+    @pytest.mark.parametrize("command", ["quantize", "portrait"])
+    def test_corrupted_route_exits_4(self, tmp_path, capsys, monkeypatch, rng, command, kind):
+        if command == "quantize":
+            real = cli.quantize
+
+            def route(f, w, method="kernel"):
+                result = real(f, w, method=method)
+                return result if method == "direct" else _corrupted(result, kind)
+            monkeypatch.setattr(cli, "quantize", route)
+        else:
+            real = cli.portrait_of_symbol
+            monkeypatch.setattr(cli, "portrait_of_symbol",
+                                lambda f, w: _corrupted(real(f, w), kind))
+        d = 5
+        sfile = tmp_path / "sym.csv"
+        sfile.write_text(format_complex_matrix_csv(random_map(rng, d)))
+        out = tmp_path / "out.csv"
+        assert run(command, "--d", str(d), "--symbol", f"file:{sfile}",
+                   "--weight", "cs:von_mises:1", "--out", str(out)) == 4
+        assert "tolerance failure" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestNoPerPointLoops:
+    """quantize and portrait never build a displacement per phase-space point."""
+
+    @pytest.mark.parametrize("symbol", ["file", "momentum:index", "position:index"])
+    @pytest.mark.parametrize("weight", ["parity", "cs:von_mises:1", "file"])
+    @pytest.mark.parametrize("command", ["quantize", "portrait"])
+    def test_runs_without_per_point_helpers(self, tmp_path, monkeypatch, rng,
+                                            command, weight, symbol):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-point helper called on a CLI path")
+
+        # the package re-exports the function ``quantize`` over its module name
+        quantize_module = importlib.import_module("torus_quant.quantize")
+        distributions_module = importlib.import_module("torus_quant.distributions")
+        monkeypatch.setattr(quantize_module, "transported", forbidden)
+        monkeypatch.setattr(quantize_module, "sum_displacement", forbidden)
+        monkeypatch.setattr(distributions_module, "transported", forbidden)
+        d = 6
+        if weight == "file":
+            wfile = tmp_path / "w.csv"
+            wfile.write_text(format_complex_matrix_csv(random_symmetric_weight(rng, d).values))
+            weight = f"file:{wfile}"
+        if symbol == "file":
+            sfile = tmp_path / "sym.csv"
+            sfile.write_text(format_complex_matrix_csv(random_map(rng, d)))
+            symbol = f"file:{sfile}"
+        assert run(command, "--d", str(d), "--symbol", symbol, "--weight", weight,
+                   "--out", str(tmp_path / "out.csv")) == 0

@@ -183,3 +183,7 @@ class TestRealize:
     def test_raises_above_tolerance(self):
         with pytest.raises(ToleranceError, match="imaginary"):
             realize_real(np.array([1.0 + 1e-3j]))
+
+    def test_raises_on_nan_imaginary_part(self):
+        with pytest.raises(ToleranceError, match="imaginary"):
+            realize_real(np.array([1.0 + 0j, complex(2.0, np.nan)]))

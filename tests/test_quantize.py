@@ -35,6 +35,13 @@ class TestWeight:
         with pytest.raises(ValueError, match="origin"):
             Weight(values)
 
+    @pytest.mark.parametrize("origin", [np.nan, complex(1.0, np.nan)])
+    def test_rejects_nan_origin(self, origin):
+        values = np.ones((3, 3), complex)
+        values[0, 0] = origin
+        with pytest.raises(ValueError, match="origin"):
+            Weight(values)
+
     def test_rejects_unknown_provenance(self):
         with pytest.raises(ValueError, match="provenance"):
             Weight(np.ones((2, 2)), provenance="thermal")
@@ -120,6 +127,10 @@ class TestWeightRetrieval:
     def test_rejects_non_unit_trace(self):
         with pytest.raises(ValueError, match="trace"):
             weight_from_operator(np.eye(3))
+
+    def test_rejects_nan_trace(self):
+        with pytest.raises(ValueError, match="trace"):
+            weight_from_operator(np.diag([1.0, 0.0, np.nan]))
 
 
 class TestTransported:
