@@ -13,7 +13,6 @@ from .errors import InputFormatError, ToleranceError
 from .hilbert import (
     as_state,
     dft,
-    dft_matrix,
     fourier_basis,
     idft,
     inner,
@@ -23,27 +22,18 @@ from .hilbert import (
     translate,
 )
 from .weyl import (
-    GroupElement,
-    compose_displacements,
     conjugate_sign,
-    conjugation_phase,
     displacement_apply,
     displacement_matrix,
-    fourier_conjugated,
-    group_inv,
-    group_mul,
     half_phase,
-    rep_V,
     trace_displacement,
 )
 from .fiducials import FiducialSpec, default_catalog, jacobi_theta3, realize_fiducial
 from .gabor import (
     coherent_state,
-    frame_resolution_defect,
     gabor_inverse,
     gabor_transform,
     isometry_defect,
-    reproducing_defect,
     reproducing_kernel,
 )
 from .quantize import (
@@ -72,8 +62,6 @@ from .distributions import (
     portrait_of_symbol,
     realize_real,
     wigner,
-    wigner_half_argument,
-    wigner_via_parity,
 )
 from .signals import (
     SIGNAL_PATTERNS,
@@ -86,4 +74,68 @@ from .signals import (
     spectrogram,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "InputFormatError",
+    "ToleranceError",
+    # hilbert
+    "as_state",
+    "dft",
+    "fourier_basis",
+    "idft",
+    "inner",
+    "kronecker_basis",
+    "modulate",
+    "norm",
+    "translate",
+    # weyl
+    "conjugate_sign",
+    "displacement_apply",
+    "displacement_matrix",
+    "half_phase",
+    "trace_displacement",
+    # fiducials
+    "FiducialSpec",
+    "default_catalog",
+    "jacobi_theta3",
+    "realize_fiducial",
+    # gabor
+    "coherent_state",
+    "gabor_inverse",
+    "gabor_transform",
+    "isometry_defect",
+    "reproducing_kernel",
+    # quantize
+    "PositivityReport",
+    "Weight",
+    "coherent_state_weight",
+    "covariance_defect",
+    "momentum_symbol",
+    "parity_weight",
+    "position_symbol",
+    "positivity_report",
+    "quantization_operator",
+    "quantize",
+    "quantize_momentum",
+    "quantize_position",
+    "sum_displacement",
+    "symplectic_dft",
+    "transported",
+    "weight_from_operator",
+    # distributions
+    "husimi",
+    "overlap_distribution",
+    "parity_matrix",
+    "portrait",
+    "portrait_of_symbol",
+    "realize_real",
+    "wigner",
+    # signals
+    "SIGNAL_PATTERNS",
+    "column_energy",
+    "demo_signal",
+    "dominant_rows",
+    "envelope_spectrum",
+    "harmonic_energy_fraction",
+    "period_estimate",
+    "spectrogram",
+]

@@ -20,7 +20,7 @@ from .distributions import husimi, overlap_distribution, portrait, portrait_of_s
 from .errors import InputFormatError, ToleranceError
 from .fiducials import FiducialSpec, realize_fiducial
 from .gabor import gabor_transform, isometry_defect
-from .hilbert import dft, norm
+from .hilbert import dft, norm, phase_table
 from .io_formats import (
     format_complex_matrix_csv,
     format_real_map_csv,
@@ -33,7 +33,9 @@ from .io_formats import (
 from .quantize import (
     Weight,
     coherent_state_weight,
+    momentum_symbol,
     parity_weight,
+    position_symbol,
     quantize,
     quantize_momentum,
     quantize_position,
@@ -102,19 +104,23 @@ def _resolve_weight(text: str, d: int) -> Weight:
 
 
 def _resolve_symbol(text: str, d: int):
-    """Return (values, kind); kind is general / momentum / position."""
+    """Return (f, kind, vec) with the d x d symbol f.
+
+    kind is general / momentum / position; for the last two, vec is the
+    vector f is built from (the fast-path input), otherwise None.
+    """
     if text == "ones":
-        return np.ones((d, d), dtype=complex), "general"
+        return np.ones((d, d), dtype=complex), "general", None
     if text == "delta":
         f = np.zeros((d, d), dtype=complex)
         f[0, 0] = d  # unit mass under the 1/d-weighted counting measure
-        return f, "general"
+        return f, "general", None
     if text.startswith("file:"):
         values = read_complex_matrix_csv(text[len("file:"):])
         if values.shape[0] != d:
             raise InputFormatError(f"symbol file has d={values.shape[0]}, expected {d}")
-        return values, "general"
-    for prefix in ("momentum", "position"):
+        return values, "general", None
+    for prefix, symbol in (("momentum", momentum_symbol), ("position", position_symbol)):
         if text.startswith(prefix + ":"):
             arg = text[len(prefix) + 1:]
             if arg == "index":
@@ -122,14 +128,14 @@ def _resolve_symbol(text: str, d: int):
             elif arg == "index2":
                 vec = np.arange(d, dtype=complex) ** 2
             elif arg == "fourier":
-                vec = np.exp(2j * np.pi * np.arange(d) / d)
+                vec = phase_table(d, np.arange(d))
             elif arg.startswith("file:"):
                 vec = read_vector_csv(arg[len("file:"):])
                 if vec.shape[0] != d:
                     raise InputFormatError(f"symbol vector has length {vec.shape[0]}, expected {d}")
             else:
                 raise InputFormatError(f"unknown {prefix} symbol {arg!r}")
-            return vec, prefix
+            return symbol(vec), prefix, vec
     raise InputFormatError(f"unknown symbol selector {text!r}")
 
 
@@ -174,15 +180,13 @@ def cmd_husimi(args) -> int:
 def cmd_quantize(args) -> int:
     d = args.d
     weight = _resolve_weight(args.weight, d)
-    values, kind = _resolve_symbol(args.symbol, d)
+    f, kind, vec = _resolve_symbol(args.symbol, d)
     if kind == "momentum":
-        op = quantize_momentum(values, weight)
-        f = np.tile(values[:, None], (1, d))
+        op = quantize_momentum(vec, weight)
     elif kind == "position":
-        op = quantize_position(values, weight)
-        f = np.tile(values[None, :], (d, 1))
+        op = quantize_position(vec, weight)
     else:
-        op = quantize(f := values, weight)
+        op = quantize(f, weight)
     oracle = quantize(f, weight, method="direct")
     two_path = float(np.abs(op - oracle).max())
     _diag(f"two_path_residual {two_path:.3e}")
@@ -197,13 +201,7 @@ def cmd_quantize(args) -> int:
 def cmd_portrait(args) -> int:
     d = args.d
     weight = _resolve_weight(args.weight, d)
-    values, kind = _resolve_symbol(args.symbol, d)
-    if kind == "momentum":
-        f = np.tile(values[:, None], (1, d))
-    elif kind == "position":
-        f = np.tile(values[None, :], (d, 1))
-    else:
-        f = values
+    f, _, _ = _resolve_symbol(args.symbol, d)
     smoothed = portrait_of_symbol(f, weight)
     oracle = portrait(quantize(f, weight), weight)
     two_path = float(np.abs(smoothed - oracle).max())

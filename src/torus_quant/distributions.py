@@ -17,20 +17,13 @@ import numpy as np
 from .errors import ToleranceError
 from .hilbert import as_state
 from .gabor import gabor_transform
-from .quantize import (
-    Weight,
-    adjoint_sign_table,
-    quantization_operator,
-    symplectic_dft,
-    transported,
-)
+from .quantize import Weight, _negated_indices, quantization_operator, symplectic_dft
+from .weyl import adjoint_sign_table
 
 __all__ = [
     "parity_matrix",
     "husimi",
     "wigner",
-    "wigner_via_parity",
-    "wigner_half_argument",
     "realize_real",
     "portrait",
     "portrait_of_symbol",
@@ -66,57 +59,18 @@ def wigner(psi) -> np.ndarray:
 
     Uses the integer-safe form
     W(m,n) = (1/d) sum_l e^{4 i pi m l / d} conj(psi(n+l)) psi(n-l),
-    asserts reality, and returns a real array whose marginals are
-    |psi(n)|^2 (over m) and |dft(psi)(m)|^2 (over n).
+    one inverse FFT over l read at frequency 2m mod d; asserts reality,
+    and returns a real array whose marginals are |psi(n)|^2 (over m) and
+    |dft(psi)(m)|^2 (over n).
     """
     psi = as_state(psi)
     d = psi.shape[0]
     if d % 2 == 0:
         raise ValueError("Wigner via parity requires odd dimension")
-    ls = np.arange(d)
-    quad = np.exp(2j * np.pi * ((2 * np.outer(np.arange(d), ls)) % d) / d)  # [m, l]
-    out = np.empty((d, d), dtype=complex)
-    for n in range(d):
-        prods = np.conj(psi[(n + ls) % d]) * psi[(n - ls) % d]
-        out[:, n] = quad @ prods / d
-    return realize_real(out, what="Wigner map")
-
-
-def wigner_via_parity(psi) -> np.ndarray:
-    """Cross-check path: W(m,n) = <psi, U(m,n) P U(m,n)^dag psi> / d.
-
-    Built from the actual parity matrix and operator conjugation.
-    """
-    psi = as_state(psi)
-    d = psi.shape[0]
-    if d % 2 == 0:
-        raise ValueError("Wigner via parity requires odd dimension")
-    p = parity_matrix(d)
-    out = np.empty((d, d), dtype=complex)
-    for m in range(d):
-        for n in range(d):
-            out[m, n] = np.vdot(psi, transported(p, m, n) @ psi) / d
-    return realize_real(out, what="Wigner map")
-
-
-def wigner_half_argument(psi) -> np.ndarray:
-    """Half-argument form using the modular inverse of 2 (odd d).
-
-    W(m,n) = (1/d) sum_l e^{2 i pi m l / d} conj(psi(n + l/2)) psi(n - l/2)
-    with l/2 read as ((d+1)/2) l mod d.
-    """
-    psi = as_state(psi)
-    d = psi.shape[0]
-    if d % 2 == 0:
-        raise ValueError("half-argument form requires odd dimension")
-    inv2 = (d + 1) // 2
-    ls = np.arange(d)
-    half = (inv2 * ls) % d
-    quad = np.exp(2j * np.pi * ((np.outer(np.arange(d), ls)) % d) / d)
-    out = np.empty((d, d), dtype=complex)
-    for n in range(d):
-        prods = np.conj(psi[(n + half) % d]) * psi[(n - half) % d]
-        out[:, n] = quad @ prods / d
+    ls = np.arange(d)[:, None]
+    ns = np.arange(d)[None, :]
+    products = np.conj(psi[(ns + ls) % d]) * psi[(ns - ls) % d]  # [l, n]
+    out = np.fft.ifft(products, axis=0)[(2 * np.arange(d)) % d]
     return realize_real(out, what="Wigner map")
 
 
@@ -127,7 +81,7 @@ def portrait(op: np.ndarray, w: Weight) -> np.ndarray:
     A(m, n) = sum_k e^{2 i pi m k / d} s(n, k) with
     s(n, k) = sum_a op[a, a+k] M_w[a+k-n, a-n], a cyclic correlation over
     a of the cyclic diagonals of op and M_w.  Both sums are FFTs, so
-    beyond the O(d^3) assembly of M_w this costs O(d^2 log d).
+    this costs O(d^2 log d).
     """
     op = np.asarray(op, dtype=complex)
     d = w.d
@@ -150,7 +104,7 @@ def _overlap_map(w: Weight) -> np.ndarray:
     adjoint sign table; for weights satisfying the self-adjointness
     condition the product w(q) w(-q) c(q) is |w(q)|^2.
     """
-    paired = w.values * np.roll(w.values[::-1, ::-1], 1, axis=(0, 1)) * adjoint_sign_table(w.d)
+    paired = w.values * _negated_indices(w.values) * adjoint_sign_table(w.d)
     return symplectic_dft(paired)
 
 
@@ -174,8 +128,7 @@ def portrait_of_symbol(f: np.ndarray, w: Weight) -> np.ndarray:
 
     Agrees with ``portrait(quantize(f, w), w)``; the unit symbol is a
     fixed point.  Evaluated as the cyclic 2-D convolution
-    ifft2(fft2(overlap) * fft2(f)) / d, which beyond the O(d^3) overlap
-    map costs O(d^2 log d).
+    ifft2(fft2(overlap) * fft2(f)) / d, O(d^2 log d).
     """
     f = np.asarray(f, dtype=complex)
     d = w.d

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import i0e
 
 from .hilbert import as_state, fourier_basis, kronecker_basis
-from .errors import ToleranceError
+from .errors import InputFormatError, ToleranceError
 
 __all__ = [
     "FiducialSpec",
@@ -28,6 +28,10 @@ _KINDS = ("constant", "kronecker", "plane_wave", "gaussian", "dirichlet", "von_m
 
 #: smallest retained magnitude in truncated theta-type series
 _SERIES_FLOOR = 1e-16
+
+#: type of the one parameter of each kind that :meth:`FiducialSpec.parse` reads
+_PARAMETER_TYPES = {"kronecker": int, "plane_wave": int, "gaussian": float,
+                    "dirichlet": int, "von_mises": float}
 
 
 @dataclass(frozen=True)
@@ -63,8 +67,8 @@ class FiducialSpec:
 
     @classmethod
     def gaussian(cls, kappa: float) -> "FiducialSpec":
-        if not kappa > 0:
-            raise ValueError("gaussian width parameter must be positive")
+        if not 0 < kappa < math.inf:
+            raise ValueError("gaussian width parameter must be positive and finite")
         return cls("gaussian", kappa=float(kappa))
 
     @classmethod
@@ -75,8 +79,8 @@ class FiducialSpec:
 
     @classmethod
     def von_mises(cls, lam: float) -> "FiducialSpec":
-        if lam < 0:
-            raise ValueError("von Mises concentration must be nonnegative")
+        if not 0 <= lam < math.inf:
+            raise ValueError("von Mises concentration must be nonnegative and finite")
         return cls("von_mises", lam=float(lam))
 
     @classmethod
@@ -86,22 +90,28 @@ class FiducialSpec:
 
     @classmethod
     def parse(cls, text: str) -> "FiducialSpec":
-        """Parse a CLI spec string such as ``von_mises:400`` or ``constant``."""
+        """Parse a CLI spec string such as ``von_mises:400`` or ``constant``.
+
+        An unknown kind, or a parameter that is not a finite number of the
+        kind's type, raises :class:`InputFormatError`; a parsed parameter
+        out of its range raises ``ValueError`` from the constructor.
+        """
         name, _, arg = text.partition(":")
         name = name.strip()
         if name == "constant":
             return cls.constant()
-        if name == "kronecker":
-            return cls.kronecker(int(arg))
-        if name == "plane_wave":
-            return cls.plane_wave(int(arg))
-        if name == "gaussian":
-            return cls.gaussian(float(arg))
-        if name == "dirichlet":
-            return cls.dirichlet(int(arg))
-        if name == "von_mises":
-            return cls.von_mises(float(arg))
-        raise ValueError(f"unknown fiducial kind {name!r}")
+        parameter_type = _PARAMETER_TYPES.get(name)
+        if parameter_type is None:
+            raise InputFormatError(f"unknown fiducial kind {name!r}")
+        try:
+            value = parameter_type(arg)
+        except ValueError:
+            raise InputFormatError(
+                f"fiducial {name!r} needs a {parameter_type.__name__} parameter, "
+                f"got {arg!r}") from None
+        if not math.isfinite(value):
+            raise InputFormatError(f"fiducial {name!r} parameter {arg!r} is not finite")
+        return getattr(cls, name)(value)
 
     def label(self) -> str:
         if self.kind == "kronecker" or self.kind == "plane_wave":

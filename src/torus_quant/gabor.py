@@ -13,35 +13,21 @@ import warnings
 
 import numpy as np
 
-from .hilbert import as_state, dft_matrix
-from .weyl import displacement_apply
+from .hilbert import as_state, difference_index
+from .weyl import displacement_apply, half_phase_table
 
 __all__ = [
     "coherent_state",
     "gabor_transform",
     "gabor_inverse",
     "reproducing_kernel",
-    "reproducing_defect",
     "isometry_defect",
-    "frame_resolution_defect",
 ]
 
 
 def _warn_if_not_unit(psi: np.ndarray, what: str) -> None:
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         warnings.warn(f"{what} is not unit norm; coherent-state identities assume it")
-
-
-def _half_phase_grid(d: int, sign: int) -> np.ndarray:
-    mn = np.outer(np.arange(d), np.arange(d))
-    return np.exp(sign * 1j * np.pi * (mn % (2 * d)) / d)
-
-
-def _window_shifts(window: np.ndarray) -> np.ndarray:
-    # S[l, n] = window[(l - n) % d]
-    d = window.shape[0]
-    idx = (np.arange(d)[:, None] - np.arange(d)[None, :]) % d
-    return window[idx]
 
 
 def coherent_state(window, m: int, n: int) -> np.ndarray:
@@ -61,9 +47,8 @@ def gabor_transform(phi, window) -> np.ndarray:
     d = phi.shape[0]
     window = as_state(window, d=d)
     _warn_if_not_unit(window, "fiducial window")
-    windowed = _window_shifts(window).conj() * phi[:, None]  # [l, n]
-    spectra = (dft_matrix(d) * np.sqrt(d)) @ windowed  # [m, n]
-    return _half_phase_grid(d, +1) * spectra
+    windowed = np.conj(window[difference_index(d)]) * phi[:, None]  # [l, n]
+    return np.conj(half_phase_table(d)) * np.fft.fft(windowed, axis=0)
 
 
 def gabor_inverse(coeffs, window) -> np.ndarray:
@@ -78,61 +63,15 @@ def gabor_inverse(coeffs, window) -> np.ndarray:
     if coeffs.shape != (d, d):
         raise ValueError(f"coefficient map must be square, got {coeffs.shape}")
     window = as_state(window, d=d)
-    phased = coeffs * _half_phase_grid(d, -1)  # strip e^{i pi m n / d}
-    inner = (dft_matrix(d).conj() * np.sqrt(d)) @ phased  # [l, n]
-    return (inner * _window_shifts(window)).sum(axis=1) / d
+    # the inverse FFT over m carries the synthesis weight 1/d
+    inner = np.fft.ifft(coeffs * half_phase_table(d), axis=0)  # [l, n]
+    return (inner * window[difference_index(d)]).sum(axis=1)
 
 
-def reproducing_kernel(window, p: tuple[int, int], q: tuple[int, int],
-                       method: str = "direct") -> complex:
-    """Kernel K(p, q) = <psi_p, psi_q> of the coherent-state frame.
-
-    ``method="direct"`` forms both states; ``method="factored"`` uses the
-    splitting K = A * Psi with the pure phase
-    A = exp(i pi (m (n - n') - (m - m') n') / d) on unreduced integer
-    differences and the window autocorrelation
-    Psi(mu, nu) = sum_l e^{-2 i pi mu l / d} conj(window(l - nu)) window(l).
-    """
+def reproducing_kernel(window, p: tuple[int, int], q: tuple[int, int]) -> complex:
+    """Kernel K(p, q) = <psi_p, psi_q> of the coherent-state frame."""
     window = as_state(window)
-    d = window.shape[0]
-    m, n = int(p[0]) % d, int(p[1]) % d
-    mp, npp = int(q[0]) % d, int(q[1]) % d
-    if method == "direct":
-        return complex(np.vdot(displacement_apply(window, m, n),
-                               displacement_apply(window, mp, npp)))
-    if method == "factored":
-        a_exp = (m * (n - npp) - (m - mp) * npp) % (2 * d)
-        a = np.exp(1j * np.pi * a_exp / d)
-        mu = (m - mp) % d
-        nu = (n - npp) % d
-        ls = np.arange(d)
-        corr = np.exp(-2j * np.pi * ((mu * ls) % d) / d) * np.conj(window[(ls - nu) % d]) * window
-        return complex(a * corr.sum())
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _frame_states(window: np.ndarray) -> np.ndarray:
-    """All coherent states stacked as columns, ordered (m, n) row-major."""
-    d = window.shape[0]
-    cols = np.empty((d, d * d), dtype=complex)
-    for m in range(d):
-        for n in range(d):
-            cols[:, m * d + n] = displacement_apply(window, m, n)
-    return cols
-
-
-def reproducing_defect(window, phi) -> float:
-    """Max deviation of Phi from its own kernel average.
-
-    Returns max_p |Phi(p) - (1/d) sum_q K(p, q) Phi(q)|, which vanishes
-    because the analysis range is the kernel's eigenspace.
-    """
-    window = as_state(window)
-    phi = as_state(phi, d=window.shape[0])
-    flat = gabor_transform(phi, window).reshape(-1)
-    states = _frame_states(window)
-    gram = states.conj().T @ states
-    return float(np.abs(flat - gram @ flat / window.shape[0]).max())
+    return complex(np.vdot(displacement_apply(window, *p), displacement_apply(window, *q)))
 
 
 def isometry_defect(phi, window) -> float:
@@ -141,12 +80,3 @@ def isometry_defect(phi, window) -> float:
     coeffs = gabor_transform(phi, window)
     return float(abs((np.abs(coeffs) ** 2).sum() / phi.shape[0]
                      - np.linalg.norm(phi) ** 2))
-
-
-def frame_resolution_defect(window) -> float:
-    """Max-norm distance of (1/d) sum_p |psi_p><psi_p| from the identity."""
-    window = as_state(window)
-    d = window.shape[0]
-    states = _frame_states(window)
-    frame_op = states @ states.conj().T / d
-    return float(np.abs(frame_op - np.eye(d)).max())

@@ -2,15 +2,15 @@
 
 States are length-d complex vectors indexed by l = 0..d-1; all index
 arithmetic is modulo d.  The discrete Fourier transform is unitary
-(1/sqrt(d) normalization) and is realized as an explicit dense matrix so
-the normalization stays visible and testable.  Phase exponents are always
-reduced in integer arithmetic before the complex exponential is formed,
-which keeps identities exact to machine precision even for large indices.
+(1/sqrt(d) normalization), computed by ``np.fft`` with ``norm="ortho"``;
+its kernel W[k, l] = exp(-2i pi k l / d) / sqrt(d) is pinned by the tests
+against a dense reference matrix.  :func:`phase_table` is the one place
+where an integer phase is exponentiated: exponents are reduced in integer
+arithmetic first, which keeps identities exact to machine precision even
+for large indices.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -20,12 +20,12 @@ __all__ = [
     "norm",
     "kronecker_basis",
     "fourier_basis",
-    "dft_matrix",
     "dft",
     "idft",
     "translate",
     "modulate",
     "phase_table",
+    "difference_index",
 ]
 
 
@@ -80,8 +80,7 @@ def fourier_basis(d: int, k: int) -> np.ndarray:
     """
     if not 0 <= k < d:
         raise ValueError(f"basis label k={k} out of range [0, {d})")
-    ls = np.arange(d)
-    return np.exp(2j * np.pi * ((k * ls) % d) / d) / np.sqrt(d)
+    return phase_table(d, k * np.arange(d)) / np.sqrt(d)
 
 
 def phase_table(d: int, numerators, denominator_scale: int = 1) -> np.ndarray:
@@ -95,30 +94,24 @@ def phase_table(d: int, numerators, denominator_scale: int = 1) -> np.ndarray:
     return np.exp(2j * np.pi * (num % modulus) / modulus)
 
 
-@lru_cache(maxsize=32)
-def dft_matrix(d: int) -> np.ndarray:
-    """Unitary DFT matrix W[k, l] = exp(-2i pi k l / d) / sqrt(d).
+def difference_index(d: int) -> np.ndarray:
+    """Index table [a, k] -> (a - k) mod d.
 
-    The returned array is cached and marked read-only.
+    ``x[difference_index(d)]`` holds the cyclic shifts x(a - k) of a vector
+    as columns; ``take_along_axis(M, difference_index(d), axis=1)`` reads a
+    matrix along its cyclic diagonals M[a, a - k].
     """
-    if d < 1:
-        raise ValueError("dimension must be positive")
-    kl = np.outer(np.arange(d), np.arange(d))
-    w = np.exp(-2j * np.pi * (kl % d) / d) / np.sqrt(d)
-    w.flags.writeable = False
-    return w
+    return (np.arange(d)[:, None] - np.arange(d)[None, :]) % d
 
 
 def dft(phi) -> np.ndarray:
     """Unitary Fourier transform, k -> (1/sqrt(d)) sum_l exp(-2i pi k l/d) phi(l)."""
-    phi = as_state(phi)
-    return dft_matrix(phi.shape[0]) @ phi
+    return np.fft.fft(as_state(phi), norm="ortho")
 
 
 def idft(phi_hat) -> np.ndarray:
     """Inverse of :func:`dft`; kernel exp(+2i pi k l / d) / sqrt(d)."""
-    phi_hat = as_state(phi_hat)
-    return dft_matrix(phi_hat.shape[0]).conj() @ phi_hat
+    return np.fft.ifft(as_state(phi_hat), norm="ortho")
 
 
 def translate(phi, n0: int) -> np.ndarray:

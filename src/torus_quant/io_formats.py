@@ -28,14 +28,21 @@ __all__ = [
 _FMT = "%.15e"
 
 
-def _parse_number(token: str, where: str) -> float:
+def _parse_number(token: str | float, where: str) -> float:
     try:
         value = float(token)
-    except ValueError:
+    except (ValueError, OverflowError):
         raise InputFormatError(f"could not parse number {token!r} at {where}") from None
     if not math.isfinite(value):
         raise InputFormatError(f"non-finite number {token!r} at {where}")
     return value
+
+
+def _json_number(value, where: str) -> float:
+    """A JSON number (not a bool, string or container) that is finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputFormatError(f"expected a number at {where}, got {value!r}")
+    return _parse_number(value, where)
 
 
 def read_vector_csv(path: str | Path) -> np.ndarray:
@@ -67,7 +74,9 @@ def read_signal(path: str | Path) -> np.ndarray:
     """Read a signal from CSV (see :func:`read_vector_csv`) or JSON.
 
     JSON is either a bare array of reals or an object
-    ``{"d": int, "values": [x or [re, im], ...]}``.
+    ``{"d": int, "values": [x or [re, im], ...]}``.  Every entry must be a
+    finite JSON number; ``NaN``, ``Infinity``, booleans and strings raise
+    :class:`InputFormatError`, as does a ``d`` that is not an integer.
     """
     path = Path(path)
     if path.suffix.lower() != ".json":
@@ -87,18 +96,24 @@ def read_signal(path: str | Path) -> np.ndarray:
         declared, entries = None, payload
     else:
         raise InputFormatError(f"{path}: JSON must be an array or an object")
+    if declared is not None and (isinstance(declared, bool) or not isinstance(declared, int)):
+        raise InputFormatError(f"{path}: 'd' must be an integer, got {declared!r}")
+    if not isinstance(entries, list):
+        raise InputFormatError(f"{path}: 'values' must be an array")
     values = []
     for i, entry in enumerate(entries):
-        if isinstance(entry, (int, float)):
-            values.append(complex(entry))
-        elif isinstance(entry, list) and len(entry) == 2:
-            values.append(complex(float(entry[0]), float(entry[1])))
+        where = f"{path}: values[{i}]"
+        if not isinstance(entry, list):
+            values.append(complex(_json_number(entry, where)))
+        elif len(entry) == 2:
+            values.append(complex(_json_number(entry[0], where + "[0]"),
+                                  _json_number(entry[1], where + "[1]")))
         else:
-            raise InputFormatError(f"{path}: values[{i}] must be a number or [re, im]")
+            raise InputFormatError(f"{where} must be a number or [re, im]")
     if not values:
         raise InputFormatError(f"{path}: no samples found")
     signal = np.array(values, dtype=complex)
-    if declared is not None and int(declared) != signal.shape[0]:
+    if declared is not None and declared != signal.shape[0]:
         raise InputFormatError(
             f"{path}: declared d={declared} but {signal.shape[0]} samples present")
     return signal

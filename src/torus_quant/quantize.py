@@ -5,61 +5,54 @@ generates the unit-trace quantization operator
 
     M_w = (1/d) sum_{m,n} w(m, n) D(m, n),
 
-where D is the displacement family used for phase-space sums.  For even d
-this family is the plain half-phase displacement.  For odd d the half
-phase is realized with the modular inverse of 2, i.e.
-
-    D(m, n) = exp(-2 i pi m ((d+1)/2 n mod d) / d) E_m T_n,
-
-which agrees with the half-phase operator for even n and differs by
-(-1)**m for odd n.  This is the unique choice that makes the family
-genuinely d-periodic in both indices (D(m,n)^dag = D(-m,-n) with no
-stray signs), and it is what makes the unit weight produce exactly the
-parity operator at odd d.  All sums over the phase space, including the
-integral-kernel construction and weight retrieval by tracing, use the
-same family, so construction and retrieval are exact mutual inverses.
+where D is the d-periodic displacement family :func:`sum_displacement`
+(its phase convention is in :mod:`torus_quant.weyl`): the half-phase
+operator U at even d and (-1)**(m n) U at odd d, i.e. the half phase
+realized with the modular inverse of 2.  This is the unique choice that
+makes the family genuinely d-periodic in both indices, and it is what
+makes the unit weight produce exactly the parity operator at odd d.
+Construction and retrieval by tracing use the same family, so they are
+exact mutual inverses.
 
 Symbols f(m, n) are quantized by averaging against the transported
 operators,
 
-    A_f = (1/d) sum_{m,n} f(m, n) D(m,n) M_w D(m,n)^dag,
+    A_f = (1/d) sum_{m,n} f(m, n) D(m,n) M_w D(m,n)^dag.
 
-with an equivalent O(d^3) integral-kernel path used as the production
-route.  Apart from the "direct" oracle of :func:`quantization_operator`,
-no function here loops over the d^2 phase-space points; each sum is
-evaluated in closed form (chi is :func:`sum_phase_table`):
+No function here loops over the d^2 phase-space points; each sum is
+evaluated in closed form with FFTs (chi is :func:`weyl.sum_phase_table`):
 
+- M_w from its integral kernel: entry (l, l - nu) is
+  (1/d) sum_mu w(mu, nu) chi(mu, nu) e^{2 i pi mu l / d}, one inverse FFT;
 - coherent-state weight, w(m, n) = conj(chi(m, n)) sum_l
-  e^{-2 i pi m l / d} phi(l) conj(phi(l - n)): one DFT over l per n,
-  O(d^2 log d);
+  e^{-2 i pi m l / d} phi(l) conj(phi(l - n)): one FFT over l per n;
 - weight retrieval, w(m, n) = conj(chi(m, n)) sum_l e^{-2 i pi m l / d}
-  M[l, l - n]: one DFT of the operator's cyclic diagonals, O(d^2 log d);
-- the "direct" quantization route, from the closed form of
+  M[l, l - n]: one FFT of the operator's cyclic diagonals;
+- the production route of :func:`quantize`, which feeds the conjugate
+  symplectic transform of f into the kernel assembly;
+- the "direct" route of :func:`quantize`, from the closed form of
   :func:`transported`,
   A[a, b] = (1/d) sum_n g(a - b, n) M_w[a - n, b - n] with
   g(k, n) = sum_m f(m, n) e^{2 i pi m k / d}: along each cyclic diagonal
-  a - b = k a convolution over n, evaluated by FFT, O(d^2 log d) beyond
-  the O(d^3) assembly of M_w.  It does not go through the symplectic
-  transform of the kernel route, so the two stay independent checks of
-  each other.
+  a - b = k a convolution over n, evaluated by FFT.  It does not go
+  through the symplectic transform of the production route, so the two
+  stay independent checks of each other.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .hilbert import as_state, dft, dft_matrix, idft
-from .weyl import displacement_matrix
+from .hilbert import as_state, dft, difference_index, idft, phase_table
+from .weyl import adjoint_sign_table, displacement_matrix, sum_phase_table
 
 __all__ = [
     "Weight",
     "parity_weight",
     "coherent_state_weight",
-    "sum_phase_table",
     "sum_displacement",
     "transported",
     "quantization_operator",
@@ -78,64 +71,16 @@ __all__ = [
 _WEIGHT_ORIGIN_TOL = 1e-10
 
 
-@lru_cache(maxsize=32)
-def sum_phase_table(d: int) -> np.ndarray:
-    """Phase chi[m, n] of the displacement family used in phase-space sums.
-
-    chi is exp(-i pi m n / d) on canonical representatives for even d; for
-    odd d the exponent uses the modular half (d+1)/2 * n mod d, making the
-    table d-periodic in both indices.
-    """
-    m = np.arange(d)[:, None]
-    n = np.arange(d)[None, :]
-    if d % 2:
-        half_n = (n * ((d + 1) // 2)) % d
-        tab = np.exp(-2j * np.pi * ((m * half_n) % d) / d)
-    else:
-        tab = np.exp(-1j * np.pi * ((m * n) % (2 * d)) / d)
-    tab.flags.writeable = False
-    return tab
-
-
 def sum_displacement(d: int, m: int, n: int) -> np.ndarray:
     """Matrix of the d-periodic displacement D(m, n) (position basis)."""
     m %= d
     n %= d
-    cols = np.arange(d)
-    rows = (cols + n) % d
-    out = np.zeros((d, d), dtype=complex)
-    out[rows, cols] = sum_phase_table(d)[m, n] * np.exp(
-        2j * np.pi * ((m * rows) % d) / d
-    )
-    return out
-
-
-def _difference_index(d: int) -> np.ndarray:
-    """Index table [a, k] -> (a - k) mod d; M[a, a - k] reads the diagonals of M."""
-    return (np.arange(d)[:, None] - np.arange(d)[None, :]) % d
+    return (-1) ** (d % 2 * m * n % 2) * displacement_matrix(d, m, n)
 
 
 def _negated_indices(values: np.ndarray) -> np.ndarray:
     """Map g(m, n) -> g(-m mod d, -n mod d)."""
     return np.roll(values[::-1, ::-1], 1, axis=(0, 1))
-
-
-@lru_cache(maxsize=32)
-def adjoint_sign_table(d: int) -> np.ndarray:
-    """Sign relating D(m,n)^dag to D(-m,-n) on canonical representatives.
-
-    Identically one for odd d (the modular-half family is genuinely
-    periodic); for even d the entries with both indices nonzero carry
-    (-1)**(m+n).
-    """
-    if d % 2:
-        table = np.ones((d, d))
-    else:
-        m = np.arange(d)[:, None]
-        n = np.arange(d)[None, :]
-        table = np.where((m == 0) | (n == 0), 1.0, (-1.0) ** ((m + n) % 2))
-    table.flags.writeable = False
-    return table
 
 
 def transported(M: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -147,7 +92,7 @@ def transported(M: np.ndarray, m: int, n: int) -> np.ndarray:
     """
     d = M.shape[0]
     idx = (np.arange(d) - n) % d
-    ph = np.exp(2j * np.pi * (((m % d) * np.arange(d)) % d) / d)
+    ph = phase_table(d, m * np.arange(d))
     return M[np.ix_(idx, idx)] * np.outer(ph, ph.conj())
 
 
@@ -217,14 +162,9 @@ def coherent_state_weight(phi) -> Weight:
     if abs(nrm - 1.0) > 1e-10:
         warnings.warn("coherent-state weight from a non-unit vector; normalizing")
         phi = phi / nrm
-    products = phi[:, None] * np.conj(phi[_difference_index(d)])  # [l, n]
+    products = phi[:, None] * np.conj(phi[difference_index(d)])  # [l, n]
     w = np.conj(sum_phase_table(d)) * np.fft.fft(products, axis=0)
     return Weight(w, provenance="coherent_state")
-
-
-def _unnormalized_idft_matrix(d: int) -> np.ndarray:
-    # E[l, mu] = exp(+2 i pi l mu / d); reused by the kernel assemblers.
-    return dft_matrix(d).conj() * np.sqrt(d)
 
 
 def _kernel_operator(w_values: np.ndarray, factor: np.ndarray | None) -> np.ndarray:
@@ -237,30 +177,15 @@ def _kernel_operator(w_values: np.ndarray, factor: np.ndarray | None) -> np.ndar
     d = w_values.shape[0]
     chi = sum_phase_table(d)
     c = w_values * chi if factor is None else w_values * factor * chi
-    ematrix = _unnormalized_idft_matrix(d)
-    cols_per_nu = ematrix @ c / d  # [l, nu]
+    cols_per_nu = np.fft.ifft(c, axis=0)  # [l, nu]
     out = np.empty((d, d), dtype=complex)
-    np.put_along_axis(out, _difference_index(d), cols_per_nu, axis=1)
+    np.put_along_axis(out, difference_index(d), cols_per_nu, axis=1)
     return out
 
 
-def quantization_operator(w: Weight, method: str = "kernel") -> np.ndarray:
-    """Operator M_w = (1/d) sum w(m,n) D(m,n), of unit trace.
-
-    ``method`` selects the O(d^3) integral-kernel assembly ("kernel") or
-    the direct sum over displacements ("direct", the oracle path); both
-    agree to machine precision.
-    """
-    if method == "kernel":
-        return _kernel_operator(w.values, None)
-    if method == "direct":
-        d = w.d
-        out = np.zeros((d, d), dtype=complex)
-        for m in range(d):
-            for n in range(d):
-                out += w.values[m, n] * sum_displacement(d, m, n)
-        return out / d
-    raise ValueError(f"unknown method {method!r}")
+def quantization_operator(w: Weight) -> np.ndarray:
+    """Operator M_w = (1/d) sum w(m,n) D(m,n), of unit trace, from its integral kernel."""
+    return _kernel_operator(w.values, None)
 
 
 def weight_from_operator(M: np.ndarray, provenance: str = "custom") -> Weight:
@@ -277,7 +202,7 @@ def weight_from_operator(M: np.ndarray, provenance: str = "custom") -> Weight:
     tr = np.trace(M)
     if not abs(tr - 1.0) <= _WEIGHT_ORIGIN_TOL:
         raise ValueError(f"operator trace must be 1 to define a weight, got {tr}")
-    diagonals = np.take_along_axis(M, _difference_index(d), axis=1)  # M[l, l - n]
+    diagonals = np.take_along_axis(M, difference_index(d), axis=1)  # M[l, l - n]
     w = np.conj(sum_phase_table(d)) * np.fft.fft(diagonals, axis=0)
     return Weight(w, provenance=provenance)
 
@@ -294,10 +219,9 @@ def symplectic_dft(f: np.ndarray, conjugate: bool = False) -> np.ndarray:
     d = f.shape[0]
     if f.shape != (d, d):
         raise ValueError(f"phase-space map must be square, got {f.shape}")
-    w = dft_matrix(d) * np.sqrt(d)  # exp(-2 i pi a b / d)
     if conjugate:
-        return w @ f.T @ w.conj() / d
-    return w.conj() @ f.T @ w / d
+        return np.fft.fft(np.fft.ifft(f, axis=0), axis=1).T
+    return np.fft.ifft(np.fft.fft(f, axis=0), axis=1).T
 
 
 def momentum_symbol(g) -> np.ndarray:
@@ -327,8 +251,7 @@ def quantize(f: np.ndarray, w: Weight, method: str = "kernel") -> np.ndarray:
         g(k, n) = sum_m f(m, n) e^{2 i pi m k / d},
 
     along each cyclic diagonal a - b = k a convolution over n, evaluated
-    by FFT: O(d^2 log d) beyond the O(d^3) assembly of M_w, and
-    independent of the kernel route.  The unit symbol quantizes to the
+    by FFT and independent of the kernel route.  The unit symbol quantizes to the
     identity for every valid weight.
     """
     f = np.asarray(f, dtype=complex)
@@ -340,7 +263,7 @@ def quantize(f: np.ndarray, w: Weight, method: str = "kernel") -> np.ndarray:
     if method == "direct":
         mw = quantization_operator(w)
         g = d * np.fft.ifft(f, axis=0)  # g[k, n] = sum_m f(m, n) e^{2 i pi m k / d}
-        index = _difference_index(d)
+        index = difference_index(d)
         mw_diagonals = np.take_along_axis(mw, index, axis=1)  # M_w[a, a - k]
         # A[a, a-k] = (1/d) sum_n g[k, n] M_w[a-n, a-n-k], a convolution over n
         conv = np.fft.ifft(np.fft.fft(g.T, axis=0) * np.fft.fft(mw_diagonals, axis=0), axis=0)
@@ -360,7 +283,7 @@ def quantize_momentum(g, w: Weight) -> np.ndarray:
     g = as_state(g, d=w.d)
     d = w.d
     ghat_neg = idft(g)
-    delta = _difference_index(d)
+    delta = difference_index(d)
     return ghat_neg[delta] * w.values[0, delta] / np.sqrt(d)
 
 

@@ -1,104 +1,69 @@
-"""Discrete Weyl-Heisenberg group and displacement operators on Z_d.
+"""Displacement operators on Z_d and their two phase conventions.
 
-A group element is a triple (s, m, n) with real central parameter s and
-modulation / translation indices m, n stored as canonical representatives
-in [0, d).  The displacement operator combines modulation E_m and
-translation T_n with a symmetrizing half phase,
+The displacement operator combines modulation E_m and translation T_n with
+a symmetrizing half phase,
 
     (U(m,n) psi)(l) = exp(-i pi m n / d) exp(2i pi m l / d) psi(l - n),
 
-evaluated on the canonical representatives.  The half phase is only
-d-periodic up to sign:
+evaluated on the canonical representatives m, n in [0, d).  The half phase
+is only d-periodic up to sign:
 
     U(m + d, n) = (-1)**n U(m, n),     U(m, n + d) = (-1)**m U(m, n),
 
-so identities that move indices out of [0, d) acquire tracked signs.  The
-helpers below (:func:`conjugate_sign`, :func:`compose_displacements`)
-return those signs explicitly; tests assert the identities with the signs
-included, which pins the convention unambiguously.
+so identities that move indices out of [0, d) acquire tracked signs;
+:func:`conjugate_sign` returns the one of the adjoint.
+
+Sums over the whole phase space use the d-periodic family
+
+    D(m, n) = (-1)**(m n) U(m, n) at odd d,     D(m, n) = U(m, n) at even d,
+
+whose phase :func:`sum_phase_table` equals exp(-2i pi m ((d+1)/2 n) / d)
+at odd d: the half phase realized with the modular inverse of 2.  This
+family satisfies D(m,n)^dag = c(m,n) D(-m,-n) with the sign table
+:func:`adjoint_sign_table`, identically one at odd d.  Every phase here
+is exponentiated by :func:`hilbert.phase_table`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .hilbert import as_state, dft_matrix, modulate, phase_table, translate
+from .hilbert import as_state, modulate, phase_table, translate
 
 __all__ = [
-    "GroupElement",
-    "group_mul",
-    "group_inv",
     "half_phase",
+    "half_phase_table",
+    "sum_phase_table",
     "conjugate_sign",
-    "wrap_sign_exponent",
-    "rep_V",
+    "adjoint_sign_table",
     "displacement_apply",
     "displacement_matrix",
     "trace_displacement",
-    "compose_displacements",
-    "conjugation_phase",
 ]
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """Element (s, m, n) of the discrete Weyl-Heisenberg group over Z_d.
+def half_phase(d: int, m, n) -> np.ndarray:
+    """The symmetrizing factor exp(-i pi m n / d) on canonical representatives.
 
-    ``m`` and ``n`` are canonicalized to [0, d) at construction; the central
-    parameter ``s`` is kept as given.
+    ``m`` and ``n`` may be integer arrays that broadcast against each other.
     """
-
-    d: int
-    s: float
-    m: int
-    n: int
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("dimension must be positive")
-        object.__setattr__(self, "m", int(self.m) % self.d)
-        object.__setattr__(self, "n", int(self.n) % self.d)
-        object.__setattr__(self, "s", float(self.s))
+    return phase_table(d, -np.multiply(m, n), 2)
 
 
-def wrap_sign_exponent(d: int, m_sum: int, n_sum: int) -> int:
-    """Sign exponent picked up when reducing (m_sum, n_sum) into [0, d).
+def half_phase_table(d: int) -> np.ndarray:
+    """Table [m, n] of the half phase of U(m, n) on canonical representatives."""
+    ms = np.arange(d)
+    return half_phase(d, ms[:, None], ms[None, :])
 
-    For unreduced sums in [0, 2d), U(m_sum, n_sum) = (-1)**w U(m0, n0) with
-    m0 = m_sum mod d, n0 = n_sum mod d and w the value returned here.
+
+def sum_phase_table(d: int) -> np.ndarray:
+    """Phase chi[m, n] of the d-periodic displacement family D.
+
+    chi is the half phase times (-1)**(m n) at odd d and the half phase
+    itself at even d.
     """
-    j, m0 = divmod(int(m_sum), d)
-    k, n0 = divmod(int(n_sum), d)
-    return (j * (n0 + k * d) + k * m0) % 2
-
-
-def group_mul(a: GroupElement, b: GroupElement) -> GroupElement:
-    """Group law on (s, m, n) triples.
-
-    The central parameter receives the symplectic half term
-    (a.m b.n - b.m a.n)/2 computed from the unreduced integer products,
-    plus d/2 times the representative-wrap sign exponent.  The extra term
-    keeps the map to operators a homomorphism (and makes a * inv(a) the
-    literal neutral element) even though m, n are stored canonically.
-    """
-    if a.d != b.d:
-        raise ValueError(f"dimension mismatch: {a.d} != {b.d}")
-    d = a.d
-    cross = (a.m * b.n - b.m * a.n) / 2.0
-    w = wrap_sign_exponent(d, a.m + b.m, a.n + b.n)
-    return GroupElement(d, a.s + b.s + cross + d * w / 2.0, a.m + b.m, a.n + b.n)
-
-
-def group_inv(a: GroupElement) -> GroupElement:
-    """Inverse (-s, -m mod d, -n mod d)."""
-    return GroupElement(a.d, -a.s, -a.m, -a.n)
-
-
-def half_phase(d: int, m: int, n: int) -> complex:
-    """The symmetrizing factor exp(-i pi m n / d) on canonical representatives."""
-    return complex(np.exp(-1j * np.pi * ((int(m) * int(n)) % (2 * d)) / d))
+    ms = np.arange(d)
+    return (-1) ** (d % 2 * np.outer(ms, ms) % 2) * half_phase_table(d)
 
 
 def conjugate_sign(d: int, m: int, n: int) -> int:
@@ -112,6 +77,20 @@ def conjugate_sign(d: int, m: int, n: int) -> int:
     if m == 0 or n == 0:
         return 1
     return -1 if (d + m + n) % 2 else 1
+
+
+def adjoint_sign_table(d: int) -> np.ndarray:
+    """Sign c[m, n] in D(m,n)^dag = c[m, n] D(-m, -n) on canonical representatives.
+
+    Identically one for odd d (the family is genuinely periodic); for even
+    d, where D = U, it is :func:`conjugate_sign`: the entries with both
+    indices nonzero carry (-1)**(m+n).
+    """
+    if d % 2:
+        return np.ones((d, d))
+    m = np.arange(d)[:, None]
+    n = np.arange(d)[None, :]
+    return np.where((m == 0) | (n == 0), 1.0, (-1.0) ** ((m + n) % 2))
 
 
 def displacement_apply(psi, m: int, n: int) -> np.ndarray:
@@ -155,49 +134,6 @@ def displacement_matrix(d: int, m: int, n: int, basis: str = "kronecker") -> np.
     return out
 
 
-def rep_V(g: GroupElement, psi) -> np.ndarray:
-    """Unitary representation (V(s,m,n) psi)(l) = e^{2 i pi s/d} (U(m,n) psi)(l)."""
-    psi = as_state(psi, d=g.d)
-    central = np.exp(2j * np.pi * (g.s % g.d) / g.d)
-    return central * displacement_apply(psi, g.m, g.n)
-
-
 def trace_displacement(d: int, m: int, n: int) -> complex:
     """Trace of U(m, n); equals d for (m, n) = (0, 0) and 0 otherwise."""
     return complex(np.trace(displacement_matrix(d, m, n)))
-
-
-def compose_displacements(d: int, m: int, n: int, mp: int, np_: int):
-    """Exact composition data for U(m,n) U(m',n') = phase * U(point).
-
-    Returns ``(phase, (m0, n0))`` with the canonical target point.  The
-    phase is exp(i pi (m n' - n m') / d) computed from unreduced integer
-    products, times (-1)**w for the representative-wrap exponent w of the
-    index sums; the extra sign is 1 whenever the sums stay inside [0, d).
-    """
-    m %= d
-    n %= d
-    mp %= d
-    np_ %= d
-    sym = (m * np_ - n * mp) % (2 * d)
-    w = wrap_sign_exponent(d, m + mp, n + np_)
-    phase = complex(np.exp(1j * np.pi * sym / d)) * (-1) ** w
-    return phase, ((m + mp) % d, (n + np_) % d)
-
-
-def conjugation_phase(d: int, m: int, n: int, mp: int, np_: int) -> complex:
-    """Phase in U(m',n') U(m,n) U(m',n')^dag = phase * U(m,n).
-
-    Full-period phase exp(-2 i pi (m n' - m' n) / d); exact on canonical
-    representatives because conjugation cancels all half-phase wrap signs.
-    """
-    return complex(np.exp(-2j * np.pi * ((m * np_ - mp * n) % d) / d))
-
-
-def fourier_conjugated(d: int, matrix: np.ndarray) -> np.ndarray:
-    """Conjugate a position-basis operator into the Fourier basis."""
-    w = dft_matrix(d)
-    return w @ matrix @ w.conj().T
-
-
-__all__.append("fourier_conjugated")

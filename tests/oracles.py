@@ -1,14 +1,60 @@
-"""Literal phase-space sums, kept as slow references for the tests.
+"""Slow reference routes, kept for the tests only.
 
-Each function evaluates its defining sum over the d^2 phase-space points
-term by term, O(d^4) in total.  The package computes the same quantities
-in closed form; ``test_oracles.py`` pins the two against each other.
+- Literal phase-space sums: each evaluates its defining sum over the d^2
+  phase-space points term by term, O(d^4) in total.  The package computes
+  the same quantities in closed form; ``test_oracles.py`` pins the two
+  against each other.
+- The dense DFT matrix, the pin of the kernel W[k, l] of ``dft``.
+- Second routes to package results (the factored reproducing kernel, two
+  more Wigner forms, the frame built state by state).
+- The Weyl-Heisenberg group law, whose representation the displacement
+  operators are.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from torus_quant import quantization_operator, sum_displacement, transported
+from torus_quant import (
+    as_state,
+    displacement_apply,
+    gabor_transform,
+    parity_matrix,
+    quantization_operator,
+    realize_real,
+    sum_displacement,
+    transported,
+)
 from torus_quant.distributions import _overlap_map
+
+
+def dft_matrix(d: int) -> np.ndarray:
+    """Unitary DFT matrix W[k, l] = exp(-2i pi k l / d) / sqrt(d)."""
+    kl = np.outer(np.arange(d), np.arange(d))
+    return np.exp(-2j * np.pi * (kl % d) / d) / np.sqrt(d)
+
+
+def quantization_operator_sum(w) -> np.ndarray:
+    """M_w = (1/d) sum_{m,n} w(m, n) D(m, n), one displacement per point."""
+    d = w.d
+    out = np.zeros((d, d), dtype=complex)
+    for m in range(d):
+        for n in range(d):
+            out += w.values[m, n] * sum_displacement(d, m, n)
+    return out / d
+
+
+def symplectic_dft_sum(f, conjugate=False) -> np.ndarray:
+    """(1/d) sum_{m',n'} f(m', n') exp(-+2 i pi (m' n - m n') / d)."""
+    d = f.shape[0]
+    sign = 1 if conjugate else -1
+    ms = np.arange(d)
+    out = np.empty((d, d), dtype=complex)
+    for m in range(d):
+        for n in range(d):
+            exponent = (np.outer(ms, np.full(d, n)) - np.outer(np.full(d, m), ms)) % d
+            out[m, n] = np.sum(f * np.exp(sign * 2j * np.pi * exponent / d)) / d
+    return out
 
 
 def coherent_state_weight_sum(phi) -> np.ndarray:
@@ -62,3 +108,161 @@ def portrait_of_symbol_sum(f, w) -> np.ndarray:
         for n in range(d):
             out += dist[m, n] * np.roll(f, (m, n), axis=(0, 1))
     return out / d
+
+
+def reproducing_kernel_factored(window, p, q) -> complex:
+    """K(p, q) = A * Psi, split into a pure phase and a window autocorrelation.
+
+    A = exp(i pi (m (n - n') - (m - m') n') / d) on unreduced integer
+    differences and Psi(mu, nu) = sum_l e^{-2 i pi mu l / d}
+    conj(window(l - nu)) window(l).
+    """
+    window = as_state(window)
+    d = window.shape[0]
+    m, n = int(p[0]) % d, int(p[1]) % d
+    mp, npp = int(q[0]) % d, int(q[1]) % d
+    a = np.exp(1j * np.pi * ((m * (n - npp) - (m - mp) * npp) % (2 * d)) / d)
+    mu, nu = (m - mp) % d, (n - npp) % d
+    ls = np.arange(d)
+    corr = np.exp(-2j * np.pi * ((mu * ls) % d) / d) * np.conj(window[(ls - nu) % d]) * window
+    return complex(a * corr.sum())
+
+
+def frame_states(window) -> np.ndarray:
+    """All coherent states stacked as columns, ordered (m, n) row-major."""
+    d = window.shape[0]
+    cols = np.empty((d, d * d), dtype=complex)
+    for m in range(d):
+        for n in range(d):
+            cols[:, m * d + n] = displacement_apply(window, m, n)
+    return cols
+
+
+def reproducing_defect(window, phi) -> float:
+    """max_p |Phi(p) - (1/d) sum_q K(p, q) Phi(q)|, zero on the analysis range."""
+    window = as_state(window)
+    phi = as_state(phi, d=window.shape[0])
+    flat = gabor_transform(phi, window).reshape(-1)
+    states = frame_states(window)
+    gram = states.conj().T @ states
+    return float(np.abs(flat - gram @ flat / window.shape[0]).max())
+
+
+def frame_resolution_defect(window) -> float:
+    """Max-norm distance of (1/d) sum_p |psi_p><psi_p| from the identity."""
+    window = as_state(window)
+    d = window.shape[0]
+    states = frame_states(window)
+    return float(np.abs(states @ states.conj().T / d - np.eye(d)).max())
+
+
+def wigner_via_parity(psi) -> np.ndarray:
+    """W(m,n) = <psi, D(m,n) P D(m,n)^dag psi> / d from the parity matrix (odd d)."""
+    psi = as_state(psi)
+    d = psi.shape[0]
+    p = parity_matrix(d)
+    out = np.empty((d, d), dtype=complex)
+    for m in range(d):
+        for n in range(d):
+            out[m, n] = np.vdot(psi, transported(p, m, n) @ psi) / d
+    return realize_real(out, what="Wigner map")
+
+
+def wigner_half_argument(psi) -> np.ndarray:
+    """W(m,n) = (1/d) sum_l e^{2 i pi m l / d} conj(psi(n + l/2)) psi(n - l/2) (odd d).
+
+    l/2 is read as ((d+1)/2) l mod d.
+    """
+    psi = as_state(psi)
+    d = psi.shape[0]
+    ls = np.arange(d)
+    half = (((d + 1) // 2) * ls) % d
+    quad = np.exp(2j * np.pi * ((np.outer(ls, ls)) % d) / d)
+    out = np.empty((d, d), dtype=complex)
+    for n in range(d):
+        out[:, n] = quad @ (np.conj(psi[(n + half) % d]) * psi[(n - half) % d]) / d
+    return realize_real(out, what="Wigner map")
+
+
+@dataclass(frozen=True)
+class GroupElement:
+    """Element (s, m, n) of the discrete Weyl-Heisenberg group over Z_d.
+
+    ``m`` and ``n`` are canonicalized to [0, d) at construction; the central
+    parameter ``s`` is kept as given.
+    """
+
+    d: int
+    s: float
+    m: int
+    n: int
+
+    def __post_init__(self):
+        if self.d < 1:
+            raise ValueError("dimension must be positive")
+        object.__setattr__(self, "m", int(self.m) % self.d)
+        object.__setattr__(self, "n", int(self.n) % self.d)
+        object.__setattr__(self, "s", float(self.s))
+
+
+def wrap_sign_exponent(d: int, m_sum: int, n_sum: int) -> int:
+    """Sign exponent picked up when reducing (m_sum, n_sum) into [0, d).
+
+    For unreduced sums in [0, 2d), U(m_sum, n_sum) = (-1)**w U(m0, n0) with
+    m0 = m_sum mod d, n0 = n_sum mod d and w the value returned here.
+    """
+    j, m0 = divmod(int(m_sum), d)
+    k, n0 = divmod(int(n_sum), d)
+    return (j * (n0 + k * d) + k * m0) % 2
+
+
+def group_mul(a: GroupElement, b: GroupElement) -> GroupElement:
+    """Group law on (s, m, n) triples.
+
+    The central parameter receives the symplectic half term
+    (a.m b.n - b.m a.n)/2 computed from the unreduced integer products,
+    plus d/2 times the representative-wrap sign exponent, which keeps the
+    map to operators a homomorphism although m, n are stored canonically.
+    """
+    if a.d != b.d:
+        raise ValueError(f"dimension mismatch: {a.d} != {b.d}")
+    d = a.d
+    cross = (a.m * b.n - b.m * a.n) / 2.0
+    w = wrap_sign_exponent(d, a.m + b.m, a.n + b.n)
+    return GroupElement(d, a.s + b.s + cross + d * w / 2.0, a.m + b.m, a.n + b.n)
+
+
+def group_inv(a: GroupElement) -> GroupElement:
+    """Inverse (-s, -m mod d, -n mod d)."""
+    return GroupElement(a.d, -a.s, -a.m, -a.n)
+
+
+def rep_V(g: GroupElement, psi) -> np.ndarray:
+    """Unitary representation (V(s,m,n) psi)(l) = e^{2 i pi s/d} (U(m,n) psi)(l)."""
+    psi = as_state(psi, d=g.d)
+    return np.exp(2j * np.pi * (g.s % g.d) / g.d) * displacement_apply(psi, g.m, g.n)
+
+
+def compose_displacements(d: int, m: int, n: int, mp: int, np_: int):
+    """Exact composition data for U(m,n) U(m',n') = phase * U(point).
+
+    Returns ``(phase, (m0, n0))`` with the canonical target point.  The
+    phase is exp(i pi (m n' - n m') / d) from unreduced integer products,
+    times (-1)**w for the representative-wrap exponent w of the index sums.
+    """
+    m, n, mp, np_ = m % d, n % d, mp % d, np_ % d
+    sym = (m * np_ - n * mp) % (2 * d)
+    w = wrap_sign_exponent(d, m + mp, n + np_)
+    phase = complex(np.exp(1j * np.pi * sym / d)) * (-1) ** w
+    return phase, ((m + mp) % d, (n + np_) % d)
+
+
+def conjugation_phase(d: int, m: int, n: int, mp: int, np_: int) -> complex:
+    """Phase in U(m',n') U(m,n) U(m',n')^dag = phase * U(m,n), exp(-2 i pi (m n' - m' n) / d)."""
+    return complex(np.exp(-2j * np.pi * ((m * np_ - mp * n) % d) / d))
+
+
+def fourier_conjugated(d: int, matrix: np.ndarray) -> np.ndarray:
+    """Conjugate a position-basis operator into the Fourier basis."""
+    w = dft_matrix(d)
+    return w @ matrix @ w.conj().T

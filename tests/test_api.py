@@ -1,0 +1,76 @@
+"""The public surface of the package and the names the benchmark relies on."""
+
+import importlib.util
+import inspect
+from pathlib import Path
+
+import torus_quant
+from torus_quant import cli
+
+import oracles
+
+TRACED_CLI = Path(__file__).resolve().parent.parent / "perfbench" / "traced_cli.py"
+
+#: reference routes that live in ``tests/oracles.py`` and not in the package
+ORACLE_NAMES = (
+    "dft_matrix",
+    "GroupElement",
+    "group_mul",
+    "group_inv",
+    "wrap_sign_exponent",
+    "rep_V",
+    "compose_displacements",
+    "conjugation_phase",
+    "fourier_conjugated",
+    "wigner_via_parity",
+    "wigner_half_argument",
+    "reproducing_defect",
+    "frame_resolution_defect",
+)
+
+
+class TestPublicNames:
+    def test_every_entry_resolves_to_a_non_module(self):
+        assert len(set(torus_quant.__all__)) == len(torus_quant.__all__)
+        for name in torus_quant.__all__:
+            assert not inspect.ismodule(getattr(torus_quant, name)), name
+
+    def test_oracles_are_not_exported(self):
+        for name in ORACLE_NAMES:
+            assert hasattr(oracles, name), name
+            assert name not in torus_quant.__all__, name
+
+
+def _load_traced_cli():
+    spec = importlib.util.spec_from_file_location("traced_cli", TRACED_CLI)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkContract:
+    """``perfbench/traced_cli.py`` wraps these attributes of ``torus_quant.cli``."""
+
+    def test_wrapped_names_exist(self):
+        traced = _load_traced_cli()
+        for name in traced.LAYER_OF:
+            assert callable(getattr(cli, name)), name
+        assert callable(cli.FiducialSpec.parse)
+        assert callable(cli.FiducialSpec.custom)
+        assert callable(cli._emit)
+        assert callable(cli.main)
+
+    def test_check_route_is_selected_by_keyword(self, tmp_path, monkeypatch):
+        # the traced run files a quantize call under quantize.check when it
+        # passes method="direct" as a keyword
+        calls = []
+        real = cli.quantize
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs.get("method"))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cli, "quantize", recording)
+        assert cli.main(["quantize", "--d", "3", "--symbol", "ones", "--weight", "parity",
+                         "--out", str(tmp_path / "op.csv")]) == 0
+        assert calls == [None, "direct"]
+

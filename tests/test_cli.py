@@ -1,4 +1,5 @@
 import importlib
+import pkgutil
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from torus_quant import (
     quantize_momentum,
     realize_fiducial,
 )
+import torus_quant
 from torus_quant import cli
 from torus_quant.cli import main
 from torus_quant.io_formats import (
@@ -71,6 +73,16 @@ class TestFiducialsCommand:
         assert "precondition" in capsys.readouterr().err
 
 
+class TestMalformedFiducialSpec:
+    @pytest.mark.parametrize("spec", ["bogus", "von_mises:abc", "kronecker:", "von_mises:nan",
+                                      "gaussian:inf"])
+    def test_input_error_exit(self, tmp_path, capsys, spec):
+        assert run("fiducials", "--d", "5", "--fiducial", spec,
+                   "--out", str(tmp_path / "f.csv")) == 2
+        assert "input error" in capsys.readouterr().err
+        assert not (tmp_path / "f.csv").exists()
+
+
 class TestGaborCommand:
     def test_plane_wave_single_row(self, tmp_path):
         d, k = 12, 5
@@ -104,6 +116,21 @@ class TestGaborCommand:
         err = capsys.readouterr().err
         line = next(l for l in err.splitlines() if l.startswith("isometry_residual"))
         assert float(line.split()[1]) < 1e-10
+
+    @pytest.mark.parametrize("payload", [
+        "[1, NaN, 2, 3, 4, 5]",
+        "[1, Infinity, 2]",
+        "[1, true, 2, 3, 4]",
+        '{"values": [1, ["a", 2]]}',
+        '{"d": "x", "values": [1, 2]}',
+        '{"values": 5}',
+    ])
+    def test_malformed_json_signal_is_input_error(self, tmp_path, capsys, payload):
+        sig = tmp_path / "sig.json"
+        sig.write_text(payload)
+        assert run("gabor", "--in", str(sig), "--out", str(tmp_path / "o.csv")) == 2
+        assert "input error" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         assert run("gabor", "--in", str(tmp_path / "absent.csv"),
@@ -187,6 +214,14 @@ class TestQuantizeCommand:
         assert run("quantize", "--d", "5", "--symbol", "position:index",
                    "--weight", "parity", "--out", str(out)) == 0
         assert np.abs(read_complex_matrix_csv(out) - np.diag(np.arange(5.0))).max() < 1e-12
+
+    def test_position_fourier_parity_weight_is_diagonal_phase(self, tmp_path):
+        d = 5
+        out = tmp_path / "op.csv"
+        assert run("quantize", "--d", str(d), "--symbol", "position:fourier",
+                   "--weight", "parity", "--out", str(out)) == 0
+        expected = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+        assert np.abs(read_complex_matrix_csv(out) - expected).max() < 1e-12
 
     def test_momentum_index_cs_weight_matches_library(self, tmp_path):
         d = 5
@@ -336,6 +371,16 @@ class TestCheckCatchesInjectedErrors:
         assert not out.exists()
 
 
+#: helpers that build one operator per phase-space point
+PER_POINT_HELPERS = ("transported", "sum_displacement", "displacement_matrix",
+                     "displacement_apply")
+
+
+def _package_modules():
+    return [importlib.import_module(f"torus_quant.{info.name}")
+            for info in pkgutil.iter_modules(torus_quant.__path__)]
+
+
 class TestNoPerPointLoops:
     """quantize and portrait never build a displacement per phase-space point."""
 
@@ -347,12 +392,18 @@ class TestNoPerPointLoops:
         def forbidden(*args, **kwargs):
             raise AssertionError("per-point helper called on a CLI path")
 
-        # the package re-exports the function ``quantize`` over its module name
-        quantize_module = importlib.import_module("torus_quant.quantize")
-        distributions_module = importlib.import_module("torus_quant.distributions")
-        monkeypatch.setattr(quantize_module, "transported", forbidden)
-        monkeypatch.setattr(quantize_module, "sum_displacement", forbidden)
-        monkeypatch.setattr(distributions_module, "transported", forbidden)
+        # every module that defines or imports a helper gets the raising stand-in
+        patched = set()
+        for module in _package_modules():
+            for name in PER_POINT_HELPERS:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+                    patched.add((module.__name__, name))
+        assert {("torus_quant.quantize", "transported"),
+                ("torus_quant.quantize", "sum_displacement"),
+                ("torus_quant.quantize", "displacement_matrix"),
+                ("torus_quant.weyl", "displacement_matrix"),
+                ("torus_quant.gabor", "displacement_apply")} <= patched
         d = 6
         if weight == "file":
             wfile = tmp_path / "w.csv"

@@ -21,11 +21,10 @@ from torus_quant import (
     realize_real,
     transported,
     wigner,
-    wigner_half_argument,
-    wigner_via_parity,
 )
 
 from conftest import random_map, random_state, random_symmetric_weight
+from oracles import wigner_half_argument, wigner_via_parity
 
 
 class TestHusimi:

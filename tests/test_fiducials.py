@@ -3,6 +3,7 @@ import pytest
 
 from torus_quant import (
     FiducialSpec,
+    InputFormatError,
     ToleranceError,
     default_catalog,
     jacobi_theta3,
@@ -89,6 +90,10 @@ class TestRealizations:
         lambda: FiducialSpec.von_mises(-1.0),
         lambda: FiducialSpec.dirichlet(-1),
         lambda: FiducialSpec.kronecker(-2),
+        lambda: FiducialSpec.gaussian(float("inf")),
+        lambda: FiducialSpec.gaussian(float("nan")),
+        lambda: FiducialSpec.von_mises(float("inf")),
+        lambda: FiducialSpec.von_mises(float("nan")),
     ])
     def test_parameter_validation(self, bad_ctor):
         with pytest.raises(ValueError):
@@ -124,6 +129,17 @@ class TestParsing:
     def test_parse_unknown(self):
         with pytest.raises(ValueError, match="unknown"):
             FiducialSpec.parse("hermite:3")
+
+    @pytest.mark.parametrize("text", ["hermite:3", "bogus", "von_mises:abc", "kronecker:",
+                                      "kronecker:1.5", "von_mises:nan", "gaussian:inf"])
+    def test_malformed_spec_is_input_error(self, text):
+        with pytest.raises(InputFormatError):
+            FiducialSpec.parse(text)
+
+    def test_out_of_range_parameter_is_not_an_input_error(self):
+        with pytest.raises(ValueError) as info:
+            FiducialSpec.parse("von_mises:-1")
+        assert not isinstance(info.value, InputFormatError)
 
     def test_labels_round_trip(self):
         for text in ("kronecker:2", "gaussian:1.5", "von_mises:400", "dirichlet:3"):

@@ -5,7 +5,6 @@ from torus_quant import (
     FiducialSpec,
     coherent_state,
     displacement_apply,
-    frame_resolution_defect,
     gabor_inverse,
     gabor_transform,
     fourier_basis,
@@ -15,11 +14,11 @@ from torus_quant import (
     kronecker_basis,
     norm,
     realize_fiducial,
-    reproducing_defect,
     reproducing_kernel,
 )
 
 from conftest import catalog_windows, random_state
+from oracles import frame_resolution_defect, reproducing_defect, reproducing_kernel_factored
 
 
 def gabor_oracle(phi, window):
@@ -149,8 +148,8 @@ class TestReproducingKernel:
         w = random_state(rng, d, unit=True)
         for p in [(m, n) for m in range(d) for n in range(d)]:
             for q in [(0, 0), (1, d - 1), (d - 1, 2 % d)]:
-                assert reproducing_kernel(w, p, q, method="factored") == pytest.approx(
-                    reproducing_kernel(w, p, q, method="direct"), abs=1e-12)
+                assert reproducing_kernel_factored(w, p, q) == pytest.approx(
+                    reproducing_kernel(w, p, q), abs=1e-12)
 
     @pytest.mark.parametrize("d", [3, 5, 8])
     def test_constant_window_closed_form(self, d):

@@ -3,7 +3,6 @@ import pytest
 
 from torus_quant import (
     dft,
-    dft_matrix,
     fourier_basis,
     idft,
     inner,
@@ -13,6 +12,7 @@ from torus_quant import (
 )
 
 from conftest import random_state
+from oracles import dft_matrix
 
 
 class TestInner:
@@ -84,6 +84,14 @@ class TestDft:
     def test_parseval(self, rng, d):
         a, b = random_state(rng, d), random_state(rng, d)
         assert abs(inner(dft(a), dft(b)) - inner(a, b)) < 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 12, 16])
+    def test_matches_dense_kernel(self, d):
+        # column l of each transform is its image of the delta at l
+        basis = np.eye(d, dtype=complex)
+        assert np.abs(np.column_stack([dft(e) for e in basis]) - dft_matrix(d)).max() < 1e-13
+        assert np.abs(np.column_stack([idft(e) for e in basis])
+                      - dft_matrix(d).conj()).max() < 1e-13
 
     @pytest.mark.parametrize("d", [2, 3, 4, 7, 16])
     def test_fourth_power_is_identity(self, d):

@@ -6,7 +6,9 @@ from torus_quant import (
     coherent_state_weight,
     portrait,
     portrait_of_symbol,
+    quantization_operator,
     quantize,
+    symplectic_dft,
     weight_from_operator,
 )
 
@@ -35,6 +37,21 @@ def _weight_from_operator(rng, d):
     return weight_from_operator(m).values, oracles.weight_from_operator_sum(m)
 
 
+def _quantization_operator(rng, d):
+    w = _asymmetric_weight(rng, d)
+    return quantization_operator(w), oracles.quantization_operator_sum(w)
+
+
+def _symplectic_dft(rng, d):
+    f = random_map(rng, d)
+    return symplectic_dft(f), oracles.symplectic_dft_sum(f)
+
+
+def _symplectic_dft_conjugate(rng, d):
+    f = random_map(rng, d)
+    return symplectic_dft(f, conjugate=True), oracles.symplectic_dft_sum(f, conjugate=True)
+
+
 def _quantize_direct(rng, d):
     f, w = random_map(rng, d), _asymmetric_weight(rng, d)
     return quantize(f, w, method="direct"), oracles.quantize_sum(f, w)
@@ -50,7 +67,8 @@ def _portrait_of_symbol(rng, d):
     return portrait_of_symbol(f, w), oracles.portrait_of_symbol_sum(f, w)
 
 
-CASES = [_coherent_state_weight, _weight_from_operator, _quantize_direct, _portrait,
+CASES = [_coherent_state_weight, _weight_from_operator, _quantization_operator,
+         _symplectic_dft, _symplectic_dft_conjugate, _quantize_direct, _portrait,
          _portrait_of_symbol]
 
 

@@ -7,7 +7,6 @@ from torus_quant import (
     coherent_state_weight,
     covariance_defect,
     dft,
-    dft_matrix,
     fourier_basis,
     momentum_symbol,
     parity_matrix,
@@ -26,6 +25,7 @@ from torus_quant import (
 )
 
 from conftest import hermitian_unit_trace, random_map, random_state, random_symmetric_weight
+from oracles import dft_matrix, quantization_operator_sum
 
 
 class TestWeight:
@@ -99,12 +99,7 @@ class TestQuantizationOperator:
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_kernel_and_direct_paths_agree(self, rng, d):
         w = random_symmetric_weight(rng, d)
-        assert np.abs(quantization_operator(w, method="kernel")
-                      - quantization_operator(w, method="direct")).max() < 1e-12
-
-    def test_unknown_method(self, rng):
-        with pytest.raises(ValueError, match="method"):
-            quantization_operator(random_symmetric_weight(rng, 3), method="fft")
+        assert np.abs(quantization_operator(w) - quantization_operator_sum(w)).max() < 1e-12
 
 
 class TestWeightRetrieval:

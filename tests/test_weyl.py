@@ -2,21 +2,25 @@ import numpy as np
 import pytest
 
 from torus_quant import (
-    GroupElement,
-    compose_displacements,
     conjugate_sign,
-    conjugation_phase,
     displacement_apply,
     displacement_matrix,
-    fourier_conjugated,
-    group_inv,
-    group_mul,
     kronecker_basis,
-    rep_V,
     trace_displacement,
 )
 
+from torus_quant.weyl import sum_phase_table
+
 from conftest import random_state
+from oracles import (
+    GroupElement,
+    compose_displacements,
+    conjugation_phase,
+    fourier_conjugated,
+    group_inv,
+    group_mul,
+    rep_V,
+)
 
 
 def rep_matrix(g):
@@ -121,6 +125,17 @@ class TestDisplacement:
                 for n in range(d):
                     assert np.abs(fourier_conjugated(d, displacement_matrix(d, m, n))
                                   - displacement_matrix(d, m, n, basis="fourier")).max() < 1e-12
+
+    def test_sum_phase_is_modular_half_phase(self):
+        # odd d: exp(-2 i pi m ((d+1)/2 n mod d) / d); even d: the half phase
+        for d in range(1, 12):
+            m = np.arange(d)[:, None]
+            n = np.arange(d)[None, :]
+            if d % 2:
+                expected = np.exp(-2j * np.pi * ((m * (((d + 1) // 2 * n) % d)) % d) / d)
+            else:
+                expected = np.exp(-1j * np.pi * ((m * n) % (2 * d)) / d)
+            assert np.abs(sum_phase_table(d) - expected).max() < 1e-13, d
 
     def test_unknown_basis_rejected(self):
         with pytest.raises(ValueError, match="basis"):
