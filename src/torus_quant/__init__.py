@@ -28,7 +28,7 @@ from .weyl import (
     half_phase,
     trace_displacement,
 )
-from .fiducials import FiducialSpec, default_catalog, jacobi_theta3, realize_fiducial
+from .fiducials import FiducialSpec, default_catalog, realize_fiducial
 from .gabor import (
     coherent_state,
     gabor_inverse,
@@ -96,7 +96,6 @@ __all__ = [
     # fiducials
     "FiducialSpec",
     "default_catalog",
-    "jacobi_theta3",
     "realize_fiducial",
     # gabor
     "coherent_state",

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ToleranceError
-from .hilbert import as_state
+from .hilbert import as_state, norm
 from .gabor import gabor_transform
 from .quantize import Weight, _negated_indices, quantization_operator, symplectic_dft
 from .weyl import adjoint_sign_table
@@ -59,7 +59,8 @@ def wigner(psi) -> np.ndarray:
 
     Uses the integer-safe form
     W(m,n) = (1/d) sum_l e^{4 i pi m l / d} conj(psi(n+l)) psi(n-l),
-    one inverse FFT over l read at frequency 2m mod d; asserts reality,
+    one inverse FFT over l read at frequency 2m mod d; asserts reality
+    to 1e-10 relative to max(1, ||psi||^2), the scale of the products,
     and returns a real array whose marginals are |psi(n)|^2 (over m) and
     |dft(psi)(m)|^2 (over n).
     """
@@ -71,7 +72,7 @@ def wigner(psi) -> np.ndarray:
     ns = np.arange(d)[None, :]
     products = np.conj(psi[(ns + ls) % d]) * psi[(ns - ls) % d]  # [l, n]
     out = np.fft.ifft(products, axis=0)[(2 * np.arange(d)) % d]
-    return realize_real(out, what="Wigner map")
+    return realize_real(out, tol=1e-10 * max(1.0, norm(psi) ** 2), what="Wigner map")
 
 
 def portrait(op: np.ndarray, w: Weight) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Catalog of unit-norm fiducial (window) vectors on Z_d.
 
-Every recipe is realized at a requested dimension and passed through an
-explicit renormalization guard, so the returned vector has unit norm to
-machine precision regardless of the closed-form prefactor conventions.
+Each recipe is realized at a requested dimension up to a positive factor;
+``_guard_normalize`` is the one step that scales it to unit norm, so no
+kind carries a closed-form normalization constant of its own.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i0e
 
 from .hilbert import as_state, fourier_basis, kronecker_basis
 from .errors import InputFormatError, ToleranceError
@@ -20,14 +19,11 @@ from .errors import InputFormatError, ToleranceError
 __all__ = [
     "FiducialSpec",
     "realize_fiducial",
-    "jacobi_theta3",
     "default_catalog",
 ]
 
-_KINDS = ("constant", "kronecker", "plane_wave", "gaussian", "dirichlet", "von_mises", "custom")
-
-#: smallest retained magnitude in truncated theta-type series
-_SERIES_FLOOR = 1e-16
+#: -log of the smallest retained relative magnitude, over pi, in the gaussian sums
+_GAUSSIAN_CUTOFF = -math.log(1e-16) / math.pi
 
 #: type of the one parameter of each kind that :meth:`FiducialSpec.parse` reads
 _PARAMETER_TYPES = {"kronecker": int, "plane_wave": int, "gaussian": float,
@@ -39,14 +35,12 @@ class FiducialSpec:
     """Symbolic recipe for a fiducial vector.
 
     Use the classmethod constructors; parameters are validated there and
-    again (for d-dependent bounds) at realization time.
+    again (for d-dependent bounds) at realization time.  ``param`` has the
+    type ``_PARAMETER_TYPES`` gives the kind; ``custom`` uses ``values``.
     """
 
     kind: str
-    k0: int = 0
-    kappa: float = 0.0
-    j: int = 0
-    lam: float = 0.0
+    param: int | float | None = None
     values: tuple = ()
 
     @classmethod
@@ -57,31 +51,31 @@ class FiducialSpec:
     def kronecker(cls, k0: int) -> "FiducialSpec":
         if k0 < 0:
             raise ValueError("kronecker label must be nonnegative")
-        return cls("kronecker", k0=int(k0))
+        return cls("kronecker", int(k0))
 
     @classmethod
     def plane_wave(cls, k0: int) -> "FiducialSpec":
         if k0 < 0:
             raise ValueError("plane-wave label must be nonnegative")
-        return cls("plane_wave", k0=int(k0))
+        return cls("plane_wave", int(k0))
 
     @classmethod
     def gaussian(cls, kappa: float) -> "FiducialSpec":
         if not 0 < kappa < math.inf:
             raise ValueError("gaussian width parameter must be positive and finite")
-        return cls("gaussian", kappa=float(kappa))
+        return cls("gaussian", float(kappa))
 
     @classmethod
     def dirichlet(cls, j: int) -> "FiducialSpec":
         if j < 0:
             raise ValueError("dirichlet order must be nonnegative")
-        return cls("dirichlet", j=int(j))
+        return cls("dirichlet", int(j))
 
     @classmethod
     def von_mises(cls, lam: float) -> "FiducialSpec":
         if not 0 <= lam < math.inf:
             raise ValueError("von Mises concentration must be nonnegative and finite")
-        return cls("von_mises", lam=float(lam))
+        return cls("von_mises", float(lam))
 
     @classmethod
     def custom(cls, values) -> "FiducialSpec":
@@ -114,41 +108,34 @@ class FiducialSpec:
         return getattr(cls, name)(value)
 
     def label(self) -> str:
-        if self.kind == "kronecker" or self.kind == "plane_wave":
-            return f"{self.kind}:{self.k0}"
-        if self.kind == "gaussian":
-            return f"gaussian:{self.kappa:g}"
-        if self.kind == "dirichlet":
-            return f"dirichlet:{self.j}"
-        if self.kind == "von_mises":
-            return f"von_mises:{self.lam:g}"
-        return self.kind
+        """The spec string :meth:`parse` reads back to this spec."""
+        if self.param is None:
+            return self.kind
+        value = f"{self.param:g}" if isinstance(self.param, float) else str(self.param)
+        return f"{self.kind}:{value}"
 
 
-def jacobi_theta3(x, s_im: float) -> complex:
-    """Third Jacobi theta function at purely imaginary lattice parameter.
+def _periodized_gaussian(d: int, t: float) -> np.ndarray:
+    """sum_k exp(-pi t (l/d - k)^2) on Z_d, up to a positive factor.
 
-    Computes sum_n exp(2 i pi n x) exp(-pi s_im n^2); the series is
-    truncated once the retained terms fall below 1e-16, with the bound
-    widened for complex ``x`` whose imaginary part makes terms grow
-    linearly in n before the Gaussian factor wins.
+    By Poisson summation this is sqrt(t) times the Fourier series
+    sum_n exp(-pi n^2 / t) exp(2 i pi n l / d).  Images are summed for
+    t >= 1 and Fourier terms for t < 1, so at most nine terms are needed.
     """
-    if not s_im > 0:
-        raise ValueError("theta series requires a positive imaginary lattice parameter")
-    b = abs(np.imag(x))
-    # need exp(2 pi b N - pi s_im N^2) < floor
-    c = -math.log(_SERIES_FLOOR) / math.pi
-    nmax = int(math.ceil((b + math.sqrt(b * b + s_im * c)) / s_im)) + 1
-    ns = np.arange(-nmax, nmax + 1)
-    terms = np.exp(2j * np.pi * ns * x - np.pi * s_im * ns**2)
-    return complex(terms.sum())
+    ls = np.arange(d)[:, None]
+    if t >= 1.0:
+        kmax = math.ceil(math.sqrt(_GAUSSIAN_CUTOFF / t))
+        # integer offsets l - k d, so l and d - l see the same distance
+        return np.exp(-np.pi * t * ((ls - d * np.arange(-kmax, kmax + 1)) / d) ** 2).sum(axis=1)
+    ns = np.arange(1, math.ceil(math.sqrt(_GAUSSIAN_CUTOFF * t)) + 1)
+    return 1.0 + 2.0 * (np.exp(-np.pi * ns**2 / t) * np.cos(2 * np.pi * (ls * ns) / d)).sum(axis=1)
 
 
 def _guard_normalize(v: np.ndarray) -> np.ndarray:
     nrm = np.linalg.norm(v)
     if not np.isfinite(nrm) or nrm < 1e-12:
         raise ToleranceError("fiducial realization collapsed to zero or overflowed")
-    v = v / nrm
+    v = np.asarray(v, dtype=complex) / nrm
     if abs(np.linalg.norm(v) - 1.0) > 1e-8:
         raise ToleranceError("fiducial normalization failed")
     return v
@@ -161,30 +148,21 @@ def realize_fiducial(spec: FiducialSpec, d: int) -> np.ndarray:
     ls = np.arange(d)
 
     if spec.kind == "constant":
-        v = np.full(d, 1.0 / math.sqrt(d), dtype=complex)
+        v = np.ones(d)
     elif spec.kind == "kronecker":
-        v = kronecker_basis(d, spec.k0)
+        v = kronecker_basis(d, spec.param)
     elif spec.kind == "plane_wave":
-        v = fourier_basis(d, spec.k0)
+        v = fourier_basis(d, spec.param)
     elif spec.kind == "gaussian":
-        # periodized Gaussian via its Fourier-sum form, weights e^{-pi n^2/(kappa d)}
-        s_im = 1.0 / (spec.kappa * d)
-        nmax = int(math.ceil(math.sqrt(-math.log(_SERIES_FLOOR) / (math.pi * s_im)))) + 1
-        ns = np.arange(1, nmax + 1)
-        weights = np.exp(-np.pi * s_im * ns**2)
-        v = 1.0 + 2.0 * (weights[None, :] * np.cos(2 * np.pi * np.outer(ls, ns) / d)).sum(axis=1)
-        v = v.astype(complex) / math.sqrt(abs(jacobi_theta3(0.0, 2.0 / (spec.kappa * d))))
+        v = _periodized_gaussian(d, spec.param * d)
     elif spec.kind == "dirichlet":
-        if 2 * spec.j + 1 > d:
-            raise ValueError(f"dirichlet order j={spec.j} needs 2j+1 <= d={d}")
-        ms = np.arange(1, spec.j + 1)
-        v = 1.0 + 2.0 * np.cos(2 * np.pi * np.outer(ls, ms) / d).sum(axis=1) if spec.j else np.ones(d)
-        v = v.astype(complex) / math.sqrt(d * (2 * spec.j + 1))
+        if 2 * spec.param + 1 > d:
+            raise ValueError(f"dirichlet order j={spec.param} needs 2j+1 <= d={d}")
+        ms = np.arange(1, spec.param + 1)
+        v = 1.0 + 2.0 * np.cos(2 * np.pi * np.outer(ls, ms) / d).sum(axis=1)
     elif spec.kind == "von_mises":
-        # stable for large concentration: peak-relative amplitudes with the
-        # exponentially scaled Bessel prefactor
-        amp = np.exp(spec.lam * (np.cos(2 * np.pi * ls / d) - 1.0))
-        v = amp.astype(complex) / math.sqrt(d * i0e(2 * spec.lam))
+        # peak-relative amplitudes: finite for any concentration
+        v = np.exp(spec.param * (np.cos(2 * np.pi * ls / d) - 1.0))
     elif spec.kind == "custom":
         v = as_state(np.array(spec.values), d=d)
         nrm = np.linalg.norm(v)

@@ -149,36 +149,32 @@ def read_complex_matrix_csv(path: str | Path) -> np.ndarray:
     return mat
 
 
-def format_real_map_csv(arr: np.ndarray, row_label: str = "m", col_label: str = "n") -> str:
-    arr = np.asarray(arr)
-    header = [row_label] + [f"{col_label}{j}" for j in range(arr.shape[1])]
+def _table_csv(header: list[str], table: np.ndarray) -> str:
+    """Header line, then per row its index and each entry as ``%.15e``."""
+    row = "%d" + ("," + _FMT) * table.shape[1]
     lines = [",".join(header)]
-    for i in range(arr.shape[0]):
-        lines.append(",".join([str(i)] + [_FMT % x for x in arr[i].real]))
+    lines += [row % (i, *values) for i, values in enumerate(table.tolist())]
     return "\n".join(lines) + "\n"
+
+
+def format_real_map_csv(arr: np.ndarray, row_label: str = "m", col_label: str = "n") -> str:
+    arr = np.asarray(arr).real
+    header = [row_label] + [f"{col_label}{j}" for j in range(arr.shape[1])]
+    return _table_csv(header, arr)
 
 
 def format_complex_matrix_csv(arr: np.ndarray, row_label: str = "l",
                               col_label: str = "lp") -> str:
-    arr = np.asarray(arr, dtype=complex)
+    arr = np.ascontiguousarray(arr, dtype=complex)
     header = [row_label]
     for j in range(arr.shape[1]):
         header += [f"{col_label}{j}_re", f"{col_label}{j}_im"]
-    lines = [",".join(header)]
-    for i in range(arr.shape[0]):
-        cells = [str(i)]
-        for x in arr[i]:
-            cells += [_FMT % x.real, _FMT % x.imag]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _table_csv(header, arr.view(float))
 
 
 def format_vector_csv(vec: np.ndarray, label: str = "l") -> str:
-    vec = np.asarray(vec, dtype=complex)
-    lines = [f"{label},re,im"]
-    for i, x in enumerate(vec):
-        lines.append(",".join([str(i), _FMT % x.real, _FMT % x.imag]))
-    return "\n".join(lines) + "\n"
+    vec = np.ascontiguousarray(vec, dtype=complex)
+    return _table_csv([label, "re", "im"], vec.reshape(-1, 1).view(float))
 
 
 def pgm_bytes(magnitude: np.ndarray) -> bytes:

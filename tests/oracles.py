@@ -9,8 +9,11 @@
   more Wigner forms, the frame built state by state).
 - The Weyl-Heisenberg group law, whose representation the displacement
   operators are.
+- The third Jacobi theta function, from which the gaussian window's
+  reproducing kernel is built in closed form.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +29,25 @@ from torus_quant import (
     transported,
 )
 from torus_quant.distributions import _overlap_map
+
+
+def jacobi_theta3(x, s_im: float) -> complex:
+    """Third Jacobi theta function at purely imaginary lattice parameter.
+
+    Computes sum_n exp(2 i pi n x) exp(-pi s_im n^2); the series is
+    truncated once the retained terms fall below 1e-16, with the bound
+    widened for complex ``x`` whose imaginary part makes terms grow
+    linearly in n before the Gaussian factor wins.
+    """
+    if not s_im > 0:
+        raise ValueError("theta series requires a positive imaginary lattice parameter")
+    b = abs(np.imag(x))
+    # need exp(2 pi b N - pi s_im N^2) < 1e-16
+    c = -math.log(1e-16) / math.pi
+    nmax = int(math.ceil((b + math.sqrt(b * b + s_im * c)) / s_im)) + 1
+    ns = np.arange(-nmax, nmax + 1)
+    terms = np.exp(2j * np.pi * ns * x - np.pi * s_im * ns**2)
+    return complex(terms.sum())
 
 
 def dft_matrix(d: int) -> np.ndarray:

@@ -2,6 +2,9 @@
 
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import torus_quant
@@ -26,6 +29,7 @@ ORACLE_NAMES = (
     "wigner_half_argument",
     "reproducing_defect",
     "frame_resolution_defect",
+    "jacobi_theta3",
 )
 
 
@@ -39,6 +43,15 @@ class TestPublicNames:
         for name in ORACLE_NAMES:
             assert hasattr(oracles, name), name
             assert name not in torus_quant.__all__, name
+
+
+class TestDependencies:
+    def test_cli_import_does_not_load_scipy(self):
+        src = Path(torus_quant.__file__).resolve().parent.parent
+        code = "import sys, torus_quant.cli; sys.exit('scipy' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert result.returncode == 0, result.stderr
 
 
 def _load_traced_cli():

@@ -183,6 +183,11 @@ class TestWignerCommand:
         assert all(float(l.split()[1]) < 1e-12 for l in err.splitlines()
                    if l.startswith("marginal_residual"))
 
+    def test_large_amplitude_signal_passes(self, tmp_path, rng):
+        sig = tmp_path / "sig.csv"
+        write_signal(sig, 1e4 * (rng.normal(size=31) + 1j * rng.normal(size=31)))
+        assert run("wigner", "--in", str(sig), "--out", str(tmp_path / "w.csv")) == 0
+
     def test_even_dimension_refused_with_exit_3(self, tmp_path, capsys):
         sig = tmp_path / "sig.csv"
         write_signal(sig, np.arange(6, dtype=float))

@@ -174,6 +174,29 @@ class TestOverlapDistribution:
             assert dist.min() >= -1e-12
 
 
+class TestWignerRealityBound:
+    """The imaginary part is held to 1e-10 relative to max(1, ||psi||^2)."""
+
+    @pytest.mark.parametrize("d", [31, 127])
+    def test_large_amplitude_state_passes(self, rng, d):
+        psi = 1e4 * random_state(rng, d)
+        w = wigner(psi)
+        scale = np.linalg.norm(psi) ** 2
+        assert np.abs(w.sum(axis=0) - np.abs(psi) ** 2).max() < 1e-12 * scale
+
+    def test_injected_imaginary_part_still_raises(self, rng, monkeypatch):
+        psi = 1e4 * random_state(rng, 31)
+        real_ifft = np.fft.ifft
+
+        def corrupted(*args, **kwargs):
+            out = real_ifft(*args, **kwargs)
+            out[0, 0] += 1e-6j * np.linalg.norm(psi) ** 2
+            return out
+        monkeypatch.setattr(np.fft, "ifft", corrupted)
+        with pytest.raises(ToleranceError, match="imaginary"):
+            wigner(psi)
+
+
 class TestRealize:
     def test_passes_small_imaginary_noise(self):
         out = realize_real(np.array([1.0 + 1e-14j, 2.0]))

@@ -6,11 +6,20 @@ from torus_quant import (
     InputFormatError,
     ToleranceError,
     default_catalog,
-    jacobi_theta3,
     kronecker_basis,
     norm,
     realize_fiducial,
 )
+
+from oracles import jacobi_theta3
+
+
+def gaussian_series_oracle(d, t):
+    """sum_n exp(-pi n^2 / t) exp(2 i pi n l / d), term by term, normalized."""
+    raw = np.zeros(d, dtype=complex)
+    for n in range(-int(np.sqrt(15 * t)) - 10, int(np.sqrt(15 * t)) + 11):
+        raw += np.exp(2j * np.pi * n * np.arange(d) / d) * np.exp(-np.pi * n * n / t)
+    return raw / np.linalg.norm(raw)
 
 
 def theta_oracle(x, s_im, nmax=60):
@@ -69,12 +78,20 @@ class TestRealizations:
 
     def test_gaussian_matches_truncated_series_oracle(self):
         d, kappa = 5, 1.0
-        raw = np.zeros(d, dtype=complex)
-        for n in range(-40, 41):
-            raw += np.exp(2j * np.pi * n * np.arange(d) / d) * np.exp(-np.pi * n * n / (kappa * d))
-        raw /= np.linalg.norm(raw)
         v = realize_fiducial(FiducialSpec.gaussian(kappa), d)
-        assert np.abs(v - raw).max() < 1e-12
+        assert np.abs(v - gaussian_series_oracle(d, kappa * d)).max() < 1e-12
+
+    @pytest.mark.parametrize("t", [0.05, 0.99, 1.0, 1.01, 50.0, 1e6])
+    @pytest.mark.parametrize("d", [5, 8])
+    def test_gaussian_matches_series_oracle_either_side_of_t_one(self, d, t):
+        # the window sums Fourier terms for t = kappa d < 1 and images for t >= 1
+        v = realize_fiducial(FiducialSpec.gaussian(t / d), d)
+        assert np.abs(v - gaussian_series_oracle(d, t)).max() < 1e-12
+
+    def test_gaussian_extreme_width_is_cheap(self):
+        # t = kappa d ~ 1e12: its Fourier series would need ~3.4e6 terms
+        v = realize_fiducial(FiducialSpec.gaussian(1e9), 1023)
+        assert np.abs(v - kronecker_basis(1023, 0)).max() < 1e-15
 
     def test_kronecker_label_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):

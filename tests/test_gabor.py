@@ -10,7 +10,6 @@ from torus_quant import (
     fourier_basis,
     inner,
     isometry_defect,
-    jacobi_theta3,
     kronecker_basis,
     norm,
     realize_fiducial,
@@ -18,7 +17,12 @@ from torus_quant import (
 )
 
 from conftest import catalog_windows, random_state
-from oracles import frame_resolution_defect, reproducing_defect, reproducing_kernel_factored
+from oracles import (
+    frame_resolution_defect,
+    jacobi_theta3,
+    reproducing_defect,
+    reproducing_kernel_factored,
+)
 
 
 def gabor_oracle(phi, window):

@@ -154,6 +154,19 @@ class TestFormatting:
         assert len(lines) == 3
         assert lines[1].startswith("0,")
 
+    def test_exact_bytes_with_signed_zero_and_nan(self):
+        assert format_real_map_csv(np.array([[-0.0, np.nan], [1.5, -2e-300]])) == (
+            "m,n0,n1\n0,-0.000000000000000e+00,nan\n"
+            "1,1.500000000000000e+00,-2.000000000000000e-300\n")
+        assert format_complex_matrix_csv(np.array([[complex(-0.0, np.nan), 1j, -1]]),
+                                         row_label="m", col_label="n") == (
+            "m,n0_re,n0_im,n1_re,n1_im,n2_re,n2_im\n"
+            "0,-0.000000000000000e+00,nan,0.000000000000000e+00,1.000000000000000e+00,"
+            "-1.000000000000000e+00,0.000000000000000e+00\n")
+        assert format_vector_csv(np.array([complex(0.25, -0.0), complex(np.nan, 3)])) == (
+            "l,re,im\n0,2.500000000000000e-01,-0.000000000000000e+00\n"
+            "1,nan,3.000000000000000e+00\n")
+
     def test_vector_csv_header(self):
         text = format_vector_csv(np.array([1j]))
         assert text.splitlines()[0] == "l,re,im"
