@@ -19,6 +19,8 @@ import json
 import sys
 from pathlib import Path
 
+from torus_quant.cli import main as cli_main
+
 GOLDEN = Path(__file__).resolve().parent
 ROOT = GOLDEN.parent.parent
 
@@ -64,12 +66,10 @@ def cases() -> list[tuple[str, list[str], str]]:
 
 def run_case(argv: list[str], out_path: Path) -> tuple[int, list[str]]:
     """Run the CLI in-process; return its exit code and stderr keys."""
-    from torus_quant.cli import main
-
     resolved = [a.replace("{root}", str(ROOT)) for a in argv]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = main(resolved + ["--out", str(out_path)])
+        code = cli_main(resolved + ["--out", str(out_path)])
     keys = [line.split()[0] for line in err.getvalue().splitlines() if line.strip()]
     return code, keys
 

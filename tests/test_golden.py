@@ -8,15 +8,12 @@ entry.
 
 import io
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from torus_quant.cli import main
+from golden.regenerate import GOLDEN, run_case
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
-ROOT = GOLDEN.parent.parent
 CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 RELATIVE_TOL = 1e-12
@@ -29,13 +26,9 @@ def read_table(payload: bytes):
     return header, np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
 
 
-def run_case(case, out_path, capsys):
-    argv = [a.replace("{root}", str(ROOT)) for a in case["argv"]]
-    code = main(argv + ["--out", str(out_path)])
-    err = capsys.readouterr().err
-    keys = [line.split()[0] for line in err.splitlines() if line.strip()]
-    payload = out_path.read_bytes() if out_path.exists() else None
-    return code, keys, payload
+def run(case, out_path):
+    code, keys = run_case(case["argv"], out_path)
+    return code, keys, out_path.read_bytes() if out_path.exists() else None
 
 
 def test_cases_cover_every_command():
@@ -45,9 +38,9 @@ def test_cases_cover_every_command():
 
 
 @pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])
-def test_golden(case, tmp_path, capsys):
-    first = run_case(case, tmp_path / "first", capsys)
-    second = run_case(case, tmp_path / "second", capsys)
+def test_golden(case, tmp_path):
+    first = run(case, tmp_path / "first")
+    second = run(case, tmp_path / "second")
     assert first == second
     code, keys, payload = first
     assert code == case["exit"]
