@@ -8,7 +8,6 @@ kind carries a closed-form normalization constant of its own.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,17 +131,32 @@ def _periodized_gaussian(d: int, t: float) -> np.ndarray:
 
 
 def _guard_normalize(v: np.ndarray) -> np.ndarray:
-    nrm = np.linalg.norm(v)
-    if not np.isfinite(nrm) or nrm < 1e-12:
-        raise ToleranceError("fiducial realization collapsed to zero or overflowed")
-    v = np.asarray(v, dtype=complex) / nrm
+    """``v`` scaled to unit norm; only its direction matters.
+
+    ``v`` is first scaled by the power of two that brings its largest
+    |entry| into [1, 2), so the norm neither overflows nor underflows for
+    any nonzero finite ``v``.  The scaling is exact, so a window already in
+    that range is normalized bit for bit as if it had not been scaled.
+    """
+    v = np.ascontiguousarray(v, dtype=np.result_type(v, float))
+    peak = np.abs(v).max()
+    if not np.isfinite(peak):
+        raise ToleranceError("fiducial realization is not finite")
+    if peak == 0:
+        raise InputFormatError("fiducial window is zero")
+    v = np.ldexp(v.view(float), 1 - np.frexp(peak)[1]).view(v.dtype)
+    v = np.asarray(v, dtype=complex) / np.linalg.norm(v)
     if abs(np.linalg.norm(v) - 1.0) > 1e-8:
         raise ToleranceError("fiducial normalization failed")
     return v
 
 
 def realize_fiducial(spec: FiducialSpec, d: int) -> np.ndarray:
-    """Realize the recipe as a unit-norm vector of dimension d."""
+    """Realize the recipe as a unit-norm vector of dimension d.
+
+    A ``custom`` window of any nonzero norm is renormalized silently; an
+    all-zero one raises :class:`InputFormatError`.
+    """
     if d < 1:
         raise ValueError("dimension must be positive")
     ls = np.arange(d)
@@ -165,9 +179,6 @@ def realize_fiducial(spec: FiducialSpec, d: int) -> np.ndarray:
         v = np.exp(spec.param * (np.cos(2 * np.pi * ls / d) - 1.0))
     elif spec.kind == "custom":
         v = as_state(np.array(spec.values), d=d)
-        nrm = np.linalg.norm(v)
-        if abs(nrm - 1.0) > 1e-10 and nrm > 1e-12:
-            warnings.warn("custom fiducial has non-unit norm; renormalizing")
     else:
         raise ValueError(f"unknown fiducial kind {spec.kind!r}")
 

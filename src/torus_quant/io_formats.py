@@ -1,15 +1,26 @@
 """File formats: signal readers, CSV map/matrix writers and binary PGM.
 
-All numeric CSV output uses a fixed "%.15e" format with a fixed traversal
-order, so identical inputs produce byte-identical files.  Complex entries
-occupy two adjacent columns (re, im); the header row names the indices.
+Every number in CSV output is exactly what Python's ``"%.15e" % x`` writes
+(correctly rounded, ties to even), in a fixed traversal order, so identical
+inputs produce byte-identical files.  Complex entries occupy two adjacent
+columns (re, im); the header row names the indices.
+
+The writer formats blocks of rows with numpy: each value's 16 significant
+digits come from one exact double-double product (see
+:func:`_format_block`).  A value is formatted by Python's own ``%`` instead
+when it is not finite, when its 17th significant digit onwards lies within
+1e-9 of a rounding tie (exact ties need a double with at most a few
+fraction bits, such as a 16-digit half-integer), or when its decimal
+exponent is not settled by the product (a few units from a power of ten).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -149,12 +160,151 @@ def read_complex_matrix_csv(path: str | Path) -> np.ndarray:
     return mat
 
 
+def _word(b0, b1, b2, b3) -> np.ndarray:
+    """Four byte values as one little-endian uint32 per entry."""
+    return np.asarray(b0 | b1 << 8 | b2 << 16 | b3 << 24, dtype="<u4")
+
+
+# Each value is written into a 24-byte slot of six little-endian words:
+#   (sign, d0, ".", d1) (d2..d5) (d6..d9) (d10..d13) (d14, d15, "e", exponent sign)
+#   (hundreds or NUL, tens, ones, separator)
+# where d0..d15 are the 16 significant digits.  NUL bytes are dropped afterwards.
+_SLOT_WORDS = 6
+_ZERO, _DOT, _E, _PLUS, _MINUS = 48, 46, 101, 43, 45
+#: smallest decimal exponent of a nonzero double; the largest is 308
+_EXP_MIN = -324
+#: np.frexp exponents of nonzero finite doubles are -1073..1024
+_FREXP_MIN, _FREXP_MAX = -1073, 1024
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
+#: a rounding within this distance of a half-integer is left to Python's own %.15e
+_TIE_MARGIN = 1e-9
+#: values formatted per block: enough to amortize numpy's per-call cost, few
+#: enough that the block's temporaries stay small
+_BLOCK_VALUES = 1 << 16
+
+
+@functools.cache
+def _tables() -> SimpleNamespace:
+    """Lookup tables of the writer, built on its first use, not at import.
+
+    ``k0[i]`` is the decimal exponent of 2**(e - 1), the smallest double
+    with frexp exponent e = i + _FREXP_MIN; (e - 1) log10(2) stays at least
+    4e-4 from every integer but 0, so the floor below is exact.  ``hi``,
+    ``lo`` (and ``hi`` split in ``head`` + ``tail`` for Dekker's product)
+    hold 2**e 10**(15 - k0[i] - j) as a double-double at index 2 i + j,
+    j = 0, 1; they are computed by :func:`_fill_scales` as exponents appear.
+    """
+    pairs, quads, exps = np.arange(100), np.arange(10000), np.arange(_EXP_MIN, 310)
+    mag = np.abs(exps)
+    n_frexp = _FREXP_MAX - _FREXP_MIN + 1
+    hi, lo, head, tail = np.zeros((4, 2 * n_frexp))
+    return SimpleNamespace(
+        lead=_word(0, _ZERO + pairs // 10, _DOT, _ZERO + pairs % 10),
+        quad=_word(_ZERO + quads // 1000, _ZERO + quads // 100 % 10,
+                   _ZERO + quads // 10 % 10, _ZERO + quads % 10),
+        pair=_word(_ZERO + pairs // 10, _ZERO + pairs % 10, _E, 0),
+        exp_sign=_word(0, 0, 0, np.where(exps < 0, _MINUS, _PLUS)),
+        exp_digits=_word(np.where(mag >= 100, _ZERO + mag // 100, 0),
+                         _ZERO + mag // 10 % 10, _ZERO + mag % 10, 0),
+        k0=np.floor((np.arange(n_frexp) + _FREXP_MIN - 1) * np.log10(2.0)).astype(np.int64),
+        hi=hi, lo=lo, head=head, tail=tail, ready=np.zeros(n_frexp, dtype=bool))
+
+
+def _fill_scales(t: SimpleNamespace, ei: np.ndarray) -> None:
+    """Compute the scales of the frexp exponent indices ``ei`` not yet known."""
+    needed = np.zeros_like(t.ready)
+    needed[ei] = True
+    for i in np.flatnonzero(needed & ~t.ready).tolist():
+        e = i + _FREXP_MIN
+        for j in (0, 1):
+            s = 15 - int(t.k0[i]) - j
+            num = 2 ** max(e, 0) * 10 ** max(s, 0)
+            den = 2 ** max(-e, 0) * 10 ** max(-s, 0)
+            hi = num / den  # int / int is correctly rounded
+            a, b = hi.as_integer_ratio()
+            c = _SPLIT * hi
+            at = 2 * i + j
+            t.hi[at], t.lo[at] = hi, (num * b - a * den) / (den * b)
+            t.head[at] = c - (c - hi)
+            t.tail[at] = hi - t.head[at]
+        t.ready[i] = True
+
+
+def _format_block(block: np.ndarray, first_row: int) -> str:
+    """Rows of ``block`` as CSV lines: the row index, then each entry as ``%.15e``.
+
+    |x| = f 2**e is scaled to V = f C with C = 2**e 10**(15 - k), so that the
+    16 significant digits are N = round(V).  C is a double-double and f C is
+    formed exactly by Dekker's product, so the fraction of V is known to
+    ~1e-15.  A value is left to Python's ``%`` when it is not finite, when V
+    lies within _TIE_MARGIN of a half-integer, or when its decade is not
+    settled; everything else is exactly what ``"%.15e" % x`` writes.
+    """
+    t = _tables()
+    rows, width = block.shape
+    finite = np.isfinite(block)
+    clean = block if finite.all() else np.where(finite, block, 0.0)
+    f, e = np.frexp(np.abs(clean))
+    ei = e - _FREXP_MIN
+    _fill_scales(t, ei)
+    # scale j = 0 puts V in [1e15, 2e16); from 1e16 on, the next decade (j = 1) is used
+    at = 2 * ei
+    at += f * t.hi[at] >= 1e16
+    c = _SPLIT * f
+    f_head = c - (c - f)
+    f_tail = f - f_head
+    head, tail = t.head[at], t.tail[at]
+    ph = f * t.hi[at]
+    pl = (f_head * head - ph + f_head * tail + f_tail * head) + f_tail * tail
+    ih = np.rint(ph)
+    u = (ph - ih) + pl + f * t.lo[at] + 0.5
+    q = np.floor(u)
+    frac = u - q
+    n = ih.astype(np.int64) + q.astype(np.int64)
+    k = t.k0[ei] + (at & 1)
+    carry = n == 10**16
+    n[carry] = 10**15
+    k += carry
+    nonzero = f != 0
+    k[~nonzero] = 0
+    # V < 1e15 means j = 1 went a decade too far; N > 1e16, that j = 0 fell short
+    fallback = ~finite | (np.abs(frac - 0.5) > 0.5 - _TIE_MARGIN) | nonzero & (
+        (n < 10**15) | (n > 10**16) | (n == 10**15) & (frac < 0.5))
+    n[fallback] = 0  # their slots are overwritten below; keep the table lookups in range
+
+    slots = np.empty((rows, width + 1, _SLOT_WORDS), dtype="<u4")
+    words = slots[:, 1:]
+    # floor division by a constant is vectorized by numpy, % and divmod are not
+    high = n // 10**6
+    top = high // 10**8
+    mid, low = high - top * 10**8, n - high * 10**6
+    mid_head, low_head = mid // 10**4, low // 100
+    k -= _EXP_MIN
+    words[..., 0] = t.lead[top] | np.signbit(block) * np.uint32(_MINUS)
+    words[..., 1] = t.quad[mid_head]
+    words[..., 2] = t.quad[mid - mid_head * 10**4]
+    words[..., 3] = t.quad[low_head]
+    words[..., 4] = t.pair[low - low_head * 100] | t.exp_sign[k]
+    words[..., 5] = t.exp_digits[k]
+    text = slots.view(np.uint8).reshape(rows, width + 1, 4 * _SLOT_WORDS)
+    index = b"".join(b"%-23d" % i for i in range(first_row, first_row + rows))
+    text[:, 0, :23] = np.frombuffer(index.replace(b" ", b"\0"), np.uint8).reshape(rows, 23)
+    for r, col in zip(*np.nonzero(fallback)):
+        exact = (_FMT % block[r, col]).encode("ascii")
+        text[r, col + 1, :23] = 0
+        text[r, col + 1, :len(exact)] = np.frombuffer(exact, np.uint8)
+    text[:, :, 23] = ord(",")
+    text[:, -1, 23] = ord("\n")
+    return text[text != 0].tobytes().decode("ascii")
+
+
 def _table_csv(header: list[str], table: np.ndarray) -> str:
     """Header line, then per row its index and each entry as ``%.15e``."""
-    row = "%d" + ("," + _FMT) * table.shape[1]
-    lines = [",".join(header)]
-    lines += [row % (i, *values) for i, values in enumerate(table.tolist())]
-    return "\n".join(lines) + "\n"
+    table = np.asarray(table, dtype=np.float64)
+    step = max(1, _BLOCK_VALUES // max(1, table.shape[1]))
+    parts = [",".join(header) + "\n"]
+    parts += [_format_block(table[r:r + step], r) for r in range(0, table.shape[0], step)]
+    return "".join(parts)
 
 
 def format_real_map_csv(arr: np.ndarray, row_label: str = "m", col_label: str = "n") -> str:

@@ -11,6 +11,8 @@
   operators are.
 - The third Jacobi theta function, from which the gaussian window's
   reproducing kernel is built in closed form.
+- The CSV table writer as one Python ``%`` per row, whose bytes the
+  package's block-wise writer must reproduce.
 """
 
 import math
@@ -48,6 +50,14 @@ def jacobi_theta3(x, s_im: float) -> complex:
     ns = np.arange(-nmax, nmax + 1)
     terms = np.exp(2j * np.pi * ns * x - np.pi * s_im * ns**2)
     return complex(terms.sum())
+
+
+def table_csv_reference(header: list[str], table: np.ndarray) -> str:
+    """Header line, then per row its index and each entry as ``%.15e``."""
+    row = "%d" + (",%.15e") * table.shape[1]
+    lines = [",".join(header)]
+    lines += [row % (i, *values) for i, values in enumerate(table.tolist())]
+    return "\n".join(lines) + "\n"
 
 
 def dft_matrix(d: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """The public surface of the package and the names the benchmark relies on."""
 
+import functools
 import importlib.util
 import inspect
 import os
@@ -45,13 +46,24 @@ class TestPublicNames:
             assert name not in torus_quant.__all__, name
 
 
+@functools.cache
+def _modules_after_cli_import() -> frozenset:
+    """The modules a fresh ``import torus_quant.cli`` has loaded."""
+    src = Path(torus_quant.__file__).resolve().parent.parent
+    code = "import sys, torus_quant.cli; print(' '.join(sys.modules))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return frozenset(result.stdout.split())
+
+
 class TestDependencies:
     def test_cli_import_does_not_load_scipy(self):
-        src = Path(torus_quant.__file__).resolve().parent.parent
-        code = "import sys, torus_quant.cli; sys.exit('scipy' in sys.modules)"
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                                env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
-        assert result.returncode == 0, result.stderr
+        assert "scipy" not in _modules_after_cli_import()
+
+    def test_cli_import_does_not_load_fractions_or_decimal(self):
+        # the CSV writer's exact scales use Python ints, built on first use
+        assert not {"fractions", "decimal"} & _modules_after_cli_import()
 
 
 def _load_traced_cli():

@@ -1,5 +1,11 @@
 import importlib
+import os
 import pkgutil
+import re
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +77,41 @@ class TestFiducialsCommand:
                    "--out", str(tmp_path / "f.csv"))
         assert code == 3
         assert "precondition" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", [(1e-13, 2e-13, 1e-13), (1e300, 1e300, 0.0)])
+    def test_custom_window_of_any_scale_is_normalized(self, tmp_path, samples):
+        write_signal(tmp_path / "w.csv", samples)
+        out = tmp_path / "f.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("fiducials", "--d", "3", "--fiducial", f"custom:{tmp_path / 'w.csv'}",
+                       "--out", str(out)) == 0
+        rows = out.read_text().strip().split("\n")[1:]
+        values = np.array([float(r.split(",")[1]) for r in rows])
+        direction = np.array(samples) / max(samples)
+        assert values == pytest.approx(direction / np.linalg.norm(direction), abs=1e-15)
+
+    def test_zero_custom_window_is_input_error(self, tmp_path, capsys):
+        write_signal(tmp_path / "w.csv", [0.0, 0.0, 0.0])
+        assert run("fiducials", "--d", "3", "--fiducial", f"custom:{tmp_path / 'w.csv'}",
+                   "--out", str(tmp_path / "f.csv")) == 2
+        assert "input error" in capsys.readouterr().err
+        assert not (tmp_path / "f.csv").exists()
+
+    def test_non_unit_custom_window_writes_only_diagnostics(self, tmp_path):
+        # a Python warning would add lines with a source path to stderr
+        write_signal(tmp_path / "w.csv", [2.0, 0.0, 0.0])
+        src = Path(torus_quant.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-m", "torus_quant", "fiducials", "--d", "3",
+             "--fiducial", f"custom:{tmp_path / 'w.csv'}", "--out", str(tmp_path / "f.csv")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60)
+        assert result.returncode == 0, result.stderr
+        lines = result.stderr.splitlines()
+        assert lines
+        for line in lines:
+            assert re.fullmatch(r"[a-z][a-z0-9_]* \S+", line), line
 
 
 class TestMalformedFiducialSpec:

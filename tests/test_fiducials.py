@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -116,14 +118,28 @@ class TestRealizations:
         with pytest.raises(ValueError):
             bad_ctor()
 
-    def test_custom_renormalizes_with_warning(self):
-        with pytest.warns(UserWarning, match="renormalizing"):
+    def test_custom_renormalizes_silently(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             v = realize_fiducial(FiducialSpec.custom([2.0, 0.0, 0.0]), 3)
         assert v == pytest.approx([1.0, 0.0, 0.0])
 
     def test_custom_zero_vector_rejected(self):
-        with pytest.raises(ToleranceError):
+        with pytest.raises(InputFormatError, match="zero"):
             realize_fiducial(FiducialSpec.custom([0.0, 0.0]), 2)
+
+    @pytest.mark.parametrize("values", [[1e-13, 2e-13, 1e-13], [1e300, 1e300, 0.0],
+                                        [5e-324, 0.0, 0.0], [1e308j, -1e308, 1e308]])
+    def test_custom_direction_at_any_scale(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = realize_fiducial(FiducialSpec.custom(values), 3)
+        expected = np.array(values) / np.abs(values).max()
+        assert v == pytest.approx(expected / np.linalg.norm(expected), abs=1e-15)
+
+    def test_non_finite_recipe_is_a_tolerance_failure(self):
+        with pytest.raises(ToleranceError, match="not finite"):
+            realize_fiducial(FiducialSpec.custom([np.inf, 1.0]), 2)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 12])
     def test_catalog_is_unit_norm(self, d):

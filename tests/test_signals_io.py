@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from torus_quant import (
     FiducialSpec,
@@ -16,7 +18,9 @@ from torus_quant import (
     realize_fiducial,
     spectrogram,
 )
+from torus_quant import io_formats
 from torus_quant.io_formats import (
+    _table_csv,
     format_complex_matrix_csv,
     format_real_map_csv,
     format_vector_csv,
@@ -25,6 +29,8 @@ from torus_quant.io_formats import (
     read_signal,
     read_vector_csv,
 )
+
+from oracles import table_csv_reference
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -181,3 +187,72 @@ class TestFormatting:
     def test_pgm_zero_map(self):
         blob = pgm_bytes(np.zeros((1, 2)))
         assert blob.endswith(bytes([0, 0]))
+
+
+def _first_difference(text: str, reference: str) -> str | None:
+    """Where two CSV texts first differ (line and field values), or None."""
+    if text == reference:
+        return None
+    for number, (line, expected) in enumerate(zip(text.split("\n"), reference.split("\n"))):
+        for got, want in zip(line.split(","), expected.split(",")):
+            if got != want:
+                return f"line {number}: {got!r} != {want!r}"
+    return "lengths differ"
+
+
+class _CountingFormat(str):
+    """``"%.15e"`` that records every value it formats."""
+
+    def __new__(cls, calls):
+        text = super().__new__(cls, "%.15e")
+        text.calls = calls
+        return text
+
+    def __mod__(self, value):
+        self.calls.append(value)
+        return str.__mod__(self, value)
+
+
+def _crafted_values() -> np.ndarray:
+    """Ties, powers of ten and their neighbours, rounding carries, extremes."""
+    powers = np.array([10.0**k for k in range(-323, 309)])
+    carries = np.array([float(f"9.9999999999999995e{k}") for k in range(-324, 308)])
+    ties = np.array([1234567890123456.5, 9007199254740990.5, 1000000000000000.5])
+    extremes = np.array([5e-324, 2.2250738585072014e-308, np.finfo(float).max, 0.0,
+                         np.nan, np.inf, 1.5e-150, 2.5e250, 1.0000000000000002e100])
+    values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+                             carries, np.nextafter(carries, 0.0), ties, extremes])
+    return np.concatenate([values, -values])
+
+
+class TestTableCsvMatchesPercentFormat:
+    """The block-wise writer against Python's ``%.15e``, byte for byte."""
+
+    @settings(deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
+                      elements=st.floats(width=64)))
+    def test_small_tables_match_the_row_format(self, table):
+        header = ["m"] + [f"n{j}" for j in range(table.shape[1])]
+        assert _table_csv(header, table) == table_csv_reference(header, table)
+
+    def test_random_bit_patterns_and_crafted_values(self, monkeypatch):
+        bits = np.random.default_rng(20261018).integers(0, 2**64, size=2**20, dtype=np.uint64)
+        values = np.concatenate([bits.view(np.float64), _crafted_values()])
+        table = np.resize(values, (values.size // 1024 + 1, 1024))
+        header = ["m"] + [f"n{j}" for j in range(1024)]
+        calls = []
+        monkeypatch.setattr(io_formats, "_FMT", _CountingFormat(calls))
+        text = _table_csv(header, table)
+        assert _first_difference(text, table_csv_reference(header, table)) is None
+        # besides nan and inf, Python gets only the exact ties (common among
+        # the doubles of 2**44..2**54, which have few fraction bits) and values
+        # a few units from a power of ten; a wrong decade would send it ~1 in 5
+        finite = [x for x in calls if np.isfinite(x)]
+        assert len(finite) < values.size // 100, len(finite)
+
+    @pytest.mark.parametrize("value", [1234567890123456.5, 9.9999999999999995e-5, 1e22,
+                                       np.nextafter(1e22, 0.0), 5e-324, -0.0])
+    def test_crafted_value_in_every_column_of_a_block(self, value):
+        table = np.full((3, 5), value)
+        table[1, 2] = 0.1
+        assert _table_csv(["m"] * 6, table) == table_csv_reference(["m"] * 6, table)
