@@ -15,32 +15,18 @@ from .hilbert import (
     dft,
     fourier_basis,
     idft,
-    inner,
     kronecker_basis,
     modulate,
     norm,
     translate,
 )
-from .weyl import (
-    conjugate_sign,
-    displacement_apply,
-    displacement_matrix,
-    half_phase,
-    trace_displacement,
-)
-from .fiducials import FiducialSpec, default_catalog, realize_fiducial
-from .gabor import (
-    coherent_state,
-    gabor_inverse,
-    gabor_transform,
-    isometry_defect,
-    reproducing_kernel,
-)
+from .weyl import displacement_apply, displacement_matrix
+from .fiducials import FiducialSpec, realize_fiducial
+from .gabor import gabor_inverse, gabor_transform, isometry_defect
 from .quantize import (
     PositivityReport,
     Weight,
     coherent_state_weight,
-    covariance_defect,
     momentum_symbol,
     parity_weight,
     position_symbol,
@@ -49,30 +35,17 @@ from .quantize import (
     quantize,
     quantize_momentum,
     quantize_position,
-    sum_displacement,
     symplectic_dft,
-    transported,
     weight_from_operator,
 )
 from .distributions import (
     husimi,
     overlap_distribution,
-    parity_matrix,
     portrait,
     portrait_of_symbol,
-    realize_real,
     wigner,
 )
-from .signals import (
-    SIGNAL_PATTERNS,
-    column_energy,
-    demo_signal,
-    dominant_rows,
-    envelope_spectrum,
-    harmonic_energy_fraction,
-    period_estimate,
-    spectrogram,
-)
+from .signals import column_energy, dominant_rows, envelope_spectrum, period_estimate
 
 __all__ = [
     "InputFormatError",
@@ -82,32 +55,24 @@ __all__ = [
     "dft",
     "fourier_basis",
     "idft",
-    "inner",
     "kronecker_basis",
     "modulate",
     "norm",
     "translate",
     # weyl
-    "conjugate_sign",
     "displacement_apply",
     "displacement_matrix",
-    "half_phase",
-    "trace_displacement",
     # fiducials
     "FiducialSpec",
-    "default_catalog",
     "realize_fiducial",
     # gabor
-    "coherent_state",
     "gabor_inverse",
     "gabor_transform",
     "isometry_defect",
-    "reproducing_kernel",
     # quantize
     "PositivityReport",
     "Weight",
     "coherent_state_weight",
-    "covariance_defect",
     "momentum_symbol",
     "parity_weight",
     "position_symbol",
@@ -116,25 +81,17 @@ __all__ = [
     "quantize",
     "quantize_momentum",
     "quantize_position",
-    "sum_displacement",
     "symplectic_dft",
-    "transported",
     "weight_from_operator",
     # distributions
     "husimi",
     "overlap_distribution",
-    "parity_matrix",
     "portrait",
     "portrait_of_symbol",
-    "realize_real",
     "wigner",
     # signals
-    "SIGNAL_PATTERNS",
     "column_energy",
-    "demo_signal",
     "dominant_rows",
     "envelope_spectrum",
-    "harmonic_energy_fraction",
     "period_estimate",
-    "spectrogram",
 ]

@@ -21,10 +21,8 @@ from .quantize import Weight, _negated_indices, quantization_operator, symplecti
 from .weyl import adjoint_sign_table
 
 __all__ = [
-    "parity_matrix",
     "husimi",
     "wigner",
-    "realize_real",
     "portrait",
     "portrait_of_symbol",
     "overlap_distribution",
@@ -38,13 +36,6 @@ def realize_real(values: np.ndarray, tol: float = 1e-10, what: str = "map") -> n
     if not worst <= tol:
         raise ToleranceError(f"{what} has imaginary part {worst:.3e} above {tol:.1e}")
     return values.real.copy() if np.iscomplexobj(values) else values.copy()
-
-
-def parity_matrix(d: int) -> np.ndarray:
-    """Reversal operator (P psi)(l) = psi(-l mod d)."""
-    p = np.zeros((d, d))
-    p[np.arange(d), (-np.arange(d)) % d] = 1.0
-    return p
 
 
 def husimi(psi, window) -> np.ndarray:
@@ -78,7 +69,8 @@ def wigner(psi) -> np.ndarray:
 def portrait(op: np.ndarray, w: Weight) -> np.ndarray:
     """Phase-space portrait A(m, n) = Tr[op * D(m,n) M_w D(m,n)^dag].
 
-    Through the closed form of ``transported``,
+    Through the closed form of the transported operator (see
+    :mod:`torus_quant.quantize`),
     A(m, n) = sum_k e^{2 i pi m k / d} s(n, k) with
     s(n, k) = sum_a op[a, a+k] M_w[a+k-n, a-n], a cyclic correlation over
     a of the cyclic diagonals of op and M_w.  Both sums are FFTs, so
@@ -114,11 +106,12 @@ def overlap_distribution(w: Weight) -> np.ndarray:
 
     With the 1/d-weighted counting measure on the phase space this is
     normalized: (1/d) sum_{m,n} D = 1.  It is real whenever M_w is
-    self-adjoint (and for the unit weight at any d); for coherent-state
-    weights pointwise nonnegativity is asserted.
+    self-adjoint (and for the unit weight at any d); for weights whose M_w
+    is a density operator (``Weight.is_density``) pointwise nonnegativity
+    is asserted.
     """
     dist = realize_real(_overlap_map(w), what="overlap distribution")
-    if w.provenance == "coherent_state" and not dist.min() >= -1e-12:
+    if w.is_density and not dist.min() >= -1e-12:
         raise ToleranceError(
             f"coherent-state overlap distribution dips to {dist.min():.3e}")
     return dist

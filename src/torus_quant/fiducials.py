@@ -15,11 +15,7 @@ import numpy as np
 from .hilbert import as_state, fourier_basis, kronecker_basis
 from .errors import InputFormatError, ToleranceError
 
-__all__ = [
-    "FiducialSpec",
-    "realize_fiducial",
-    "default_catalog",
-]
+__all__ = ["FiducialSpec", "realize_fiducial"]
 
 #: -log of the smallest retained relative magnitude, over pi, in the gaussian sums
 _GAUSSIAN_CUTOFF = -math.log(1e-16) / math.pi
@@ -79,6 +75,8 @@ class FiducialSpec:
     @classmethod
     def custom(cls, values) -> "FiducialSpec":
         v = as_state(values)
+        if not np.isfinite(v).all():
+            raise InputFormatError("custom fiducial window has a non-finite sample")
         return cls("custom", values=tuple(complex(x) for x in v))
 
     @classmethod
@@ -184,15 +182,3 @@ def realize_fiducial(spec: FiducialSpec, d: int) -> np.ndarray:
 
     return _guard_normalize(v)
 
-
-def default_catalog(d: int) -> list[FiducialSpec]:
-    """One representative recipe of each named kind, valid at dimension d."""
-    k0 = 1 % d
-    return [
-        FiducialSpec.constant(),
-        FiducialSpec.kronecker(k0),
-        FiducialSpec.plane_wave(k0),
-        FiducialSpec.gaussian(1.0),
-        FiducialSpec.dirichlet((d - 1) // 2),
-        FiducialSpec.von_mises(1.0),
-    ]

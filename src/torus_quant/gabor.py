@@ -14,27 +14,14 @@ import warnings
 import numpy as np
 
 from .hilbert import as_state, difference_index
-from .weyl import displacement_apply, half_phase_table
+from .weyl import half_phase_table
 
-__all__ = [
-    "coherent_state",
-    "gabor_transform",
-    "gabor_inverse",
-    "reproducing_kernel",
-    "isometry_defect",
-]
+__all__ = ["gabor_transform", "gabor_inverse", "isometry_defect"]
 
 
 def _warn_if_not_unit(psi: np.ndarray, what: str) -> None:
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         warnings.warn(f"{what} is not unit norm; coherent-state identities assume it")
-
-
-def coherent_state(window, m: int, n: int) -> np.ndarray:
-    """The displaced window U(m, n) psi."""
-    window = as_state(window)
-    _warn_if_not_unit(window, "fiducial window")
-    return displacement_apply(window, m, n)
 
 
 def gabor_transform(phi, window) -> np.ndarray:
@@ -66,12 +53,6 @@ def gabor_inverse(coeffs, window) -> np.ndarray:
     # the inverse FFT over m carries the synthesis weight 1/d
     inner = np.fft.ifft(coeffs * half_phase_table(d), axis=0)  # [l, n]
     return (inner * window[difference_index(d)]).sum(axis=1)
-
-
-def reproducing_kernel(window, p: tuple[int, int], q: tuple[int, int]) -> complex:
-    """Kernel K(p, q) = <psi_p, psi_q> of the coherent-state frame."""
-    window = as_state(window)
-    return complex(np.vdot(displacement_apply(window, *p), displacement_apply(window, *q)))
 
 
 def isometry_defect(phi, window) -> float:

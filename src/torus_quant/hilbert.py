@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "as_state",
-    "inner",
     "norm",
     "kronecker_basis",
     "fourier_basis",
@@ -24,8 +23,6 @@ __all__ = [
     "idft",
     "translate",
     "modulate",
-    "phase_table",
-    "difference_index",
 ]
 
 
@@ -47,13 +44,6 @@ def as_state(values, d: int | None = None) -> np.ndarray:
     if d is not None and v.shape[0] != d:
         raise ValueError(f"dimension mismatch: expected d={d}, got {v.shape[0]}")
     return v
-
-
-def inner(a, b) -> complex:
-    """Scalar product sum_l conj(a(l)) b(l), conjugate-linear in ``a``."""
-    a = as_state(a)
-    b = as_state(b, d=a.shape[0])
-    return complex(np.vdot(a, b))
 
 
 def norm(a) -> float:

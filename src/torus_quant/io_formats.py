@@ -1,5 +1,7 @@
 """File formats: signal readers, CSV map/matrix writers and binary PGM.
 
+These are the command line's formats; the package does not export them.
+
 Every number in CSV output is exactly what Python's ``"%.15e" % x`` writes
 (correctly rounded, ties to even), in a fixed traversal order, so identical
 inputs produce byte-identical files.  Complex entries occupy two adjacent
@@ -25,16 +27,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import InputFormatError
-
-__all__ = [
-    "read_signal",
-    "read_complex_matrix_csv",
-    "read_vector_csv",
-    "format_real_map_csv",
-    "format_complex_matrix_csv",
-    "format_vector_csv",
-    "pgm_bytes",
-]
 
 _FMT = "%.15e"
 

@@ -5,12 +5,11 @@ generates the unit-trace quantization operator
 
     M_w = (1/d) sum_{m,n} w(m, n) D(m, n),
 
-where D is the d-periodic displacement family :func:`sum_displacement`
-(its phase convention is in :mod:`torus_quant.weyl`): the half-phase
-operator U at even d and (-1)**(m n) U at odd d, i.e. the half phase
-realized with the modular inverse of 2.  This is the unique choice that
-makes the family genuinely d-periodic in both indices, and it is what
-makes the unit weight produce exactly the parity operator at odd d.
+where D is the d-periodic displacement family of :mod:`torus_quant.weyl`:
+the half-phase operator U at even d and (-1)**(m n) U at odd d, i.e. the
+half phase realized with the modular inverse of 2.  This is the unique
+choice that makes the family genuinely d-periodic in both indices, and it
+is what makes the unit weight produce exactly the parity operator at odd d.
 Construction and retrieval by tracing use the same family, so they are
 exact mutual inverses.
 
@@ -30,8 +29,9 @@ evaluated in closed form with FFTs (chi is :func:`weyl.sum_phase_table`):
   M[l, l - n]: one FFT of the operator's cyclic diagonals;
 - the production route of :func:`quantize`, which feeds the conjugate
   symplectic transform of f into the kernel assembly;
-- the "direct" route of :func:`quantize`, from the closed form of
-  :func:`transported`,
+- the "direct" route of :func:`quantize`, from the closed form of the
+  transported operator, D(m,n) M D(m,n)^dag = exp(2 i pi m (a - b) / d)
+  M[a - n, b - n] at entry (a, b), which gives
   A[a, b] = (1/d) sum_n g(a - b, n) M_w[a - n, b - n] with
   g(k, n) = sum_m f(m, n) e^{2 i pi m k / d}: along each cyclic diagonal
   a - b = k a convolution over n, evaluated by FFT.  It does not go
@@ -46,15 +46,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import as_state, dft, difference_index, idft, phase_table
-from .weyl import adjoint_sign_table, displacement_matrix, sum_phase_table
+from .hilbert import as_state, dft, difference_index, idft
+from .weyl import adjoint_sign_table, sum_phase_table
 
 __all__ = [
     "Weight",
     "parity_weight",
     "coherent_state_weight",
-    "sum_displacement",
-    "transported",
     "quantization_operator",
     "weight_from_operator",
     "symplectic_dft",
@@ -63,7 +61,6 @@ __all__ = [
     "quantize",
     "quantize_momentum",
     "quantize_position",
-    "covariance_defect",
     "PositivityReport",
     "positivity_report",
 ]
@@ -71,29 +68,9 @@ __all__ = [
 _WEIGHT_ORIGIN_TOL = 1e-10
 
 
-def sum_displacement(d: int, m: int, n: int) -> np.ndarray:
-    """Matrix of the d-periodic displacement D(m, n) (position basis)."""
-    m %= d
-    n %= d
-    return (-1) ** (d % 2 * m * n % 2) * displacement_matrix(d, m, n)
-
-
 def _negated_indices(values: np.ndarray) -> np.ndarray:
     """Map g(m, n) -> g(-m mod d, -n mod d)."""
     return np.roll(values[::-1, ::-1], 1, axis=(0, 1))
-
-
-def transported(M: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Conjugated operator D(m,n) M D(m,n)^dag.
-
-    Evaluated in closed form, entry (a, b) = exp(2 i pi m (a - b) / d) *
-    M[(a - n) % d, (b - n) % d]; the overall displacement phase cancels,
-    so the result is identical for every phase convention.
-    """
-    d = M.shape[0]
-    idx = (np.arange(d) - n) % d
-    ph = phase_table(d, m * np.arange(d))
-    return M[np.ix_(idx, idx)] * np.outer(ph, ph.conj())
 
 
 @dataclass(eq=False)
@@ -104,12 +81,14 @@ class Weight:
     ----------
     values : ndarray
         d x d complex array indexed [m, n].
-    provenance : str
-        One of "parity", "coherent_state", "custom".
+    is_density : bool
+        True when M_w is known to be a density operator (set by
+        :func:`coherent_state_weight`); ``overlap_distribution`` then
+        asserts that its distribution is nonnegative.
     """
 
     values: np.ndarray
-    provenance: str = "custom"
+    is_density: bool = False
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
@@ -119,8 +98,6 @@ class Weight:
             raise ValueError(
                 f"weight origin value must be 1 (unit trace), got {v[0, 0]}"
             )
-        if self.provenance not in ("parity", "coherent_state", "custom"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
         self.values = v
 
     @property
@@ -139,13 +116,10 @@ class Weight:
         w_neg = _negated_indices(w)
         return float(np.abs(adjoint_sign_table(self.d) * np.conj(w_neg) - w).max())
 
-    def is_symmetric(self, tol: float = 1e-10) -> bool:
-        return self.symmetry_defect() <= tol
-
 
 def parity_weight(d: int) -> Weight:
     """The unit weight w = 1; at odd d its operator is the parity operator."""
-    return Weight(np.ones((d, d), dtype=complex), provenance="parity")
+    return Weight(np.ones((d, d), dtype=complex))
 
 
 def coherent_state_weight(phi) -> Weight:
@@ -164,7 +138,7 @@ def coherent_state_weight(phi) -> Weight:
         phi = phi / nrm
     products = phi[:, None] * np.conj(phi[difference_index(d)])  # [l, n]
     w = np.conj(sum_phase_table(d)) * np.fft.fft(products, axis=0)
-    return Weight(w, provenance="coherent_state")
+    return Weight(w, is_density=True)
 
 
 def _kernel_operator(w_values: np.ndarray, factor: np.ndarray | None) -> np.ndarray:
@@ -188,7 +162,7 @@ def quantization_operator(w: Weight) -> np.ndarray:
     return _kernel_operator(w.values, None)
 
 
-def weight_from_operator(M: np.ndarray, provenance: str = "custom") -> Weight:
+def weight_from_operator(M: np.ndarray) -> Weight:
     """Retrieve the weight of a unit-trace operator: w(m,n) = Tr[D(m,n)^dag M].
 
     Inverts :func:`quantization_operator` exactly: reads M along its d
@@ -204,7 +178,7 @@ def weight_from_operator(M: np.ndarray, provenance: str = "custom") -> Weight:
         raise ValueError(f"operator trace must be 1 to define a weight, got {tr}")
     diagonals = np.take_along_axis(M, difference_index(d), axis=1)  # M[l, l - n]
     w = np.conj(sum_phase_table(d)) * np.fft.fft(diagonals, axis=0)
-    return Weight(w, provenance=provenance)
+    return Weight(w)
 
 
 def symplectic_dft(f: np.ndarray, conjugate: bool = False) -> np.ndarray:
@@ -245,7 +219,7 @@ def quantize(f: np.ndarray, w: Weight, method: str = "kernel") -> np.ndarray:
 
     which fixes how the conjugate transform enters.  The "direct" route
     evaluates (1/d) sum_{m,n} f(m,n) D(m,n) M_w D(m,n)^dag through the
-    closed form of :func:`transported`: summing over m first gives
+    closed form of the transported operators: summing over m first gives
 
         A[a, b] = (1/d) sum_n g(a - b, n) M_w[a - n, b - n],
         g(k, n) = sum_m f(m, n) e^{2 i pi m k / d},
@@ -297,21 +271,6 @@ def quantize_position(h, w: Weight) -> np.ndarray:
     h = as_state(h, d=w.d)
     diag = idft(dft(h) * w.values[:, 0])
     return np.diag(diag)
-
-
-def covariance_defect(f: np.ndarray, w: Weight, shift: tuple[int, int]) -> float:
-    """Max-norm residual of displacement covariance of the quantization map.
-
-    Compares U(shift) A_f U(shift)^dag against the quantization of the
-    shifted symbol f(. - shift); both sides are built independently.
-    """
-    f = np.asarray(f, dtype=complex)
-    d = w.d
-    sm, sn = int(shift[0]) % d, int(shift[1]) % d
-    u = displacement_matrix(d, sm, sn)
-    lhs = u @ quantize(f, w) @ u.conj().T
-    rhs = quantize(np.roll(f, (sm, sn), axis=(0, 1)), w)
-    return float(np.abs(lhs - rhs).max())
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Bundled periodic demo signals and spectrogram-based period detection.
+"""Period detection on a Gabor magnitude map (spectrogram).
 
 The period of a periodic signal of length d shows up in its Gabor
 magnitude map as striations along the time axis.  Summing the squared
@@ -14,43 +14,9 @@ import math
 
 import numpy as np
 
-from .hilbert import as_state, dft
-from .gabor import gabor_transform
+from .hilbert import dft
 
-__all__ = [
-    "SIGNAL_PATTERNS",
-    "demo_signal",
-    "spectrogram",
-    "column_energy",
-    "envelope_spectrum",
-    "harmonic_energy_fraction",
-    "dominant_rows",
-    "period_estimate",
-]
-
-#: repeating patterns of the bundled demo signals (periods 6, 15 and 10)
-SIGNAL_PATTERNS = {
-    1: (2, 4, 4, 3, 3, 5),
-    2: (0, 0, 0, 3, 3, -2, 1, 1, 1, 4, -1, -1, 2, 2, 2),
-}
-
-
-def demo_signal(index: int, length: int = 60) -> np.ndarray:
-    """Demo signal 1 (period 6), 2 (period 15) or 3 (their sum, period 10)."""
-    if index in SIGNAL_PATTERNS:
-        pattern = np.array(SIGNAL_PATTERNS[index], dtype=float)
-        reps, rem = divmod(length, len(pattern))
-        if rem:
-            raise ValueError(f"length {length} is not a multiple of the period {len(pattern)}")
-        return np.tile(pattern, reps)
-    if index == 3:
-        return demo_signal(1, length) + demo_signal(2, length)
-    raise ValueError(f"unknown demo signal {index}")
-
-
-def spectrogram(signal, window) -> np.ndarray:
-    """Gabor magnitude map |Phi(m, n)|, rows indexed by frequency m."""
-    return np.abs(gabor_transform(as_state(signal), window))
+__all__ = ["column_energy", "envelope_spectrum", "dominant_rows", "period_estimate"]
 
 
 def column_energy(magnitude: np.ndarray) -> np.ndarray:
@@ -61,20 +27,6 @@ def column_energy(magnitude: np.ndarray) -> np.ndarray:
 def envelope_spectrum(energy: np.ndarray) -> np.ndarray:
     """Power |dft(E)(k)|^2 of the column-energy envelope."""
     return np.abs(dft(np.asarray(energy, dtype=complex))) ** 2
-
-
-def harmonic_energy_fraction(power: np.ndarray, base: int) -> float:
-    """Fraction of off-DC envelope power on rows that are multiples of ``base``."""
-    power = np.asarray(power, dtype=float)
-    d = power.shape[0]
-    if not 0 < base < d:
-        raise ValueError(f"harmonic base {base} out of range (0, {d})")
-    off_dc = power[1:].sum()
-    if off_dc <= 0:
-        return 0.0
-    rows = np.arange(d)
-    on_multiples = power[(rows % base == 0) & (rows != 0)].sum()
-    return float(on_multiples / off_dc)
 
 
 def dominant_rows(power: np.ndarray, coverage: float = 0.9) -> list[int]:

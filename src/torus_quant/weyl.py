@@ -10,8 +10,7 @@ is only d-periodic up to sign:
 
     U(m + d, n) = (-1)**n U(m, n),     U(m, n + d) = (-1)**m U(m, n),
 
-so identities that move indices out of [0, d) acquire tracked signs;
-:func:`conjugate_sign` returns the one of the adjoint.
+so identities that move indices out of [0, d) acquire tracked signs.
 
 Sums over the whole phase space use the d-periodic family
 
@@ -30,16 +29,7 @@ import numpy as np
 
 from .hilbert import as_state, modulate, phase_table, translate
 
-__all__ = [
-    "half_phase",
-    "half_phase_table",
-    "sum_phase_table",
-    "conjugate_sign",
-    "adjoint_sign_table",
-    "displacement_apply",
-    "displacement_matrix",
-    "trace_displacement",
-]
+__all__ = ["displacement_apply", "displacement_matrix"]
 
 
 def half_phase(d: int, m, n) -> np.ndarray:
@@ -66,25 +56,11 @@ def sum_phase_table(d: int) -> np.ndarray:
     return (-1) ** (d % 2 * np.outer(ms, ms) % 2) * half_phase_table(d)
 
 
-def conjugate_sign(d: int, m: int, n: int) -> int:
-    """Sign relating the adjoint to negated indices.
-
-    U(m, n)^dag = sign * U(-m mod d, -n mod d).  The sign is +1 whenever
-    m = 0 or n = 0, and (-1)**(d + m + n) otherwise.
-    """
-    m %= d
-    n %= d
-    if m == 0 or n == 0:
-        return 1
-    return -1 if (d + m + n) % 2 else 1
-
-
 def adjoint_sign_table(d: int) -> np.ndarray:
     """Sign c[m, n] in D(m,n)^dag = c[m, n] D(-m, -n) on canonical representatives.
 
     Identically one for odd d (the family is genuinely periodic); for even
-    d, where D = U, it is :func:`conjugate_sign`: the entries with both
-    indices nonzero carry (-1)**(m+n).
+    d, where D = U, the entries with both indices nonzero carry (-1)**(m+n).
     """
     if d % 2:
         return np.ones((d, d))
@@ -105,35 +81,21 @@ def displacement_apply(psi, m: int, n: int) -> np.ndarray:
     return half_phase(d, m, n) * modulate(translate(psi, n), m)
 
 
-def displacement_matrix(d: int, m: int, n: int, basis: str = "kronecker") -> np.ndarray:
-    """Matrix of U(m, n) in the position ("kronecker") or "fourier" basis.
+def displacement_matrix(d: int, m: int, n: int) -> np.ndarray:
+    """Matrix of U(m, n) in the position basis.
 
-    Position basis: support at rows k = k' + n mod d with entries
+    Support at rows k = k' + n mod d with entries
     exp(-i pi m n / d) exp(2i pi m k / d); this is the matrix of
     :func:`displacement_apply` and agrees with the commonly printed form
     exp(i pi m (k + k')/d) except on wrapped entries (k' + n >= d), where
     the canonical-index form of that expression is off by (-1)**m.
-
-    Fourier basis: entries exp(i pi m n / d) exp(-2i pi k n / d) at rows
-    k = k' + m mod d, exact on canonical indices.
     """
     if d < 1:
         raise ValueError("dimension must be positive")
     m %= d
     n %= d
     cols = np.arange(d)
+    rows = (cols + n) % d
     out = np.zeros((d, d), dtype=complex)
-    if basis == "kronecker":
-        rows = (cols + n) % d
-        out[rows, cols] = half_phase(d, m, n) * phase_table(d, m * rows)
-    elif basis == "fourier":
-        rows = (cols + m) % d
-        out[rows, cols] = np.conj(half_phase(d, m, n)) * phase_table(d, -n * rows)
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
+    out[rows, cols] = half_phase(d, m, n) * phase_table(d, m * rows)
     return out
-
-
-def trace_displacement(d: int, m: int, n: int) -> complex:
-    """Trace of U(m, n); equals d for (m, n) = (0, 0) and 0 otherwise."""
-    return complex(np.trace(displacement_matrix(d, m, n)))

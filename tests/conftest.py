@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from torus_quant import default_catalog, realize_fiducial, weight_from_operator
+from torus_quant import FiducialSpec, realize_fiducial, weight_from_operator
 
 SEED = 20260810
 
@@ -32,6 +32,19 @@ def hermitian_unit_trace(rng, d):
 def random_symmetric_weight(rng, d):
     """Random weight whose quantization operator is hermitian by construction."""
     return weight_from_operator(hermitian_unit_trace(rng, d))
+
+
+def default_catalog(d):
+    """One representative recipe of each named kind, valid at dimension d."""
+    k0 = 1 % d
+    return [
+        FiducialSpec.constant(),
+        FiducialSpec.kronecker(k0),
+        FiducialSpec.plane_wave(k0),
+        FiducialSpec.gaussian(1.0),
+        FiducialSpec.dirichlet((d - 1) // 2),
+        FiducialSpec.von_mises(1.0),
+    ]
 
 
 def catalog_windows(d):

@@ -4,7 +4,13 @@
   phase-space points term by term, O(d^4) in total.  The package computes
   the same quantities in closed form; ``test_oracles.py`` pins the two
   against each other.
-- The dense DFT matrix, the pin of the kernel W[k, l] of ``dft``.
+- Per-point definitions that the package only ever uses summed over the
+  phase space: the d-periodic displacement D(m, n), the transported
+  operator D M D^dag, single coherent states and kernel values, the
+  adjoint's sign and the trace of one U(m, n), U(m, n) in the Fourier
+  basis, the reversal matrix, the covariance residual of ``quantize``.
+- The dense DFT matrix, the pin of the kernel W[k, l] of ``dft``, and
+  the scalar product.
 - Second routes to package results (the factored reproducing kernel, two
   more Wigner forms, the frame built state by state).
 - The Weyl-Heisenberg group law, whose representation the displacement
@@ -23,14 +29,111 @@ import numpy as np
 from torus_quant import (
     as_state,
     displacement_apply,
+    displacement_matrix,
     gabor_transform,
-    parity_matrix,
     quantization_operator,
-    realize_real,
-    sum_displacement,
-    transported,
+    quantize,
 )
-from torus_quant.distributions import _overlap_map
+from torus_quant.distributions import _overlap_map, realize_real
+from torus_quant.gabor import _warn_if_not_unit
+from torus_quant.hilbert import phase_table
+from torus_quant.weyl import half_phase
+
+
+def inner(a, b) -> complex:
+    """Scalar product sum_l conj(a(l)) b(l), conjugate-linear in ``a``."""
+    a = as_state(a)
+    b = as_state(b, d=a.shape[0])
+    return complex(np.vdot(a, b))
+
+
+def conjugate_sign(d: int, m: int, n: int) -> int:
+    """Sign relating the adjoint to negated indices.
+
+    U(m, n)^dag = sign * U(-m mod d, -n mod d).  The sign is +1 whenever
+    m = 0 or n = 0, and (-1)**(d + m + n) otherwise; at even d it is the
+    entry [m, n] of ``weyl.adjoint_sign_table``.
+    """
+    m %= d
+    n %= d
+    if m == 0 or n == 0:
+        return 1
+    return -1 if (d + m + n) % 2 else 1
+
+
+def trace_displacement(d: int, m: int, n: int) -> complex:
+    """Trace of U(m, n); equals d for (m, n) = (0, 0) and 0 otherwise."""
+    return complex(np.trace(displacement_matrix(d, m, n)))
+
+
+def displacement_matrix_fourier(d: int, m: int, n: int) -> np.ndarray:
+    """Matrix of U(m, n) in the Fourier basis.
+
+    Entries exp(i pi m n / d) exp(-2i pi k n / d) at rows k = k' + m mod d,
+    exact on canonical indices.
+    """
+    m %= d
+    n %= d
+    cols = np.arange(d)
+    rows = (cols + m) % d
+    out = np.zeros((d, d), dtype=complex)
+    out[rows, cols] = np.conj(half_phase(d, m, n)) * phase_table(d, -n * rows)
+    return out
+
+
+def sum_displacement(d: int, m: int, n: int) -> np.ndarray:
+    """Matrix of the d-periodic displacement D(m, n) (position basis)."""
+    m %= d
+    n %= d
+    return (-1) ** (d % 2 * m * n % 2) * displacement_matrix(d, m, n)
+
+
+def transported(M: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Conjugated operator D(m,n) M D(m,n)^dag.
+
+    Evaluated in closed form, entry (a, b) = exp(2 i pi m (a - b) / d) *
+    M[(a - n) % d, (b - n) % d]; the overall displacement phase cancels,
+    so the result is identical for every phase convention.
+    """
+    d = M.shape[0]
+    idx = (np.arange(d) - n) % d
+    ph = phase_table(d, m * np.arange(d))
+    return M[np.ix_(idx, idx)] * np.outer(ph, ph.conj())
+
+
+def covariance_defect(f: np.ndarray, w, shift: tuple[int, int]) -> float:
+    """Max-norm residual of displacement covariance of the quantization map.
+
+    Compares U(shift) A_f U(shift)^dag against the quantization of the
+    shifted symbol f(. - shift); both sides are built independently.
+    """
+    f = np.asarray(f, dtype=complex)
+    d = w.d
+    sm, sn = int(shift[0]) % d, int(shift[1]) % d
+    u = displacement_matrix(d, sm, sn)
+    lhs = u @ quantize(f, w) @ u.conj().T
+    rhs = quantize(np.roll(f, (sm, sn), axis=(0, 1)), w)
+    return float(np.abs(lhs - rhs).max())
+
+
+def coherent_state(window, m: int, n: int) -> np.ndarray:
+    """The displaced window U(m, n) psi."""
+    window = as_state(window)
+    _warn_if_not_unit(window, "fiducial window")
+    return displacement_apply(window, m, n)
+
+
+def reproducing_kernel(window, p: tuple[int, int], q: tuple[int, int]) -> complex:
+    """Kernel K(p, q) = <psi_p, psi_q> of the coherent-state frame."""
+    window = as_state(window)
+    return complex(np.vdot(displacement_apply(window, *p), displacement_apply(window, *q)))
+
+
+def parity_matrix(d: int) -> np.ndarray:
+    """Reversal operator (P psi)(l) = psi(-l mod d)."""
+    p = np.zeros((d, d))
+    p[np.arange(d), (-np.arange(d)) % d] = 1.0
+    return p
 
 
 def jacobi_theta3(x, s_im: float) -> complex:

@@ -15,7 +15,6 @@ import pytest
 from torus_quant import (
     FiducialSpec,
     coherent_state_weight,
-    covariance_defect,
     displacement_apply,
     displacement_matrix,
     fourier_basis,
@@ -23,7 +22,6 @@ from torus_quant import (
     gabor_transform,
     isometry_defect,
     overlap_distribution,
-    parity_matrix,
     parity_weight,
     portrait,
     portrait_of_symbol,
@@ -32,8 +30,6 @@ from torus_quant import (
     quantize_momentum,
     quantize_position,
     realize_fiducial,
-    reproducing_kernel,
-    trace_displacement,
     weight_from_operator,
     wigner,
 )
@@ -41,10 +37,15 @@ from torus_quant.cli import main as cli_main
 
 from conftest import catalog_windows, random_map, random_state, random_symmetric_weight
 from oracles import (
+    covariance_defect,
     dft_matrix,
+    displacement_matrix_fourier,
     frame_resolution_defect,
+    parity_matrix,
     quantization_operator_sum,
     reproducing_defect,
+    reproducing_kernel,
+    trace_displacement,
     wigner_via_parity,
 )
 from test_gabor import constant_kernel, kronecker_kernel, plane_wave_kernel
@@ -70,8 +71,8 @@ def test_criterion_01_resolution_of_identity():
 
 def test_criterion_02_pauli_recovery_at_d2():
     # Fourier-index convention reproduces the Pauli table
-    assert np.abs(displacement_matrix(2, 0, 1, "fourier") - np.diag([1, -1])).max() < 1e-15
-    assert np.abs(displacement_matrix(2, 1, 0, "fourier") - np.array([[0, 1], [1, 0]])).max() < 1e-15
+    assert np.abs(displacement_matrix_fourier(2, 0, 1) - np.diag([1, -1])).max() < 1e-15
+    assert np.abs(displacement_matrix_fourier(2, 1, 0) - np.array([[0, 1], [1, 0]])).max() < 1e-15
     # Literal evaluation of the position-basis element formula
     # exp(i pi m (k + k') / d) delta_{k, k'+n} on canonical indices:
     literal = np.zeros((2, 2), complex)
@@ -85,7 +86,8 @@ def test_criterion_02_pauli_recovery_at_d2():
     # canonical-index formula above differs by (-1)**m on the wrapped
     # entry, and the Fourier-basis matrix is [[0,i],[-i,0]].
     assert np.abs(displacement_matrix(2, 1, 1) - np.array([[0, -1j], [1j, 0]])).max() < 1e-15
-    assert np.abs(displacement_matrix(2, 1, 1, "fourier") - np.array([[0, 1j], [-1j, 0]])).max() < 1e-15
+    sigma_2_fourier = np.array([[0, 1j], [-1j, 0]])
+    assert np.abs(displacement_matrix_fourier(2, 1, 1) - sigma_2_fourier).max() < 1e-15
     _report(2, "d=2 displacements reproduce the Pauli table (Fourier convention); "
                "index-wrap sign documented")
 

@@ -1,9 +1,11 @@
 """The public surface of the package and the names the benchmark relies on."""
 
 import functools
+import importlib
 import importlib.util
 import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +33,16 @@ ORACLE_NAMES = (
     "reproducing_defect",
     "frame_resolution_defect",
     "jacobi_theta3",
+    "inner",
+    "conjugate_sign",
+    "trace_displacement",
+    "displacement_matrix_fourier",
+    "sum_displacement",
+    "transported",
+    "covariance_defect",
+    "coherent_state",
+    "reproducing_kernel",
+    "parity_matrix",
 )
 
 
@@ -44,6 +56,18 @@ class TestPublicNames:
         for name in ORACLE_NAMES:
             assert hasattr(oracles, name), name
             assert name not in torus_quant.__all__, name
+
+    def test_each_module_exports_exactly_its_share(self):
+        # a name in a module's __all__ is public only if the package exports it
+        shares = {}
+        for name in torus_quant.__all__:
+            shares.setdefault(getattr(torus_quant, name).__module__, set()).add(name)
+        modules = [importlib.import_module(f"torus_quant.{info.name}")
+                   for info in pkgutil.iter_modules(torus_quant.__path__)]
+        for module in modules:
+            assert set(getattr(module, "__all__", ())) == shares.pop(module.__name__, set()), \
+                module.__name__
+        assert not shares
 
 
 @functools.cache

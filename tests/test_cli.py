@@ -438,18 +438,16 @@ class TestNoPerPointLoops:
         def forbidden(*args, **kwargs):
             raise AssertionError("per-point helper called on a CLI path")
 
-        # every module that defines or imports a helper gets the raising stand-in
+        # every module that defines or imports a helper gets the raising
+        # stand-in; weyl, which defines them, is the only module binding any
         patched = set()
         for module in _package_modules():
             for name in PER_POINT_HELPERS:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)
                     patched.add((module.__name__, name))
-        assert {("torus_quant.quantize", "transported"),
-                ("torus_quant.quantize", "sum_displacement"),
-                ("torus_quant.quantize", "displacement_matrix"),
-                ("torus_quant.weyl", "displacement_matrix"),
-                ("torus_quant.gabor", "displacement_apply")} <= patched
+        assert patched == {("torus_quant.weyl", "displacement_matrix"),
+                           ("torus_quant.weyl", "displacement_apply")}
         d = 6
         if weight == "file":
             wfile = tmp_path / "w.csv"

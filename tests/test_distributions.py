@@ -4,27 +4,31 @@ import pytest
 from torus_quant import (
     FiducialSpec,
     ToleranceError,
-    coherent_state,
+    Weight,
     coherent_state_weight,
     dft,
     displacement_apply,
     husimi,
-    inner,
     overlap_distribution,
-    parity_matrix,
     parity_weight,
     portrait,
     portrait_of_symbol,
     quantization_operator,
     quantize,
     realize_fiducial,
-    realize_real,
-    transported,
     wigner,
 )
+from torus_quant.distributions import realize_real
 
 from conftest import random_map, random_state, random_symmetric_weight
-from oracles import wigner_half_argument, wigner_via_parity
+from oracles import (
+    coherent_state,
+    inner,
+    parity_matrix,
+    transported,
+    wigner_half_argument,
+    wigner_via_parity,
+)
 
 
 class TestHusimi:
@@ -172,6 +176,15 @@ class TestOverlapDistribution:
             phi = random_state(rng, d, unit=True)
             dist = overlap_distribution(coherent_state_weight(phi))
             assert dist.min() >= -1e-12
+
+    def test_negative_dip_raises_only_for_density_weights(self, rng):
+        # a hermitian M_w that is not positive has a signed distribution
+        w = random_symmetric_weight(rng, 5)
+        assert not w.is_density
+        assert coherent_state_weight(random_state(rng, 5, unit=True)).is_density
+        assert overlap_distribution(w).min() < -1e-3
+        with pytest.raises(ToleranceError, match="dips"):
+            overlap_distribution(Weight(w.values, is_density=True))
 
 
 class TestWignerRealityBound:

@@ -7,12 +7,13 @@ from torus_quant import (
     FiducialSpec,
     InputFormatError,
     ToleranceError,
-    default_catalog,
     kronecker_basis,
     norm,
     realize_fiducial,
 )
+from torus_quant.fiducials import _guard_normalize
 
+from conftest import default_catalog
 from oracles import jacobi_theta3
 
 
@@ -139,7 +140,12 @@ class TestRealizations:
 
     def test_non_finite_recipe_is_a_tolerance_failure(self):
         with pytest.raises(ToleranceError, match="not finite"):
-            realize_fiducial(FiducialSpec.custom([np.inf, 1.0]), 2)
+            _guard_normalize(np.array([np.inf, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+    def test_custom_rejects_non_finite_samples(self, bad):
+        with pytest.raises(InputFormatError, match="non-finite"):
+            FiducialSpec.custom([bad, 1.0])
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 12])
     def test_catalog_is_unit_norm(self, d):

@@ -3,24 +3,24 @@ import pytest
 
 from torus_quant import (
     FiducialSpec,
-    coherent_state,
     displacement_apply,
     gabor_inverse,
     gabor_transform,
     fourier_basis,
-    inner,
     isometry_defect,
     kronecker_basis,
     norm,
     realize_fiducial,
-    reproducing_kernel,
 )
 
 from conftest import catalog_windows, random_state
 from oracles import (
+    coherent_state,
     frame_resolution_defect,
+    inner,
     jacobi_theta3,
     reproducing_defect,
+    reproducing_kernel,
     reproducing_kernel_factored,
 )
 

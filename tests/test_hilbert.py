@@ -5,14 +5,13 @@ from torus_quant import (
     dft,
     fourier_basis,
     idft,
-    inner,
     kronecker_basis,
     modulate,
     translate,
 )
 
 from conftest import random_state
-from oracles import dft_matrix
+from oracles import dft_matrix, inner
 
 
 class TestInner:

@@ -10,13 +10,11 @@ from torus_quant import (
     FiducialSpec,
     InputFormatError,
     column_energy,
-    demo_signal,
     dominant_rows,
     envelope_spectrum,
-    harmonic_energy_fraction,
+    gabor_transform,
     period_estimate,
     realize_fiducial,
-    spectrogram,
 )
 from torus_quant import io_formats
 from torus_quant.io_formats import (
@@ -33,6 +31,39 @@ from torus_quant.io_formats import (
 from oracles import table_csv_reference
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+
+#: repeating patterns of the demo signals in ``data/`` (periods 6, 15 and 10)
+SIGNAL_PATTERNS = {
+    1: (2, 4, 4, 3, 3, 5),
+    2: (0, 0, 0, 3, 3, -2, 1, 1, 1, 4, -1, -1, 2, 2, 2),
+}
+
+
+def demo_signal(index: int, length: int = 60) -> np.ndarray:
+    """Demo signal 1 (period 6), 2 (period 15) or 3 (their sum, period 10)."""
+    if index in SIGNAL_PATTERNS:
+        pattern = np.array(SIGNAL_PATTERNS[index], dtype=float)
+        reps, rem = divmod(length, len(pattern))
+        if rem:
+            raise ValueError(f"length {length} is not a multiple of the period {len(pattern)}")
+        return np.tile(pattern, reps)
+    if index == 3:
+        return demo_signal(1, length) + demo_signal(2, length)
+    raise ValueError(f"unknown demo signal {index}")
+
+
+def harmonic_energy_fraction(power: np.ndarray, base: int) -> float:
+    """Fraction of off-DC envelope power on rows that are multiples of ``base``."""
+    power = np.asarray(power, dtype=float)
+    d = power.shape[0]
+    if not 0 < base < d:
+        raise ValueError(f"harmonic base {base} out of range (0, {d})")
+    off_dc = power[1:].sum()
+    if off_dc <= 0:
+        return 0.0
+    rows = np.arange(d)
+    on_multiples = power[(rows % base == 0) & (rows != 0)].sum()
+    return float(on_multiples / off_dc)
 
 
 class TestDemoSignals:
@@ -66,7 +97,7 @@ class TestPeriodDetection:
         d, period = 12, 3
         signal = np.tile([1.0, 4.0, 2.0], d // period)
         window = realize_fiducial(FiducialSpec.von_mises(50.0), d)
-        power = envelope_spectrum(column_energy(spectrogram(signal, window)))
+        power = envelope_spectrum(column_energy(np.abs(gabor_transform(signal, window))))
         base = d // period
         assert harmonic_energy_fraction(power, base) > 0.99
         rows = dominant_rows(power)
@@ -76,7 +107,7 @@ class TestPeriodDetection:
     def test_constant_signal_has_no_dominant_rows(self):
         d = 8
         window = realize_fiducial(FiducialSpec.von_mises(5.0), d)
-        power = envelope_spectrum(column_energy(spectrogram(np.ones(d), window)))
+        power = envelope_spectrum(column_energy(np.abs(gabor_transform(np.ones(d), window))))
         assert dominant_rows(power) == []
         assert period_estimate(d, []) is None
 

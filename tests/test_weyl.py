@@ -1,25 +1,23 @@
 import numpy as np
 import pytest
 
-from torus_quant import (
-    conjugate_sign,
-    displacement_apply,
-    displacement_matrix,
-    kronecker_basis,
-    trace_displacement,
-)
+from torus_quant import displacement_apply, displacement_matrix, kronecker_basis
 
-from torus_quant.weyl import sum_phase_table
+from torus_quant.weyl import adjoint_sign_table, sum_phase_table
 
 from conftest import random_state
 from oracles import (
     GroupElement,
     compose_displacements,
+    conjugate_sign,
     conjugation_phase,
+    displacement_matrix_fourier,
     fourier_conjugated,
     group_inv,
     group_mul,
     rep_V,
+    sum_displacement,
+    trace_displacement,
 )
 
 
@@ -124,7 +122,7 @@ class TestDisplacement:
             for m in range(d):
                 for n in range(d):
                     assert np.abs(fourier_conjugated(d, displacement_matrix(d, m, n))
-                                  - displacement_matrix(d, m, n, basis="fourier")).max() < 1e-12
+                                  - displacement_matrix_fourier(d, m, n)).max() < 1e-12
 
     def test_sum_phase_is_modular_half_phase(self):
         # odd d: exp(-2 i pi m ((d+1)/2 n mod d) / d); even d: the half phase
@@ -137,9 +135,16 @@ class TestDisplacement:
                 expected = np.exp(-1j * np.pi * ((m * n) % (2 * d)) / d)
             assert np.abs(sum_phase_table(d) - expected).max() < 1e-13, d
 
-    def test_unknown_basis_rejected(self):
-        with pytest.raises(ValueError, match="basis"):
-            displacement_matrix(3, 0, 0, basis="momentum")
+    @pytest.mark.parametrize("d", list(range(1, 9)))
+    def test_sum_family_adjoint_sign_table(self, d):
+        table = adjoint_sign_table(d)
+        for m in range(d):
+            for n in range(d):
+                lhs = sum_displacement(d, m, n).conj().T
+                rhs = table[m, n] * sum_displacement(d, -m, -n)
+                assert np.abs(lhs - rhs).max() < 1e-12
+                if d % 2 == 0:
+                    assert table[m, n] == conjugate_sign(d, m, n)
 
     @pytest.mark.parametrize("d", list(range(2, 9)))
     def test_adjoint_negation_sign_law(self, d):
@@ -154,10 +159,10 @@ class TestPauliRecovery:
     """d = 2 displacement matrices against the standard Pauli table."""
 
     def test_fourier_convention_matches_table(self):
-        assert displacement_matrix(2, 0, 0, "fourier") == pytest.approx(np.eye(2))
-        assert displacement_matrix(2, 0, 1, "fourier") == pytest.approx(np.diag([1.0, -1.0]))
-        assert displacement_matrix(2, 1, 0, "fourier") == pytest.approx(np.array([[0, 1], [1, 0]]))
-        assert displacement_matrix(2, 1, 1, "fourier") == pytest.approx(np.array([[0, 1j], [-1j, 0]]))
+        assert displacement_matrix_fourier(2, 0, 0) == pytest.approx(np.eye(2))
+        assert displacement_matrix_fourier(2, 0, 1) == pytest.approx(np.diag([1.0, -1.0]))
+        assert displacement_matrix_fourier(2, 1, 0) == pytest.approx(np.array([[0, 1], [1, 0]]))
+        assert displacement_matrix_fourier(2, 1, 1) == pytest.approx(np.array([[0, 1j], [-1j, 0]]))
 
     def test_position_convention(self):
         assert displacement_matrix(2, 0, 1) == pytest.approx(np.array([[0, 1], [1, 0]]))
