@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .distributions import husimi, overlap_distribution, portrait, portrait_of_symbol, wigner
-from .errors import InputFormatError, ToleranceError
+from .errors import InputFormatError, ToleranceError, bound
 from .fiducials import FiducialSpec, realize_fiducial
 from .gabor import gabor_transform, isometry_defect
 from .hilbert import dft, norm, phase_table
@@ -46,8 +46,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_TOLERANCE = 4
-
-_TWO_PATH_TOL = 1e-10
 
 
 def _emit(out: str, payload: str | bytes) -> None:
@@ -139,6 +137,14 @@ def _resolve_symbol(text: str, d: int):
     raise InputFormatError(f"unknown symbol selector {text!r}")
 
 
+def _check_two_paths(what: str, route: np.ndarray, check: np.ndarray, scale: float) -> None:
+    """Raise unless the routes agree to ``bound(scale)``; ``scale`` comes from the inputs."""
+    residual = float(np.abs(route - check).max())
+    _diag(f"two_path_residual {residual:.3e}")
+    if not residual <= bound(scale):
+        raise ToleranceError(f"{what} paths disagree by {residual:.3e}")
+
+
 def cmd_gabor(args) -> int:
     signal = _load_signal(args)
     d = signal.shape[0]
@@ -187,11 +193,8 @@ def cmd_quantize(args) -> int:
         op = quantize_position(vec, weight)
     else:
         op = quantize(f, weight)
-    oracle = quantize(f, weight, method="direct")
-    two_path = float(np.abs(op - oracle).max())
-    _diag(f"two_path_residual {two_path:.3e}")
-    if not two_path <= _TWO_PATH_TOL:
-        raise ToleranceError(f"quantization paths disagree by {two_path:.3e}")
+    _check_two_paths("quantization", op, quantize(f, weight, method="direct"),
+                     np.abs(f).max() * np.abs(weight.values).max())
     _emit(args.out, format_complex_matrix_csv(op))
     _diag(f"hermiticity_residual {np.abs(op - op.conj().T).max():.3e}")
     _diag(f"trace {np.trace(op).real:.15e} {np.trace(op).imag:+.15e}j")
@@ -203,11 +206,8 @@ def cmd_portrait(args) -> int:
     weight = _resolve_weight(args.weight, d)
     f, _, _ = _resolve_symbol(args.symbol, d)
     smoothed = portrait_of_symbol(f, weight)
-    oracle = portrait(quantize(f, weight), weight)
-    two_path = float(np.abs(smoothed - oracle).max())
-    _diag(f"two_path_residual {two_path:.3e}")
-    if not two_path <= _TWO_PATH_TOL:
-        raise ToleranceError(f"portrait paths disagree by {two_path:.3e}")
+    _check_two_paths("portrait", smoothed, portrait(quantize(f, weight), weight),
+                     np.abs(f).max() * np.abs(weight.values).max() ** 2)
     _emit(args.out, format_complex_matrix_csv(smoothed, row_label="m", col_label="n"))
     mass = overlap_distribution(weight).sum() / d
     _diag(f"smoothing_mass_residual {abs(mass - 1.0):.3e}")
@@ -288,10 +288,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputFormatError as exc:
-        _diag(f"input error: {exc}")
-        return EXIT_INPUT
-    except OSError as exc:
+    except (InputFormatError, OSError) as exc:
         _diag(f"input error: {exc}")
         return EXIT_INPUT
     except ToleranceError as exc:

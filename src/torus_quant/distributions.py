@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ToleranceError
+from .errors import ToleranceError, bound
 from .hilbert import as_state, norm
 from .gabor import gabor_transform
 from .quantize import Weight, _negated_indices, quantization_operator, symplectic_dft
@@ -29,13 +29,12 @@ __all__ = [
 ]
 
 
-def realize_real(values: np.ndarray, tol: float = 1e-10, what: str = "map") -> np.ndarray:
-    """Drop an imaginary part that is guaranteed to be numerical noise."""
-    values = np.asarray(values)
-    worst = float(np.abs(values.imag).max()) if np.iscomplexobj(values) else 0.0
+def realize_real(values: np.ndarray, scale: float = 1.0, what: str = "map") -> np.ndarray:
+    """Drop an imaginary part within ``bound(scale)``, ``scale`` the size of the terms."""
+    worst, tol = float(np.abs(np.imag(values)).max()), bound(scale)
     if not worst <= tol:
         raise ToleranceError(f"{what} has imaginary part {worst:.3e} above {tol:.1e}")
-    return values.real.copy() if np.iscomplexobj(values) else values.copy()
+    return np.real(values).copy()
 
 
 def husimi(psi, window) -> np.ndarray:
@@ -51,9 +50,8 @@ def wigner(psi) -> np.ndarray:
     Uses the integer-safe form
     W(m,n) = (1/d) sum_l e^{4 i pi m l / d} conj(psi(n+l)) psi(n-l),
     one inverse FFT over l read at frequency 2m mod d; asserts reality
-    to 1e-10 relative to max(1, ||psi||^2), the scale of the products,
-    and returns a real array whose marginals are |psi(n)|^2 (over m) and
-    |dft(psi)(m)|^2 (over n).
+    at the scale ||psi||^2 of the products, and returns a real array
+    whose marginals are |psi(n)|^2 (over m) and |dft(psi)(m)|^2 (over n).
     """
     psi = as_state(psi)
     d = psi.shape[0]
@@ -63,7 +61,7 @@ def wigner(psi) -> np.ndarray:
     ns = np.arange(d)[None, :]
     products = np.conj(psi[(ns + ls) % d]) * psi[(ns - ls) % d]  # [l, n]
     out = np.fft.ifft(products, axis=0)[(2 * np.arange(d)) % d]
-    return realize_real(out, tol=1e-10 * max(1.0, norm(psi) ** 2), what="Wigner map")
+    return realize_real(out, scale=norm(psi) ** 2, what="Wigner map")
 
 
 def portrait(op: np.ndarray, w: Weight) -> np.ndarray:
@@ -108,12 +106,12 @@ def overlap_distribution(w: Weight) -> np.ndarray:
     normalized: (1/d) sum_{m,n} D = 1.  It is real whenever M_w is
     self-adjoint (and for the unit weight at any d); for weights whose M_w
     is a density operator (``Weight.is_density``) pointwise nonnegativity
-    is asserted.
+    is asserted; both checks scale with max|w|^2.
     """
-    dist = realize_real(_overlap_map(w), what="overlap distribution")
-    if w.is_density and not dist.min() >= -1e-12:
-        raise ToleranceError(
-            f"coherent-state overlap distribution dips to {dist.min():.3e}")
+    scale = np.abs(w.values).max() ** 2
+    dist = realize_real(_overlap_map(w), scale=scale, what="overlap distribution")
+    if w.is_density and not dist.min() >= -bound(scale):
+        raise ToleranceError(f"coherent-state overlap distribution dips to {dist.min():.3e}")
     return dist
 
 

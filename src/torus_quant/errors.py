@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one tolerance rule."""
 
 __all__ = ["ToleranceError", "InputFormatError"]
 
@@ -9,3 +9,8 @@ class ToleranceError(RuntimeError):
 
 class InputFormatError(ValueError):
     """An input file or text could not be parsed."""
+
+
+def bound(scale: float = 1.0) -> float:
+    """Residual bound for inputs of size ``scale``: 1e-10 relative, at least 1e-10."""
+    return 1e-10 * (scale if 1.0 < scale < float("inf") else 1.0)

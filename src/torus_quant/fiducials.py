@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import as_state, fourier_basis, kronecker_basis
-from .errors import InputFormatError, ToleranceError
+from .errors import InputFormatError, ToleranceError, bound
 
 __all__ = ["FiducialSpec", "realize_fiducial"]
 
@@ -118,7 +118,9 @@ def _periodized_gaussian(d: int, t: float) -> np.ndarray:
     By Poisson summation this is sqrt(t) times the Fourier series
     sum_n exp(-pi n^2 / t) exp(2 i pi n l / d).  Images are summed for
     t >= 1 and Fourier terms for t < 1, so at most nine terms are needed.
+    t is capped where 4 pi t stays finite; off-peak terms are 0 long before.
     """
+    t = min(t, np.finfo(float).max / 16)
     ls = np.arange(d)[:, None]
     if t >= 1.0:
         kmax = math.ceil(math.sqrt(_GAUSSIAN_CUTOFF / t))
@@ -144,7 +146,7 @@ def _guard_normalize(v: np.ndarray) -> np.ndarray:
         raise InputFormatError("fiducial window is zero")
     v = np.ldexp(v.view(float), 1 - np.frexp(peak)[1]).view(v.dtype)
     v = np.asarray(v, dtype=complex) / np.linalg.norm(v)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-8:
+    if not abs(np.linalg.norm(v) - 1.0) <= bound():
         raise ToleranceError("fiducial normalization failed")
     return v
 

@@ -13,6 +13,7 @@ import warnings
 
 import numpy as np
 
+from .errors import bound
 from .hilbert import as_state, difference_index
 from .weyl import half_phase_table
 
@@ -20,7 +21,7 @@ __all__ = ["gabor_transform", "gabor_inverse", "isometry_defect"]
 
 
 def _warn_if_not_unit(psi: np.ndarray, what: str) -> None:
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+    if abs(np.linalg.norm(psi) - 1.0) > bound():
         warnings.warn(f"{what} is not unit norm; coherent-state identities assume it")
 
 

@@ -299,10 +299,9 @@ def _table_csv(header: list[str], table: np.ndarray) -> str:
     return "".join(parts)
 
 
-def format_real_map_csv(arr: np.ndarray, row_label: str = "m", col_label: str = "n") -> str:
+def format_real_map_csv(arr: np.ndarray) -> str:
     arr = np.asarray(arr).real
-    header = [row_label] + [f"{col_label}{j}" for j in range(arr.shape[1])]
-    return _table_csv(header, arr)
+    return _table_csv(["m"] + [f"n{j}" for j in range(arr.shape[1])], arr)
 
 
 def format_complex_matrix_csv(arr: np.ndarray, row_label: str = "l",
@@ -314,9 +313,9 @@ def format_complex_matrix_csv(arr: np.ndarray, row_label: str = "l",
     return _table_csv(header, arr.view(float))
 
 
-def format_vector_csv(vec: np.ndarray, label: str = "l") -> str:
+def format_vector_csv(vec: np.ndarray) -> str:
     vec = np.ascontiguousarray(vec, dtype=complex)
-    return _table_csv([label, "re", "im"], vec.reshape(-1, 1).view(float))
+    return _table_csv(["l", "re", "im"], vec.reshape(-1, 1).view(float))
 
 
 def pgm_bytes(magnitude: np.ndarray) -> bytes:

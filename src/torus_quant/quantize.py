@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import bound
 from .hilbert import as_state, dft, difference_index, idft
 from .weyl import adjoint_sign_table, sum_phase_table
 
@@ -64,8 +65,6 @@ __all__ = [
     "PositivityReport",
     "positivity_report",
 ]
-
-_WEIGHT_ORIGIN_TOL = 1e-10
 
 
 def _negated_indices(values: np.ndarray) -> np.ndarray:
@@ -94,10 +93,8 @@ class Weight:
         v = np.asarray(self.values, dtype=complex)
         if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] < 1:
             raise ValueError(f"weight must be a square array, got shape {v.shape}")
-        if not abs(v[0, 0] - 1.0) <= _WEIGHT_ORIGIN_TOL:
-            raise ValueError(
-                f"weight origin value must be 1 (unit trace), got {v[0, 0]}"
-            )
+        if not abs(v[0, 0] - 1.0) <= bound():
+            raise ValueError(f"weight origin value must be 1 (unit trace), got {v[0, 0]}")
         self.values = v
 
     @property
@@ -133,7 +130,7 @@ def coherent_state_weight(phi) -> Weight:
     phi = as_state(phi)
     d = phi.shape[0]
     nrm = np.linalg.norm(phi)
-    if abs(nrm - 1.0) > 1e-10:
+    if abs(nrm - 1.0) > bound():
         warnings.warn("coherent-state weight from a non-unit vector; normalizing")
         phi = phi / nrm
     products = phi[:, None] * np.conj(phi[difference_index(d)])  # [l, n]
@@ -168,13 +165,13 @@ def weight_from_operator(M: np.ndarray) -> Weight:
     Inverts :func:`quantization_operator` exactly: reads M along its d
     cyclic diagonals and applies one FFT,
     w(m, n) = conj(chi(m, n)) sum_l e^{-2 i pi m l / d} M[l, l - n],
-    O(d^2 log d).  Raises ``ValueError`` for non-unit-trace (or NaN)
-    input, which could not satisfy w(0, 0) = 1.
+    O(d^2 log d).  Raises ``ValueError`` unless the trace is 1 to within
+    ``bound`` at sum_l |M[l, l]|: no other trace (nor NaN) gives w(0, 0) = 1.
     """
     M = np.asarray(M, dtype=complex)
     d = M.shape[0]
     tr = np.trace(M)
-    if not abs(tr - 1.0) <= _WEIGHT_ORIGIN_TOL:
+    if not abs(tr - 1.0) <= bound(np.abs(np.diagonal(M)).sum()):
         raise ValueError(f"operator trace must be 1 to define a weight, got {tr}")
     diagonals = np.take_along_axis(M, difference_index(d), axis=1)  # M[l, l - n]
     w = np.conj(sum_phase_table(d)) * np.fft.fft(diagonals, axis=0)
@@ -286,11 +283,11 @@ class PositivityReport:
 def positivity_report(f: np.ndarray, w: Weight) -> PositivityReport:
     """Report whether A_f is a density operator (PSD with unit trace).
 
-    Eigenvalues are taken of the hermitization (A + A^dag)/2; the minimum
-    is allowed to dip to -1e-10.  A probability distribution here means a
-    nonnegative symbol normalized against the counting measure weighted by
-    1/d, i.e. (1/d) sum_{m,n} f = 1, which is exactly the normalization
-    that gives A_f unit trace.
+    Eigenvalues are taken of the hermitization (A + A^dag)/2, and each
+    test is held to ``bound`` at its largest |eigenvalue|.  A probability
+    distribution here means a nonnegative symbol normalized against the
+    counting measure weighted by 1/d, i.e. (1/d) sum_{m,n} f = 1, which is
+    exactly the normalization that gives A_f unit trace.
     """
     a = quantize(f, w)
     herm = (a + a.conj().T) / 2.0
@@ -298,5 +295,6 @@ def positivity_report(f: np.ndarray, w: Weight) -> PositivityReport:
     tr = float(np.trace(a).real)
     defect = float(np.abs(a - a.conj().T).max())
     min_eig = float(eigs[0])
-    is_density = min_eig >= -1e-10 and abs(tr - 1.0) <= 1e-10 and defect <= 1e-10
+    tol = bound(np.abs(eigs).max())
+    is_density = min_eig >= -tol and abs(tr - 1.0) <= tol and defect <= tol
     return PositivityReport(is_density, min_eig, tr, defect)

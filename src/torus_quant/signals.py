@@ -29,8 +29,8 @@ def envelope_spectrum(energy: np.ndarray) -> np.ndarray:
     return np.abs(dft(np.asarray(energy, dtype=complex))) ** 2
 
 
-def dominant_rows(power: np.ndarray, coverage: float = 0.9) -> list[int]:
-    """Smallest set of off-DC rows capturing ``coverage`` of the off-DC power.
+def dominant_rows(power: np.ndarray) -> list[int]:
+    """Smallest set of off-DC rows capturing 90% of the off-DC power.
 
     Returns an empty list when the off-DC power is numerically negligible
     relative to the total (a constant envelope has no periodicity to report).
@@ -43,7 +43,7 @@ def dominant_rows(power: np.ndarray, coverage: float = 0.9) -> list[int]:
     rows: list[int] = []
     acc = 0.0
     for k in order:
-        if acc >= coverage * total:
+        if acc >= 0.9 * total:
             break
         rows.append(int(k))
         acc += power[k]

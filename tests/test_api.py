@@ -1,5 +1,7 @@
 """The public surface of the package and the names the benchmark relies on."""
 
+import ast
+import collections
 import functools
 import importlib
 import importlib.util
@@ -68,6 +70,28 @@ class TestPublicNames:
             assert set(getattr(module, "__all__", ())) == shares.pop(module.__name__, set()), \
                 module.__name__
         assert not shares
+
+
+#: constants in (0, 1e-6] of the package that are not check tolerances; every
+#: residual check takes its bound from ``errors.bound``
+NON_TOLERANCE_CONSTANTS = collections.Counter({
+    ("signals", 1e-12): 1,  # off-DC power negligible against the total
+    ("fiducials", 1e-16): 1,  # _GAUSSIAN_CUTOFF, smallest retained gaussian term
+    ("io_formats", 1e-9): 1,  # _TIE_MARGIN, distance to a rounding tie
+})
+
+
+class TestToleranceRule:
+    def test_small_constants_live_in_errors(self):
+        found = collections.Counter()
+        for path in Path(torus_quant.__file__).resolve().parent.glob("*.py"):
+            if path.name == "errors.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Constant) and type(node.value) in (int, float)
+                        and 0 < node.value <= 1e-6):
+                    found[path.stem, node.value] += 1
+        assert found == NON_TOLERANCE_CONSTANTS
 
 
 @functools.cache

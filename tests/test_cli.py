@@ -51,6 +51,22 @@ def load_real_map(path):
     return np.array([[float(x) for x in line.split(",")[1:]] for line in lines])
 
 
+def assert_runs_clean(*argv):
+    """Run ``python -m torus_quant``; assert exit 0 and only ``key value`` lines on stderr.
+
+    A Python warning would add lines with a source path to stderr.
+    """
+    src = Path(torus_quant.__file__).resolve().parent.parent
+    result = subprocess.run([sys.executable, "-m", "torus_quant", *argv],
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert result.returncode == 0, result.stderr
+    lines = result.stderr.splitlines()
+    assert lines
+    for line in lines:
+        assert re.fullmatch(r"[a-z][a-z0-9_]* \S+", line), line
+
+
 class TestFiducialsCommand:
     def test_von_mises_zero_is_flat(self, tmp_path, capsys):
         out = tmp_path / "fid.csv"
@@ -99,19 +115,9 @@ class TestFiducialsCommand:
         assert not (tmp_path / "f.csv").exists()
 
     def test_non_unit_custom_window_writes_only_diagnostics(self, tmp_path):
-        # a Python warning would add lines with a source path to stderr
         write_signal(tmp_path / "w.csv", [2.0, 0.0, 0.0])
-        src = Path(torus_quant.__file__).resolve().parent.parent
-        result = subprocess.run(
-            [sys.executable, "-m", "torus_quant", "fiducials", "--d", "3",
-             "--fiducial", f"custom:{tmp_path / 'w.csv'}", "--out", str(tmp_path / "f.csv")],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=60)
-        assert result.returncode == 0, result.stderr
-        lines = result.stderr.splitlines()
-        assert lines
-        for line in lines:
-            assert re.fullmatch(r"[a-z][a-z0-9_]* \S+", line), line
+        assert_runs_clean("fiducials", "--d", "3", "--fiducial", f"custom:{tmp_path / 'w.csv'}",
+                          "--out", str(tmp_path / "f.csv"))
 
 
 class TestMalformedFiducialSpec:
@@ -157,6 +163,12 @@ class TestGaborCommand:
         err = capsys.readouterr().err
         line = next(l for l in err.splitlines() if l.startswith("isometry_residual"))
         assert float(line.split()[1]) < 1e-10
+
+    def test_gaussian_width_whose_t_overflows_runs_clean(self, tmp_path):
+        # kappa d overflows to inf; the window must stay finite and raise no warning
+        write_signal(tmp_path / "sig.csv", [1.0, 2.0])
+        assert_runs_clean("gabor", "--in", str(tmp_path / "sig.csv"),
+                          "--fiducial", "gaussian:1e308", "--out", str(tmp_path / "o.csv"))
 
     @pytest.mark.parametrize("payload", [
         "[1, NaN, 2, 3, 4, 5]",
@@ -390,23 +402,39 @@ def _corrupted(values, kind):
     return out
 
 
+def _corrupt_route(monkeypatch, command, kind):
+    """Make the production route of ``command`` return one corrupted entry."""
+    if command == "quantize":
+        real = cli.quantize
+
+        def route(f, w, method="kernel"):
+            result = real(f, w, method=method)
+            return result if method == "direct" else _corrupted(result, kind)
+        monkeypatch.setattr(cli, "quantize", route)
+    else:
+        real = cli.portrait_of_symbol
+        monkeypatch.setattr(cli, "portrait_of_symbol",
+                            lambda f, w: _corrupted(real(f, w), kind))
+
+
+def even_gaussian_weight(d, peak):
+    """Real weight, even in (m, n), of the given peak, with w(0, 0) = 1.
+
+    Even and real, it meets the self-adjointness condition at odd d.
+    """
+    k = np.minimum(np.arange(d), d - np.arange(d))
+    w = peak * np.exp(-(k[:, None] ** 2 + k[None, :] ** 2) / 8.0) + 0j
+    w[0, 0] = 1.0
+    return w
+
+
 class TestCheckCatchesInjectedErrors:
     """The two-path checks fail on one wrong entry of the production route."""
 
     @pytest.mark.parametrize("kind", ["flip", "nan"])
     @pytest.mark.parametrize("command", ["quantize", "portrait"])
     def test_corrupted_route_exits_4(self, tmp_path, capsys, monkeypatch, rng, command, kind):
-        if command == "quantize":
-            real = cli.quantize
-
-            def route(f, w, method="kernel"):
-                result = real(f, w, method=method)
-                return result if method == "direct" else _corrupted(result, kind)
-            monkeypatch.setattr(cli, "quantize", route)
-        else:
-            real = cli.portrait_of_symbol
-            monkeypatch.setattr(cli, "portrait_of_symbol",
-                                lambda f, w: _corrupted(real(f, w), kind))
+        _corrupt_route(monkeypatch, command, kind)
         d = 5
         sfile = tmp_path / "sym.csv"
         sfile.write_text(format_complex_matrix_csv(random_map(rng, d)))
@@ -415,6 +443,48 @@ class TestCheckCatchesInjectedErrors:
                    "--weight", "cs:von_mises:1", "--out", str(out)) == 4
         assert "tolerance failure" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("amplitude", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("weight", ["cs:von_mises:1", "file"])
+    @pytest.mark.parametrize("kind", ["flip", "nan"])
+    @pytest.mark.parametrize("command", ["quantize", "portrait"])
+    def test_corrupted_route_exits_4_at_any_amplitude(self, tmp_path, capsys, monkeypatch, rng,
+                                                      command, kind, weight, amplitude):
+        # the bound grows with the inputs, never enough to pass one wrong entry
+        _corrupt_route(monkeypatch, command, kind)
+        d = 5
+        if weight == "file":
+            wfile = tmp_path / "w.csv"
+            wfile.write_text(format_complex_matrix_csv(even_gaussian_weight(d, 1e4)))
+            weight = f"file:{wfile}"
+        sfile = tmp_path / "sym.csv"
+        sfile.write_text(format_complex_matrix_csv(amplitude * random_map(rng, d)))
+        out = tmp_path / "out.csv"
+        assert run(command, "--d", str(d), "--symbol", f"file:{sfile}",
+                   "--weight", weight, "--out", str(out)) == 4
+        assert "tolerance failure" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestLargeInputsPass:
+    """Correct results whose rounding grows with large inputs pass the two-path checks."""
+
+    @pytest.mark.parametrize("command, d, amplitude", [("portrait", 63, 1e6),
+                                                       ("quantize", 63, 1e8)])
+    def test_large_symbol(self, tmp_path, rng, command, d, amplitude):
+        sfile = tmp_path / "sym.csv"
+        sfile.write_text(format_complex_matrix_csv(amplitude * random_map(rng, d)))
+        assert run(command, "--d", str(d), "--symbol", f"file:{sfile}",
+                   "--weight", "cs:von_mises:3", "--out", str(tmp_path / "out.csv")) == 0
+
+    @pytest.mark.parametrize("peak", [1e4, 1e6])
+    def test_large_weight(self, tmp_path, peak):
+        # a portrait's rounding grows with the square of the weight
+        d = 31
+        wfile = tmp_path / "w.csv"
+        wfile.write_text(format_complex_matrix_csv(even_gaussian_weight(d, peak)))
+        assert run("portrait", "--d", str(d), "--symbol", "momentum:index",
+                   "--weight", f"file:{wfile}", "--out", str(tmp_path / "out.csv")) == 0
 
 
 #: helpers that build one operator per phase-space point

@@ -96,6 +96,14 @@ class TestRealizations:
         v = realize_fiducial(FiducialSpec.gaussian(1e9), 1023)
         assert np.abs(v - kronecker_basis(1023, 0)).max() < 1e-15
 
+    @pytest.mark.parametrize("d", [2, 1023])
+    def test_gaussian_width_whose_t_overflows_is_the_delta(self, d):
+        # t = kappa d overflows to inf; the window is the delta it tends to
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = realize_fiducial(FiducialSpec.gaussian(1e308), d)
+        assert np.array_equal(v, kronecker_basis(d, 0))
+
     def test_kronecker_label_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             realize_fiducial(FiducialSpec.kronecker(5), 5)

@@ -1,0 +1,65 @@
+"""The one tolerance rule: a check's bound grows with the size of its inputs.
+
+Quantization is linear in the symbol, so scaling the symbol by any
+amplitude scales the CLI output by it and leaves the exit code alone.
+"""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from torus_quant.cli import main
+from torus_quant.errors import bound
+from torus_quant.io_formats import format_complex_matrix_csv, read_complex_matrix_csv
+
+from conftest import random_map, random_symmetric_weight
+
+
+class TestBound:
+    def test_floor_then_relative(self):
+        assert bound() == bound(0.0) == bound(1.0) == 1e-10
+        assert bound(1e6) == pytest.approx(1e-4)
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+    def test_non_finite_scale_gets_the_floor(self, scale):
+        assert bound(scale) == 1e-10
+
+
+def random_weight(rng, d, peak):
+    """Weight meeting the self-adjointness condition, largest entry ``peak``, w(0, 0) = 1."""
+    w = random_symmetric_weight(rng, d).values
+    w *= peak / np.abs(w).max()  # a real factor keeps the condition
+    w[0, 0] = 1.0
+    return w
+
+
+def run_file_inputs(directory, command, f, w):
+    """Exit code and output of ``command`` on file symbol ``f`` and file weight ``w``."""
+    sfile, wfile, out = (Path(directory) / name for name in ("f.csv", "w.csv", "out.csv"))
+    sfile.write_text(format_complex_matrix_csv(f))
+    wfile.write_text(format_complex_matrix_csv(w))
+    code = main([command, "--d", str(f.shape[0]), "--symbol", f"file:{sfile}",
+                 "--weight", f"file:{wfile}", "--out", str(out)])
+    return code, read_complex_matrix_csv(out) if code == 0 else None
+
+
+class TestAmplitude:
+    @settings(max_examples=40, deadline=None)
+    @given(command=st.sampled_from(["quantize", "portrait"]), d=st.integers(1, 24),
+           exponent=st.floats(-8.0, 8.0), peak_exponent=st.floats(0.0, 6.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_exit_code_is_amplitude_free_and_output_linear(self, command, d, exponent,
+                                                          peak_exponent, seed):
+        rng = np.random.default_rng(seed)
+        amplitude = 10.0 ** exponent
+        f = random_map(rng, d)
+        w = random_weight(rng, d, 10.0 ** peak_exponent)
+        with tempfile.TemporaryDirectory() as directory:
+            code, out = run_file_inputs(directory, command, f, w)
+            scaled_code, scaled_out = run_file_inputs(directory, command, amplitude * f, w)
+        assert scaled_code == code == 0
+        scale = np.abs(f).max() * np.abs(w).max() ** (1 if command == "quantize" else 2)
+        assert np.abs(scaled_out / amplitude - out).max() <= 1e-12 * scale
