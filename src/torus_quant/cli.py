@@ -3,8 +3,8 @@
 Subcommands: gabor, wigner, husimi, quantize, portrait, fiducials.  Data
 goes to --out (or stdout with "-"); residual diagnostics go to stderr.
 
-Exit codes: 0 success, 2 input error, 3 precondition violation,
-4 internal tolerance failure.
+Exit codes: 0 success, 2 input error, 3 precondition violation (finite
+inputs whose results overflow included), 4 internal tolerance failure.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ def cmd_gabor(args) -> int:
         _emit(args.out, pgm_bytes(magnitude))
     else:
         _emit(args.out, format_real_map_csv(magnitude))
-    _diag(f"isometry_residual {isometry_defect(signal, window):.3e}")
+    _diag(f"isometry_residual {isometry_defect(signal, magnitude):.3e}")
     power = envelope_spectrum(column_energy(magnitude))
     rows = dominant_rows(power)
     _diag(f"dominant_rows {' '.join(map(str, rows)) if rows else '-'}")
@@ -287,14 +287,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="raise"):
+            return args.func(args)
     except (InputFormatError, OSError) as exc:
         _diag(f"input error: {exc}")
         return EXIT_INPUT
     except ToleranceError as exc:
         _diag(f"tolerance failure: {exc}")
         return EXIT_TOLERANCE
-    except ValueError as exc:
+    except (ValueError, FloatingPointError) as exc:
         _diag(f"precondition violated: {exc}")
         return EXIT_PRECONDITION
 

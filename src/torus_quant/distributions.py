@@ -103,14 +103,16 @@ def overlap_distribution(w: Weight) -> np.ndarray:
     """D(m, n) = Tr[M_w(m,n) M_w], the smoothing distribution of the weight.
 
     With the 1/d-weighted counting measure on the phase space this is
-    normalized: (1/d) sum_{m,n} D = 1.  It is real whenever M_w is
-    self-adjoint (and for the unit weight at any d); for weights whose M_w
-    is a density operator (``Weight.is_density``) pointwise nonnegativity
-    is asserted; both checks scale with max|w|^2.
+    normalized: (1/d) sum_{m,n} D = (tr M_w)^2 = 1.  For self-adjoint M_w
+    (``Weight.symmetry_defect`` within ``bound`` at max|w|) D is asserted
+    real and returned real, and nonnegative if ``Weight.is_density``; both
+    checks scale with max|w|^2.  Other weights give a complex D.
     """
-    scale = np.abs(w.values).max() ** 2
-    dist = realize_real(_overlap_map(w), scale=scale, what="overlap distribution")
-    if w.is_density and not dist.min() >= -bound(scale):
+    dist, peak = _overlap_map(w), np.abs(w.values).max()
+    if not w.is_density and w.symmetry_defect() > bound(peak):
+        return dist
+    dist = realize_real(dist, scale=peak ** 2, what="overlap distribution")
+    if w.is_density and not dist.min() >= -bound(peak ** 2):
         raise ToleranceError(f"coherent-state overlap distribution dips to {dist.min():.3e}")
     return dist
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package, and its one tolerance rule."""
 
+from sys import float_info
+
 __all__ = ["ToleranceError", "InputFormatError"]
 
 
@@ -12,5 +14,5 @@ class InputFormatError(ValueError):
 
 
 def bound(scale: float = 1.0) -> float:
-    """Residual bound for inputs of size ``scale``: 1e-10 relative, at least 1e-10."""
-    return 1e-10 * (scale if 1.0 < scale < float("inf") else 1.0)
+    """1e-10 times ``scale``, or times the smallest normal double when below it, NaN or inf."""
+    return 1e-10 * (scale if float_info.min < scale < float("inf") else float_info.min)

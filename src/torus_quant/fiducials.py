@@ -118,9 +118,10 @@ def _periodized_gaussian(d: int, t: float) -> np.ndarray:
     By Poisson summation this is sqrt(t) times the Fourier series
     sum_n exp(-pi n^2 / t) exp(2 i pi n l / d).  Images are summed for
     t >= 1 and Fourier terms for t < 1, so at most nine terms are needed.
-    t is capped where 4 pi t stays finite; off-peak terms are 0 long before.
+    t is clamped where pi / t and 4 pi t stay finite; off-peak terms are 0
+    long before.
     """
-    t = min(t, np.finfo(float).max / 16)
+    t = min(max(t, np.finfo(float).tiny), np.finfo(float).max / 16)
     ls = np.arange(d)[:, None]
     if t >= 1.0:
         kmax = math.ceil(math.sqrt(_GAUSSIAN_CUTOFF / t))
@@ -175,8 +176,9 @@ def realize_fiducial(spec: FiducialSpec, d: int) -> np.ndarray:
         ms = np.arange(1, spec.param + 1)
         v = 1.0 + 2.0 * np.cos(2 * np.pi * np.outer(ls, ms) / d).sum(axis=1)
     elif spec.kind == "von_mises":
-        # peak-relative amplitudes: finite for any concentration
-        v = np.exp(spec.param * (np.cos(2 * np.pi * ls / d) - 1.0))
+        # peak-relative amplitudes: finite for any concentration (a clamped one
+        # still gives 0 off the peak)
+        v = np.exp(min(spec.param, np.finfo(float).max / 2) * (np.cos(2 * np.pi * ls / d) - 1.0))
     elif spec.kind == "custom":
         v = as_state(np.array(spec.values), d=d)
     else:

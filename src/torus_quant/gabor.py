@@ -56,9 +56,10 @@ def gabor_inverse(coeffs, window) -> np.ndarray:
     return (inner * window[difference_index(d)]).sum(axis=1)
 
 
-def isometry_defect(phi, window) -> float:
-    """|(1/d) sum |Phi|^2 - ||phi||^2| for the analysis map."""
+def isometry_defect(phi, coeffs) -> float:
+    """|(1/d) sum |Phi|^2 - ||phi||^2| for the d x d map ``coeffs`` = Phi (or |Phi|) of ``phi``."""
     phi = as_state(phi)
-    coeffs = gabor_transform(phi, window)
-    return float(abs((np.abs(coeffs) ** 2).sum() / phi.shape[0]
-                     - np.linalg.norm(phi) ** 2))
+    d = phi.shape[0]
+    if np.shape(coeffs) != (d, d):
+        raise ValueError(f"coefficient map must be {d} x {d}, got shape {np.shape(coeffs)}")
+    return float(abs((np.abs(coeffs) ** 2).sum() / d - np.linalg.norm(phi) ** 2))

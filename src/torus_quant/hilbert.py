@@ -73,15 +73,9 @@ def fourier_basis(d: int, k: int) -> np.ndarray:
     return phase_table(d, k * np.arange(d)) / np.sqrt(d)
 
 
-def phase_table(d: int, numerators, denominator_scale: int = 1) -> np.ndarray:
-    """exp(2i pi * numerators / (d * denominator_scale)) with reduced exponents.
-
-    ``numerators`` is an integer array; the reduction modulo
-    d * denominator_scale happens in exact integer arithmetic.
-    """
-    num = np.asarray(numerators)
-    modulus = d * denominator_scale
-    return np.exp(2j * np.pi * (num % modulus) / modulus)
+def phase_table(d: int, numerators) -> np.ndarray:
+    """exp(2i pi * numerators / d), the integer ``numerators`` first reduced modulo d exactly."""
+    return np.exp(2j * np.pi * (np.asarray(numerators) % d) / d)
 
 
 def difference_index(d: int) -> np.ndarray:

@@ -137,9 +137,9 @@ def read_complex_matrix_csv(path: str | Path) -> np.ndarray:
     rows = []
     for i, raw in enumerate(lines[1:], start=2):
         parts = [p.strip() for p in raw.split(",")]
-        if len(parts) < 3 or (len(parts) - 1) % 2:
-            raise InputFormatError(
-                f"row {i}: expected an index followed by re,im pairs, got {len(parts)} fields")
+        if len(parts) < 3 or (len(parts) - 1) % 2 or rows and len(parts) != 1 + 2 * len(rows[0]):
+            raise InputFormatError(f"row {i}: expected an index followed by re,im pairs "
+                                   f"(as many as on row 2), got {len(parts)} fields")
         pairs = parts[1:]
         row = [complex(_parse_number(pairs[2 * j], f"row {i}, column {2 + 2 * j}"),
                        _parse_number(pairs[2 * j + 1], f"row {i}, column {3 + 2 * j}"))

@@ -23,10 +23,9 @@ evaluated in closed form with FFTs (chi is :func:`weyl.sum_phase_table`):
 
 - M_w from its integral kernel: entry (l, l - nu) is
   (1/d) sum_mu w(mu, nu) chi(mu, nu) e^{2 i pi mu l / d}, one inverse FFT;
-- coherent-state weight, w(m, n) = conj(chi(m, n)) sum_l
-  e^{-2 i pi m l / d} phi(l) conj(phi(l - n)): one FFT over l per n;
 - weight retrieval, w(m, n) = conj(chi(m, n)) sum_l e^{-2 i pi m l / d}
-  M[l, l - n]: one FFT of the operator's cyclic diagonals;
+  M[l, l - n]: one FFT of the operator's cyclic diagonals; the
+  coherent-state weight is the weight retrieved from |phi><phi|;
 - the production route of :func:`quantize`, which feeds the conjugate
   symplectic transform of f into the kernel assembly;
 - the "direct" route of :func:`quantize`, from the closed form of the
@@ -123,32 +122,24 @@ def coherent_state_weight(phi) -> Weight:
     """Weight retrieved from the rank-one projector onto ``phi``.
 
     w(m, n) = <D(m,n) phi, phi>; quantizing it back returns exactly
-    |phi><phi|.  Evaluated as the ambiguity function of phi,
-    w(m, n) = conj(chi(m, n)) sum_l e^{-2 i pi m l / d} phi(l) conj(phi(l - n)),
-    one FFT over l for each n: O(d^2 log d).
+    |phi><phi|.  This is :func:`weight_from_operator` of |phi><phi|.
     """
     phi = as_state(phi)
-    d = phi.shape[0]
     nrm = np.linalg.norm(phi)
     if abs(nrm - 1.0) > bound():
         warnings.warn("coherent-state weight from a non-unit vector; normalizing")
         phi = phi / nrm
-    products = phi[:, None] * np.conj(phi[difference_index(d)])  # [l, n]
-    w = np.conj(sum_phase_table(d)) * np.fft.fft(products, axis=0)
-    return Weight(w, is_density=True)
+    return Weight(weight_from_operator(np.outer(phi, phi.conj())).values, is_density=True)
 
 
-def _kernel_operator(w_values: np.ndarray, factor: np.ndarray | None) -> np.ndarray:
+def _kernel_operator(c: np.ndarray) -> np.ndarray:
     """Assemble sum_{m,n} c(m,n) D(m,n) / d from its integral kernel.
 
-    c = w * factor (factor may be None for c = w).  For each translation
-    offset nu the kernel places (1/d) sum_mu c(mu, nu) chi(mu, nu)
-    e^{2 i pi mu l / d} at entries (l, l - nu).
+    For each translation offset nu the kernel places
+    (1/d) sum_mu c(mu, nu) chi(mu, nu) e^{2 i pi mu l / d} at entries (l, l - nu).
     """
-    d = w_values.shape[0]
-    chi = sum_phase_table(d)
-    c = w_values * chi if factor is None else w_values * factor * chi
-    cols_per_nu = np.fft.ifft(c, axis=0)  # [l, nu]
+    d = c.shape[0]
+    cols_per_nu = np.fft.ifft(c * sum_phase_table(d), axis=0)  # [l, nu]
     out = np.empty((d, d), dtype=complex)
     np.put_along_axis(out, difference_index(d), cols_per_nu, axis=1)
     return out
@@ -156,7 +147,7 @@ def _kernel_operator(w_values: np.ndarray, factor: np.ndarray | None) -> np.ndar
 
 def quantization_operator(w: Weight) -> np.ndarray:
     """Operator M_w = (1/d) sum w(m,n) D(m,n), of unit trace, from its integral kernel."""
-    return _kernel_operator(w.values, None)
+    return _kernel_operator(w.values)
 
 
 def weight_from_operator(M: np.ndarray) -> Weight:
@@ -165,16 +156,17 @@ def weight_from_operator(M: np.ndarray) -> Weight:
     Inverts :func:`quantization_operator` exactly: reads M along its d
     cyclic diagonals and applies one FFT,
     w(m, n) = conj(chi(m, n)) sum_l e^{-2 i pi m l / d} M[l, l - n],
-    O(d^2 log d).  Raises ``ValueError`` unless the trace is 1 to within
-    ``bound`` at sum_l |M[l, l]|: no other trace (nor NaN) gives w(0, 0) = 1.
+    O(d^2 log d).  w(0, 0) is the trace; it must be 1 to within ``bound``
+    at max(1, sum_l |M[l, l]|), or ``ValueError`` is raised (NaN included),
+    and is then set to exactly 1.
     """
     M = np.asarray(M, dtype=complex)
     d = M.shape[0]
-    tr = np.trace(M)
-    if not abs(tr - 1.0) <= bound(np.abs(np.diagonal(M)).sum()):
-        raise ValueError(f"operator trace must be 1 to define a weight, got {tr}")
     diagonals = np.take_along_axis(M, difference_index(d), axis=1)  # M[l, l - n]
     w = np.conj(sum_phase_table(d)) * np.fft.fft(diagonals, axis=0)
+    if not abs(w[0, 0] - 1.0) <= bound(max(1.0, np.abs(diagonals[:, 0]).sum())):
+        raise ValueError(f"operator trace must be 1 to define a weight, got {w[0, 0]}")
+    w[0, 0] = 1.0
     return Weight(w)
 
 
@@ -230,7 +222,7 @@ def quantize(f: np.ndarray, w: Weight, method: str = "kernel") -> np.ndarray:
     if f.shape != (d, d):
         raise ValueError(f"symbol shape {f.shape} does not match weight d={d}")
     if method == "kernel":
-        return _kernel_operator(w.values, symplectic_dft(f, conjugate=True))
+        return _kernel_operator(w.values * symplectic_dft(f, conjugate=True))
     if method == "direct":
         mw = quantization_operator(w)
         g = d * np.fft.ifft(f, axis=0)  # g[k, n] = sum_m f(m, n) e^{2 i pi m k / d}
@@ -284,10 +276,11 @@ def positivity_report(f: np.ndarray, w: Weight) -> PositivityReport:
     """Report whether A_f is a density operator (PSD with unit trace).
 
     Eigenvalues are taken of the hermitization (A + A^dag)/2, and each
-    test is held to ``bound`` at its largest |eigenvalue|.  A probability
-    distribution here means a nonnegative symbol normalized against the
-    counting measure weighted by 1/d, i.e. (1/d) sum_{m,n} f = 1, which is
-    exactly the normalization that gives A_f unit trace.
+    test is held to ``bound`` at its largest |eigenvalue| (at least 1 for
+    the trace).  A probability distribution here means a nonnegative
+    symbol normalized against the counting measure weighted by 1/d, i.e.
+    (1/d) sum_{m,n} f = 1, which is exactly the normalization that gives
+    A_f unit trace.
     """
     a = quantize(f, w)
     herm = (a + a.conj().T) / 2.0
@@ -295,6 +288,7 @@ def positivity_report(f: np.ndarray, w: Weight) -> PositivityReport:
     tr = float(np.trace(a).real)
     defect = float(np.abs(a - a.conj().T).max())
     min_eig = float(eigs[0])
-    tol = bound(np.abs(eigs).max())
-    is_density = min_eig >= -tol and abs(tr - 1.0) <= tol and defect <= tol
+    scale = np.abs(eigs).max()
+    tol = bound(scale)
+    is_density = min_eig >= -tol and abs(tr - 1.0) <= bound(max(1.0, scale)) and defect <= tol
     return PositivityReport(is_density, min_eig, tr, defect)

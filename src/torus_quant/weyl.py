@@ -37,7 +37,7 @@ def half_phase(d: int, m, n) -> np.ndarray:
 
     ``m`` and ``n`` may be integer arrays that broadcast against each other.
     """
-    return phase_table(d, -np.multiply(m, n), 2)
+    return phase_table(2 * d, -np.multiply(m, n))
 
 
 def half_phase_table(d: int) -> np.ndarray:

@@ -182,8 +182,9 @@ def test_criterion_09_gabor_round_trip(rng):
     for d in (3, 5, 8):
         for label, window in catalog_windows(d):
             phi = random_state(rng, d)
-            assert isometry_defect(phi, window) < 1e-10, (d, label)
-            recon = gabor_inverse(gabor_transform(phi, window), window)
+            coeffs = gabor_transform(phi, window)
+            assert isometry_defect(phi, coeffs) < 1e-10, (d, label)
+            recon = gabor_inverse(coeffs, window)
             assert np.abs(recon - phi).max() < 1e-10, (d, label)
             assert reproducing_defect(window, phi) < 1e-10, (d, label)
         # closed-form kernels for the exactly solvable windows

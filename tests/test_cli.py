@@ -212,6 +212,22 @@ class TestGaborCommand:
         assert run("gabor", "--in", str(sig), "--fiducial", "von_mises:3", "--out", str(out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("fmt", ["csv", "pgm"])
+    def test_one_transform_per_run(self, tmp_path, monkeypatch, fmt):
+        calls = []
+        real = cli.gabor_transform
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+        for module in (cli, importlib.import_module("torus_quant.gabor")):
+            monkeypatch.setattr(module, "gabor_transform", counting)
+        sig = tmp_path / "sig.csv"
+        write_signal(sig, np.arange(7, dtype=float))
+        assert run("gabor", "--in", str(sig), "--format", fmt,
+                   "--out", str(tmp_path / "o")) == 0
+        assert len(calls) == 1
+
     def test_pgm_output(self, tmp_path):
         sig = tmp_path / "sig.csv"
         write_signal(sig, np.arange(5, dtype=float))
@@ -305,6 +321,13 @@ class TestQuantizeCommand:
                    "--weight", "parity", "--out", str(tmp_path / "op.csv")) == 2
         assert "row 2, column 3" in capsys.readouterr().err
 
+    def test_ragged_symbol_file_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "sym.csv"
+        bad.write_text("l,lp0_re,lp0_im,lp1_re,lp1_im\n0,1,0,2,0\n1,1,0\n")
+        assert run("quantize", "--d", "2", "--symbol", f"file:{bad}",
+                   "--weight", "parity", "--out", str(tmp_path / "op.csv")) == 2
+        assert "row 3" in capsys.readouterr().err
+
     def test_weight_file_round_trip(self, tmp_path, rng):
         d = 3
         phi = realize_fiducial(FiducialSpec.von_mises(1.0), d)
@@ -353,6 +376,24 @@ class TestPortraitCommand:
         w = coherent_state_weight(phi)
         expected = portrait(quantize(f, w), w)
         assert np.abs(read_complex_matrix_csv(out) - expected).max() < 1e-12
+
+    def test_non_self_adjoint_file_weight_runs(self, tmp_path, capsys, rng):
+        # its overlap distribution is complex, yet of unit mass
+        d = 5
+        values = random_map(rng, d)
+        values[0, 0] = 1.0
+        f = random_map(rng, d)
+        wfile, sfile, out = tmp_path / "w.csv", tmp_path / "sym.csv", tmp_path / "p.csv"
+        wfile.write_text(format_complex_matrix_csv(values))
+        sfile.write_text(format_complex_matrix_csv(f))
+        assert run("portrait", "--d", str(d), "--symbol", f"file:{sfile}",
+                   "--weight", f"file:{wfile}", "--out", str(out)) == 0
+        w = Weight(read_complex_matrix_csv(wfile))
+        assert w.symmetry_defect() > 0.1
+        assert np.abs(read_complex_matrix_csv(out) - portrait(quantize(f, w), w)).max() < 1e-12
+        line = next(l for l in capsys.readouterr().err.splitlines()
+                    if l.startswith("smoothing_mass_residual"))
+        assert float(line.split()[1]) < 1e-12
 
     def test_mass_check_reported(self, tmp_path, capsys):
         assert run("portrait", "--d", "3", "--symbol", "ones", "--weight", "parity",
@@ -428,6 +469,29 @@ def even_gaussian_weight(d, peak):
     return w
 
 
+class TestOverflow:
+    """Finite inputs whose results overflow double precision are a precondition failure."""
+
+    @pytest.mark.parametrize("command, amplitude", [("wigner", 1e200), ("quantize", 1.7e308),
+                                                    ("portrait", 1e307)])
+    def test_overflowing_input_exits_3(self, tmp_path, capsys, command, amplitude):
+        d = 3
+        path = tmp_path / "in.csv"
+        if command == "wigner":
+            write_signal(path, [amplitude, 1.0, 1.0])
+            argv = ["--in", str(path)]
+        else:
+            path.write_text(format_complex_matrix_csv(np.full((d, d), amplitude)))
+            argv = ["--d", str(d), "--symbol", f"file:{path}", "--weight", "parity"]
+        assert run(command, *argv, "--out", str(tmp_path / "out.csv")) == 3
+        assert "overflow" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["von_mises:1e308", "gaussian:1e-320"])
+    def test_window_exponent_overflowing_to_zero_runs_clean(self, tmp_path, spec):
+        assert_runs_clean("fiducials", "--d", "5", "--fiducial", spec,
+                          "--out", str(tmp_path / "f.csv"))
+
+
 class TestCheckCatchesInjectedErrors:
     """The two-path checks fail on one wrong entry of the production route."""
 
@@ -444,13 +508,14 @@ class TestCheckCatchesInjectedErrors:
         assert "tolerance failure" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("amplitude", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("amplitude", [1e-12, 1e-8, 1.0, 1e8])
     @pytest.mark.parametrize("weight", ["cs:von_mises:1", "file"])
     @pytest.mark.parametrize("kind", ["flip", "nan"])
     @pytest.mark.parametrize("command", ["quantize", "portrait"])
     def test_corrupted_route_exits_4_at_any_amplitude(self, tmp_path, capsys, monkeypatch, rng,
                                                       command, kind, weight, amplitude):
-        # the bound grows with the inputs, never enough to pass one wrong entry
+        # the bound is relative to the inputs: never loose enough to pass one
+        # wrong entry, however large or small they are
         _corrupt_route(monkeypatch, command, kind)
         d = 5
         if weight == "file":

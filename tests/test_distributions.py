@@ -18,6 +18,7 @@ from torus_quant import (
     realize_fiducial,
     wigner,
 )
+from torus_quant import distributions
 from torus_quant.distributions import realize_real
 
 from conftest import random_map, random_state, random_symmetric_weight
@@ -155,6 +156,25 @@ class TestOverlapDistribution:
         dist = overlap_distribution(random_symmetric_weight(rng, d))
         assert dist.sum() / d == pytest.approx(1.0, abs=1e-12)
 
+    def test_non_self_adjoint_weight_gives_complex_map_of_unit_mass(self, rng):
+        d = 4
+        values = random_map(rng, d)
+        values[0, 0] = 1.0
+        w = Weight(values)
+        mw = quantization_operator(w)
+        oracle = np.array([[np.trace(transported(mw, m, n) @ mw) for n in range(d)]
+                           for m in range(d)])
+        dist = overlap_distribution(w)
+        assert np.abs(dist.imag).max() > 0.1
+        assert np.abs(dist - oracle).max() < 1e-12
+        assert abs(dist.sum() / d - 1.0) < 1e-12
+
+    def test_self_adjoint_weight_keeps_the_reality_check(self, rng, monkeypatch):
+        real_dft = distributions.symplectic_dft
+        monkeypatch.setattr(distributions, "symplectic_dft", lambda g: real_dft(g) + 1e-6j)
+        with pytest.raises(ToleranceError, match="imaginary"):
+            overlap_distribution(random_symmetric_weight(rng, 5))
+
     def test_matches_trace_oracle(self, rng):
         d = 4
         w = random_symmetric_weight(rng, d)
@@ -188,7 +208,7 @@ class TestOverlapDistribution:
 
 
 class TestWignerRealityBound:
-    """The imaginary part is held to 1e-10 relative to max(1, ||psi||^2)."""
+    """The imaginary part is held to 1e-10 relative to ||psi||^2."""
 
     @pytest.mark.parametrize("d", [31, 127])
     def test_large_amplitude_state_passes(self, rng, d):

@@ -62,7 +62,12 @@ class TestTransform:
     def test_isometry(self, rng):
         w = random_state(rng, 7, unit=True)
         phi = random_state(rng, 7)
-        assert isometry_defect(phi, w) < 1e-12
+        assert isometry_defect(phi, gabor_transform(phi, w)) < 1e-12
+
+    def test_isometry_defect_rejects_a_window(self, rng):
+        w = random_state(rng, 7, unit=True)
+        with pytest.raises(ValueError, match="7 x 7"):
+            isometry_defect(random_state(rng, 7), w)
 
     def test_matches_bruteforce_constant_window(self):
         d = 3

@@ -19,6 +19,7 @@ from torus_quant import (
     symplectic_dft,
     weight_from_operator,
 )
+from torus_quant.errors import bound
 
 from conftest import hermitian_unit_trace, random_map, random_state, random_symmetric_weight
 from oracles import (
@@ -122,6 +123,24 @@ class TestWeightRetrieval:
     def test_rejects_non_unit_trace(self):
         with pytest.raises(ValueError, match="trace"):
             weight_from_operator(np.eye(3))
+
+    def test_large_operator_round_trips(self, rng):
+        # entries ~1e6: the trace rounds by more than 1e-10, within its own bound
+        d = 31
+        for _ in range(5):
+            m = 1e6 * hermitian_unit_trace(rng, d)
+            m += (1.0 - np.trace(m)) / d * np.eye(d)
+            w = weight_from_operator(m)
+            assert w.values[0, 0] == 1.0
+            assert np.abs(quantization_operator(w) - m).max() <= 1e-12 * np.abs(m).max()
+
+    def test_trace_just_past_its_bound_raises(self, rng):
+        d = 31
+        m = 1e6 * hermitian_unit_trace(rng, d)
+        m += (1.0 - np.trace(m)) / d * np.eye(d)
+        m[0, 0] += 2 * bound(np.abs(np.diagonal(m)).sum())
+        with pytest.raises(ValueError, match="trace"):
+            weight_from_operator(m)
 
     def test_rejects_nan_trace(self):
         with pytest.raises(ValueError, match="trace"):
@@ -301,6 +320,14 @@ class TestPositivity:
         assert report.is_density
         assert report.trace == pytest.approx(1.0, abs=1e-12)
         assert report.min_eigenvalue >= -1e-12
+
+    @pytest.mark.parametrize("excess, expected", [(5e-11, True), (5e-10, False)])
+    def test_trace_is_held_to_the_unit_bound(self, excess, expected):
+        # eigenvalues are 1/d, yet the trace is compared with 1 at scale 1
+        d = 5
+        w = coherent_state_weight(realize_fiducial(FiducialSpec.von_mises(1.0), d))
+        report = positivity_report(np.full((d, d), (1.0 + excess) / d), w)
+        assert report.is_density == expected
 
     def test_unit_symbol_with_parity_weight_is_identity(self):
         d = 4

@@ -175,6 +175,12 @@ class TestMatrixCsv:
         with pytest.raises(InputFormatError, match="row 2, column 3"):
             read_complex_matrix_csv(path)
 
+    def test_ragged_rows_name_the_row(self, tmp_path):
+        path = tmp_path / "mat.csv"
+        path.write_text("l,lp0_re,lp0_im,lp1_re,lp1_im\n0,1,0,2,0\n1,1,0\n")
+        with pytest.raises(InputFormatError, match="row 3: .*as many as on row 2"):
+            read_complex_matrix_csv(path)
+
     def test_non_square_rejected(self, tmp_path):
         path = tmp_path / "mat.csv"
         mat = np.ones((2, 3), complex)
