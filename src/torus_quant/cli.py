@@ -48,18 +48,12 @@ EXIT_PRECONDITION = 3
 EXIT_TOLERANCE = 4
 
 
-def _emit(out: str, payload: str | bytes) -> None:
+def _emit(out: str, payload: bytes | bytearray) -> None:
     if out == "-":
-        if isinstance(payload, bytes):
-            sys.stdout.buffer.write(payload)
-        else:
-            sys.stdout.write(payload)
-        return
-    path = Path(out)
-    if isinstance(payload, bytes):
-        path.write_bytes(payload)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(payload)
     else:
-        path.write_text(payload)
+        Path(out).write_bytes(payload)
 
 
 def _diag(message: str) -> None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ToleranceError, bound
-from .hilbert import as_state, norm
+from .hilbert import as_state, norm, row_blocks
 from .gabor import gabor_transform
 from .quantize import Weight, _negated_indices, quantization_operator, symplectic_dft
 from .weyl import adjoint_sign_table
@@ -41,26 +41,35 @@ def husimi(psi, window) -> np.ndarray:
     """H(m, n) = |<U(m,n) window, psi>|^2 / d; sums to ||psi||^2."""
     psi = as_state(psi)
     window = as_state(window, d=psi.shape[0])
-    return (np.abs(gabor_transform(psi, window)) ** 2) / psi.shape[0]
+    h_map = np.abs(gabor_transform(psi, window))
+    h_map **= 2
+    h_map /= psi.shape[0]
+    return h_map
 
 
 def wigner(psi) -> np.ndarray:
     """Wigner distribution W[m, n] on the phase space, odd dimension only.
 
     Uses the integer-safe form
-    W(m,n) = (1/d) sum_l e^{4 i pi m l / d} conj(psi(n+l)) psi(n-l),
-    one inverse FFT over l read at frequency 2m mod d; asserts reality
-    at the scale ||psi||^2 of the products, and returns a real array
-    whose marginals are |psi(n)|^2 (over m) and |dft(psi)(m)|^2 (over n).
+    W(m,n) = (1/d) sum_j e^{2 i pi m j / d} conj(psi(n+l)) psi(n-l) with
+    l = j (d+1)/2 mod d, the l with 2 l = j: the products are formed at
+    row j, a block of rows at a time, and one inverse FFT over j gives W
+    directly.  Asserts reality at the scale ||psi||^2 of the products,
+    and returns a real array whose marginals are |psi(n)|^2 (over m) and
+    |dft(psi)(m)|^2 (over n).
     """
     psi = as_state(psi)
     d = psi.shape[0]
     if d % 2 == 0:
         raise ValueError("Wigner via parity requires odd dimension")
-    ls = np.arange(d)[:, None]
-    ns = np.arange(d)[None, :]
-    products = np.conj(psi[(ns + ls) % d]) * psi[(ns - ls) % d]  # [l, n]
-    out = np.fft.ifft(products, axis=0)[(2 * np.arange(d)) % d]
+    ns = np.arange(d)
+    conj_psi = np.conj(psi)
+    products = np.empty((d, d), dtype=complex)  # [j, n]
+    for rows in row_blocks(d, d):
+        ls = np.arange(rows.start, rows.stop)[:, None] * ((d + 1) // 2) % d
+        products[rows] = conj_psi[(ns + ls) % d] * psi[(ns - ls) % d]
+    out = np.fft.ifft(products, axis=0)
+    del products  # before the reality check's temporaries
     return realize_real(out, scale=norm(psi) ** 2, what="Wigner map")
 
 

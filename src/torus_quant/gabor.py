@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import bound
 from .hilbert import as_state, difference_index
-from .weyl import half_phase_table
+from .weyl import multiply_half_phase
 
 __all__ = ["gabor_transform", "gabor_inverse", "isometry_defect"]
 
@@ -35,8 +35,11 @@ def gabor_transform(phi, window) -> np.ndarray:
     d = phi.shape[0]
     window = as_state(window, d=d)
     _warn_if_not_unit(window, "fiducial window")
-    windowed = np.conj(window[difference_index(d)]) * phi[:, None]  # [l, n]
-    return np.conj(half_phase_table(d)) * np.fft.fft(windowed, axis=0)
+    windowed = np.take(np.conj(window), difference_index(d))  # [l, n]
+    windowed *= phi[:, None]
+    coeffs = np.fft.fft(windowed, axis=0)
+    del windowed  # before the half phase's block temporaries
+    return multiply_half_phase(coeffs, conjugate=True)
 
 
 def gabor_inverse(coeffs, window) -> np.ndarray:
@@ -46,13 +49,13 @@ def gabor_inverse(coeffs, window) -> np.ndarray:
     :func:`gabor_transform` with the same window; otherwise it returns
     the frame projection of the given coefficient map.
     """
-    coeffs = np.asarray(coeffs, dtype=complex)
+    coeffs = np.array(coeffs, dtype=complex)  # a copy: the half phase goes on in place
     d = coeffs.shape[0]
     if coeffs.shape != (d, d):
         raise ValueError(f"coefficient map must be square, got {coeffs.shape}")
     window = as_state(window, d=d)
     # the inverse FFT over m carries the synthesis weight 1/d
-    inner = np.fft.ifft(coeffs * half_phase_table(d), axis=0)  # [l, n]
+    inner = np.fft.ifft(multiply_half_phase(coeffs), axis=0)  # [l, n]
     return (inner * window[difference_index(d)]).sum(axis=1)
 
 

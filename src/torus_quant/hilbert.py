@@ -88,6 +88,18 @@ def difference_index(d: int) -> np.ndarray:
     return (np.arange(d)[:, None] - np.arange(d)[None, :]) % d
 
 
+#: values per block when a d x d map is built or written a block of rows at a
+#: time: enough to amortize numpy's per-call cost, few enough that the block's
+#: temporaries stay small next to the map
+BLOCK_VALUES = 1 << 14
+
+
+def row_blocks(rows: int, width: int) -> list[slice]:
+    """Slices of consecutive rows holding about BLOCK_VALUES values each (one row at least)."""
+    step = max(1, BLOCK_VALUES // max(1, width))
+    return [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
+
+
 def dft(phi) -> np.ndarray:
     """Unitary Fourier transform, k -> (1/sqrt(d)) sum_l exp(-2i pi k l/d) phi(l)."""
     return np.fft.fft(as_state(phi), norm="ortho")

@@ -27,6 +27,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import InputFormatError
+from .hilbert import row_blocks
 
 _FMT = "%.15e"
 
@@ -170,9 +171,6 @@ _FREXP_MIN, _FREXP_MAX = -1073, 1024
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
 #: a rounding within this distance of a half-integer is left to Python's own %.15e
 _TIE_MARGIN = 1e-9
-#: values formatted per block: enough to amortize numpy's per-call cost, few
-#: enough that the block's temporaries stay small
-_BLOCK_VALUES = 1 << 16
 
 
 @functools.cache
@@ -222,8 +220,8 @@ def _fill_scales(t: SimpleNamespace, ei: np.ndarray) -> None:
         t.ready[i] = True
 
 
-def _format_block(block: np.ndarray, first_row: int) -> str:
-    """Rows of ``block`` as CSV lines: the row index, then each entry as ``%.15e``.
+def _decimal(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """16 significant digits N, decimal exponent k and fallback mask of each entry.
 
     |x| = f 2**e is scaled to V = f C with C = 2**e 10**(15 - k), so that the
     16 significant digits are N = round(V).  C is a double-double and f C is
@@ -231,9 +229,9 @@ def _format_block(block: np.ndarray, first_row: int) -> str:
     ~1e-15.  A value is left to Python's ``%`` when it is not finite, when V
     lies within _TIE_MARGIN of a half-integer, or when its decade is not
     settled; everything else is exactly what ``"%.15e" % x`` writes.
+    N and k of a fallback entry are in range of the tables but meaningless.
     """
     t = _tables()
-    rows, width = block.shape
     finite = np.isfinite(block)
     clean = block if finite.all() else np.where(finite, block, 0.0)
     f, e = np.frexp(np.abs(clean))
@@ -262,8 +260,19 @@ def _format_block(block: np.ndarray, first_row: int) -> str:
     # V < 1e15 means j = 1 went a decade too far; N > 1e16, that j = 0 fell short
     fallback = ~finite | (np.abs(frac - 0.5) > 0.5 - _TIE_MARGIN) | nonzero & (
         (n < 10**15) | (n > 10**16) | (n == 10**15) & (frac < 0.5))
-    n[fallback] = 0  # their slots are overwritten below; keep the table lookups in range
+    n[fallback] = 0
+    return n, k, fallback
 
+
+def _format_block(block: np.ndarray, first_row: int) -> np.ndarray:
+    """Rows of ``block`` as ASCII CSV lines: the row index, then each entry as ``%.15e``.
+
+    The digits come from :func:`_decimal`; the fallback entries are
+    written by Python's ``%``.
+    """
+    t = _tables()
+    rows, width = block.shape
+    n, k, fallback = _decimal(block)
     slots = np.empty((rows, width + 1, _SLOT_WORDS), dtype="<u4")
     words = slots[:, 1:]
     # floor division by a constant is vectorized by numpy, % and divmod are not
@@ -287,25 +296,38 @@ def _format_block(block: np.ndarray, first_row: int) -> str:
         text[r, col + 1, :len(exact)] = np.frombuffer(exact, np.uint8)
     text[:, :, 23] = ord(",")
     text[:, -1, 23] = ord("\n")
-    return text[text != 0].tobytes().decode("ascii")
+    return text[text != 0]
 
 
-def _table_csv(header: list[str], table: np.ndarray) -> str:
-    """Header line, then per row its index and each entry as ``%.15e``."""
+def _table_csv(header: list[str], table: np.ndarray) -> bytearray:
+    """Header line, then per row its index and each entry as ``%.15e``, in ASCII.
+
+    The blocks are copied into one buffer sized for a full slot per value,
+    which is then trimmed to the text's length.
+    """
     table = np.asarray(table, dtype=np.float64)
-    step = max(1, _BLOCK_VALUES // max(1, table.shape[1]))
-    parts = [",".join(header) + "\n"]
-    parts += [_format_block(table[r:r + step], r) for r in range(0, table.shape[0], step)]
-    return "".join(parts)
+    rows, width = table.shape
+    head = (",".join(header) + "\n").encode("ascii")
+    out = bytearray(len(head) + rows * (width + 1) * 4 * _SLOT_WORDS)
+    out[:len(head)] = head
+    view = np.frombuffer(out, np.uint8)
+    end = len(head)
+    for block in row_blocks(rows, width):
+        text = _format_block(table[block], block.start)
+        view[end:end + text.size] = text
+        end += text.size
+    del view  # releases the buffer, so it can shrink
+    del out[end:]
+    return out
 
 
-def format_real_map_csv(arr: np.ndarray) -> str:
+def format_real_map_csv(arr: np.ndarray) -> bytearray:
     arr = np.asarray(arr).real
     return _table_csv(["m"] + [f"n{j}" for j in range(arr.shape[1])], arr)
 
 
 def format_complex_matrix_csv(arr: np.ndarray, row_label: str = "l",
-                              col_label: str = "lp") -> str:
+                              col_label: str = "lp") -> bytearray:
     arr = np.ascontiguousarray(arr, dtype=complex)
     header = [row_label]
     for j in range(arr.shape[1]):
@@ -313,7 +335,7 @@ def format_complex_matrix_csv(arr: np.ndarray, row_label: str = "l",
     return _table_csv(header, arr.view(float))
 
 
-def format_vector_csv(vec: np.ndarray) -> str:
+def format_vector_csv(vec: np.ndarray) -> bytearray:
     vec = np.ascontiguousarray(vec, dtype=complex)
     return _table_csv(["l", "re", "im"], vec.reshape(-1, 1).view(float))
 

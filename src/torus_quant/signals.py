@@ -25,8 +25,15 @@ def column_energy(magnitude: np.ndarray) -> np.ndarray:
 
 
 def envelope_spectrum(energy: np.ndarray) -> np.ndarray:
-    """Power |dft(E)(k)|^2 of the column-energy envelope."""
-    return np.abs(dft(np.asarray(energy, dtype=complex))) ** 2
+    """Power |dft(E / max|E|)(k)|^2 of the column-energy envelope.
+
+    The envelope is scaled to unit peak first, so the power cannot
+    overflow where E itself is finite; :func:`dominant_rows` does not
+    depend on the scale.
+    """
+    energy = np.asarray(energy, dtype=complex)
+    peak = np.abs(energy).max()
+    return np.abs(dft(energy / peak if peak > 0 else energy)) ** 2
 
 
 def dominant_rows(power: np.ndarray) -> list[int]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hilbert import as_state, modulate, phase_table, translate
+from .hilbert import as_state, modulate, phase_table, row_blocks, translate
 
 __all__ = ["displacement_apply", "displacement_matrix"]
 
@@ -44,6 +44,24 @@ def half_phase_table(d: int) -> np.ndarray:
     """Table [m, n] of the half phase of U(m, n) on canonical representatives."""
     ms = np.arange(d)
     return half_phase(d, ms[:, None], ms[None, :])
+
+
+def multiply_half_phase(arr: np.ndarray, conjugate: bool = False) -> np.ndarray:
+    """Multiply the d x d map ``arr`` in place by the half phase table (or its conjugate).
+
+    The half phase of U(m, n) is entry m n mod 2d of the 2d phases
+    exp(-i pi k / d); they are gathered a block of rows at a time, so no
+    d x d table is formed.  Returns ``arr``.
+    """
+    d = arr.shape[0]
+    table = half_phase(d, 1, np.arange(2 * d))
+    if conjugate:
+        table = np.conj(table)
+    ns = np.arange(d)
+    for rows in row_blocks(d, d):
+        block = arr[rows]
+        block *= table[np.arange(rows.start, rows.stop)[:, None] * ns % (2 * d)]
+    return arr
 
 
 def sum_phase_table(d: int) -> np.ndarray:

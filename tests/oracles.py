@@ -155,12 +155,12 @@ def jacobi_theta3(x, s_im: float) -> complex:
     return complex(terms.sum())
 
 
-def table_csv_reference(header: list[str], table: np.ndarray) -> str:
-    """Header line, then per row its index and each entry as ``%.15e``."""
+def table_csv_reference(header: list[str], table: np.ndarray) -> bytes:
+    """Header line, then per row its index and each entry as ``%.15e``, in ASCII."""
     row = "%d" + (",%.15e") * table.shape[1]
     lines = [",".join(header)]
     lines += [row % (i, *values) for i, values in enumerate(table.tolist())]
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def dft_matrix(d: int) -> np.ndarray:

@@ -1,0 +1,115 @@
+"""The d x d maps built a block of rows at a time.
+
+A block holds ``hilbert.BLOCK_VALUES`` values, so the block loops of
+``gabor_transform``, ``wigner`` and the CSV writer only run more than once
+when d exceeds ~128.  The sizes below give several blocks and a partial
+last one.  The memory tests bound what each builder allocates, measured
+with tracemalloc (numpy reports its arrays to it), as a multiple of the
+size of its result.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from torus_quant import FiducialSpec, gabor_inverse, gabor_transform, husimi, realize_fiducial, wigner
+from torus_quant.hilbert import BLOCK_VALUES, row_blocks
+from torus_quant.io_formats import format_real_map_csv
+
+from conftest import random_state
+from oracles import dft_matrix, wigner_half_argument
+
+SIZES = [129, 131, 257]
+
+
+def gabor_dense(phi, window):
+    """Phi[m, n] = e^{i pi m n/d} sum_l e^{-2i pi m l/d} conj(window(l-n)) phi(l), one matrix product."""
+    d = phi.shape[0]
+    ls = np.arange(d)
+    windowed = np.conj(window[(ls[:, None] - ls[None, :]) % d]) * phi[:, None]
+    half = np.exp(1j * np.pi * (np.outer(ls, ls) % (2 * d)) / d)
+    return half * (np.sqrt(d) * dft_matrix(d) @ windowed)
+
+
+@pytest.mark.parametrize("d", SIZES)
+class TestSeveralBlocks:
+    def test_sizes_give_a_partial_last_block(self, d):
+        blocks = row_blocks(d, d)
+        assert len(blocks) > 1
+        assert blocks[-1].stop - blocks[-1].start < blocks[0].stop - blocks[0].start
+        assert blocks[-1].stop == d
+
+    def test_gabor_transform_and_round_trip(self, rng, d):
+        phi = random_state(rng, d, unit=True)
+        window = random_state(rng, d, unit=True)
+        coeffs = gabor_transform(phi, window)
+        assert np.abs(coeffs - gabor_dense(phi, window)).max() < 1e-12
+        assert np.abs(gabor_inverse(coeffs, window) - phi).max() < 1e-12
+
+    def test_husimi(self, rng, d):
+        psi = random_state(rng, d, unit=True)
+        window = realize_fiducial(FiducialSpec.von_mises(2.0), d)
+        expected = np.abs(gabor_dense(psi, window)) ** 2 / d
+        assert np.abs(husimi(psi, window) - expected).max() < 1e-12
+
+    def test_wigner(self, rng, d):
+        psi = random_state(rng, d, unit=True)
+        assert np.abs(wigner(psi) - wigner_half_argument(psi)).max() < 1e-12
+
+
+def traced_peak(function, *args):
+    """Result of ``function(*args)`` and the peak of the memory it held, in bytes.
+
+    The second of two calls is measured, so caches filled on first use
+    are not counted.
+    """
+    function(*args)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = function(*args)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak
+
+
+class TestMemory:
+    """At d=511 each map costs about its own size, not a multiple of d^2 temporaries."""
+
+    d = 511
+
+    @pytest.fixture
+    def state(self, rng):
+        return random_state(rng, self.d, unit=True)
+
+    @pytest.fixture
+    def window(self):
+        return realize_fiducial(FiducialSpec.von_mises(2.0), self.d)
+
+    def test_gabor_transform(self, state, window):
+        coeffs, peak = traced_peak(gabor_transform, state, window)
+        assert peak <= 2.25 * coeffs.nbytes
+
+    def test_husimi(self, state, window):
+        h_map, peak = traced_peak(husimi, state, window)
+        assert peak <= 4.5 * h_map.nbytes
+
+    def test_wigner(self, state):
+        w_map, peak = traced_peak(wigner, state)
+        assert peak <= 4.5 * w_map.nbytes
+
+    def test_real_map_csv(self, state, window):
+        text, peak = traced_peak(format_real_map_csv, husimi(state, window))
+        assert len(text) > 20 * self.d ** 2
+        assert peak <= len(text) + 5_000_000
+
+
+def test_row_blocks_take_one_row_at_least():
+    assert [s.stop - s.start for s in row_blocks(3, BLOCK_VALUES + 1)] == [1, 1, 1]
+    assert row_blocks(0, 5) == []

@@ -333,7 +333,7 @@ class TestQuantizeCommand:
         phi = realize_fiducial(FiducialSpec.von_mises(1.0), d)
         w = coherent_state_weight(phi)
         wfile = tmp_path / "w.csv"
-        wfile.write_text(format_complex_matrix_csv(w.values))
+        wfile.write_bytes(format_complex_matrix_csv(w.values))
         out = tmp_path / "op.csv"
         assert run("quantize", "--d", str(d), "--symbol", "ones",
                    "--weight", f"file:{wfile}", "--out", str(out)) == 0
@@ -343,7 +343,7 @@ class TestQuantizeCommand:
         d = 3
         values = np.ones((d, d), complex) * 0.5
         wfile = tmp_path / "w.csv"
-        wfile.write_text(format_complex_matrix_csv(values))
+        wfile.write_bytes(format_complex_matrix_csv(values))
         assert run("quantize", "--d", str(d), "--symbol", "ones",
                    "--weight", f"file:{wfile}", "--out", str(tmp_path / "op.csv")) == 3
         assert "precondition" in capsys.readouterr().err
@@ -368,7 +368,7 @@ class TestPortraitCommand:
         d = 4
         f = random_map(rng, d)
         sfile = tmp_path / "sym.csv"
-        sfile.write_text(format_complex_matrix_csv(f))
+        sfile.write_bytes(format_complex_matrix_csv(f))
         out = tmp_path / "p.csv"
         assert run("portrait", "--d", str(d), "--symbol", f"file:{sfile}",
                    "--weight", "cs:von_mises:1", "--out", str(out)) == 0
@@ -384,8 +384,8 @@ class TestPortraitCommand:
         values[0, 0] = 1.0
         f = random_map(rng, d)
         wfile, sfile, out = tmp_path / "w.csv", tmp_path / "sym.csv", tmp_path / "p.csv"
-        wfile.write_text(format_complex_matrix_csv(values))
-        sfile.write_text(format_complex_matrix_csv(f))
+        wfile.write_bytes(format_complex_matrix_csv(values))
+        sfile.write_bytes(format_complex_matrix_csv(f))
         assert run("portrait", "--d", str(d), "--symbol", f"file:{sfile}",
                    "--weight", f"file:{wfile}", "--out", str(out)) == 0
         w = Weight(read_complex_matrix_csv(wfile))
@@ -401,6 +401,21 @@ class TestPortraitCommand:
         err = capsys.readouterr().err
         line = next(l for l in err.splitlines() if l.startswith("smoothing_mass_residual"))
         assert float(line.split()[1]) < 1e-12
+
+
+class TestStdout:
+    """``--out -`` writes to stdout the bytes ``--out FILE`` writes to the file."""
+
+    @pytest.mark.parametrize("command, flags", [("wigner", []), ("gabor", ["--format", "pgm"])])
+    def test_stdout_matches_file(self, tmp_path, capsysbinary, command, flags):
+        sig = tmp_path / "sig.csv"
+        write_signal(sig, np.cos(np.arange(7)) + 0.5)
+        argv = [command, "--in", str(sig), *flags]
+        out = tmp_path / "out"
+        assert run(*argv, "--out", str(out)) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert run(*argv, "--out", "-") == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
 
 
 class TestSelectorErrors:
@@ -481,10 +496,26 @@ class TestOverflow:
             write_signal(path, [amplitude, 1.0, 1.0])
             argv = ["--in", str(path)]
         else:
-            path.write_text(format_complex_matrix_csv(np.full((d, d), amplitude)))
+            path.write_bytes(format_complex_matrix_csv(np.full((d, d), amplitude)))
             argv = ["--d", str(d), "--symbol", f"file:{path}", "--weight", "parity"]
         assert run(command, *argv, "--out", str(tmp_path / "out.csv")) == 3
         assert "overflow" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fiducial", ["constant", "kronecker:0"])
+    def test_period_diagnostics_of_a_huge_signal_do_not_overflow(self, tmp_path, capsys,
+                                                                 fiducial):
+        samples = np.array([1.0, 3.0, 10.0, 2.0, 5.0, 7.0])
+        diagnostics = []
+        for amplitude in (1e79, 0.1):
+            path = tmp_path / "in.csv"
+            write_signal(path, amplitude * samples)
+            assert run("gabor", "--in", str(path), "--fiducial", fiducial,
+                       "--out", str(tmp_path / "out.csv")) == 0
+            lines = capsys.readouterr().err.splitlines()
+            diagnostics.append([line for line in lines
+                                if line.startswith(("dominant_rows", "period_estimate"))])
+        assert diagnostics[0] == diagnostics[1]
+        assert len(diagnostics[0]) == 2
 
     @pytest.mark.parametrize("spec", ["von_mises:1e308", "gaussian:1e-320"])
     def test_window_exponent_overflowing_to_zero_runs_clean(self, tmp_path, spec):
@@ -501,7 +532,7 @@ class TestCheckCatchesInjectedErrors:
         _corrupt_route(monkeypatch, command, kind)
         d = 5
         sfile = tmp_path / "sym.csv"
-        sfile.write_text(format_complex_matrix_csv(random_map(rng, d)))
+        sfile.write_bytes(format_complex_matrix_csv(random_map(rng, d)))
         out = tmp_path / "out.csv"
         assert run(command, "--d", str(d), "--symbol", f"file:{sfile}",
                    "--weight", "cs:von_mises:1", "--out", str(out)) == 4
@@ -520,10 +551,10 @@ class TestCheckCatchesInjectedErrors:
         d = 5
         if weight == "file":
             wfile = tmp_path / "w.csv"
-            wfile.write_text(format_complex_matrix_csv(even_gaussian_weight(d, 1e4)))
+            wfile.write_bytes(format_complex_matrix_csv(even_gaussian_weight(d, 1e4)))
             weight = f"file:{wfile}"
         sfile = tmp_path / "sym.csv"
-        sfile.write_text(format_complex_matrix_csv(amplitude * random_map(rng, d)))
+        sfile.write_bytes(format_complex_matrix_csv(amplitude * random_map(rng, d)))
         out = tmp_path / "out.csv"
         assert run(command, "--d", str(d), "--symbol", f"file:{sfile}",
                    "--weight", weight, "--out", str(out)) == 4
@@ -538,7 +569,7 @@ class TestLargeInputsPass:
                                                        ("quantize", 63, 1e8)])
     def test_large_symbol(self, tmp_path, rng, command, d, amplitude):
         sfile = tmp_path / "sym.csv"
-        sfile.write_text(format_complex_matrix_csv(amplitude * random_map(rng, d)))
+        sfile.write_bytes(format_complex_matrix_csv(amplitude * random_map(rng, d)))
         assert run(command, "--d", str(d), "--symbol", f"file:{sfile}",
                    "--weight", "cs:von_mises:3", "--out", str(tmp_path / "out.csv")) == 0
 
@@ -547,7 +578,7 @@ class TestLargeInputsPass:
         # a portrait's rounding grows with the square of the weight
         d = 31
         wfile = tmp_path / "w.csv"
-        wfile.write_text(format_complex_matrix_csv(even_gaussian_weight(d, peak)))
+        wfile.write_bytes(format_complex_matrix_csv(even_gaussian_weight(d, peak)))
         assert run("portrait", "--d", str(d), "--symbol", "momentum:index",
                    "--weight", f"file:{wfile}", "--out", str(tmp_path / "out.csv")) == 0
 
@@ -586,11 +617,11 @@ class TestNoPerPointLoops:
         d = 6
         if weight == "file":
             wfile = tmp_path / "w.csv"
-            wfile.write_text(format_complex_matrix_csv(random_symmetric_weight(rng, d).values))
+            wfile.write_bytes(format_complex_matrix_csv(random_symmetric_weight(rng, d).values))
             weight = f"file:{wfile}"
         if symbol == "file":
             sfile = tmp_path / "sym.csv"
-            sfile.write_text(format_complex_matrix_csv(random_map(rng, d)))
+            sfile.write_bytes(format_complex_matrix_csv(random_map(rng, d)))
             symbol = f"file:{sfile}"
         assert run(command, "--d", str(d), "--symbol", symbol, "--weight", weight,
                    "--out", str(tmp_path / "out.csv")) == 0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torus_quant import (
     FiducialSpec,
@@ -10,6 +11,7 @@ from torus_quant import (
     momentum_symbol,
     parity_weight,
     position_symbol,
+    portrait_of_symbol,
     positivity_report,
     quantization_operator,
     quantize,
@@ -347,3 +349,43 @@ class TestPositivity:
         assert report.trace == pytest.approx(1.0, abs=1e-10)
         assert report.min_eigenvalue < -1e-10
         assert not report.is_density
+
+
+class TestPaperIdentities:
+    """The unit symbol is a fixed point and quantization is covariant, for any self-adjoint weight.
+
+    The weights are general ``Weight`` values, as a ``file:`` weight is, of
+    peak 1..1e6; each identity is held to ``bound`` at the scale of its inputs.
+    """
+
+    @staticmethod
+    def weight(d, seed, peak_exponent):
+        values = random_symmetric_weight(np.random.default_rng(seed), d).values
+        values *= 10.0 ** peak_exponent / np.abs(values).max()  # a real factor keeps self-adjointness
+        values[0, 0] = 1.0
+        return Weight(values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 24), seed=st.integers(0, 2**32 - 1),
+           peak_exponent=st.floats(0.0, 6.0))
+    def test_unit_symbol_quantizes_to_identity(self, d, seed, peak_exponent):
+        w = self.weight(d, seed, peak_exponent)
+        residual = np.abs(quantize(np.ones((d, d)), w) - np.eye(d)).max()
+        assert residual <= bound(np.abs(w.values).max())
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 24), seed=st.integers(0, 2**32 - 1),
+           peak_exponent=st.floats(0.0, 6.0))
+    def test_portrait_of_unit_symbol_is_one(self, d, seed, peak_exponent):
+        w = self.weight(d, seed, peak_exponent)
+        residual = np.abs(portrait_of_symbol(np.ones((d, d)), w) - 1.0).max()
+        assert residual <= bound(np.abs(w.values).max() ** 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 24), seed=st.integers(0, 2**32 - 1),
+           peak_exponent=st.floats(0.0, 6.0), shift=st.tuples(st.integers(), st.integers()))
+    def test_quantization_is_covariant(self, d, seed, peak_exponent, shift):
+        w = self.weight(d, seed, peak_exponent)
+        f = random_map(np.random.default_rng(seed + 1), d)
+        scale = np.abs(f).max() * np.abs(w.values).max()
+        assert covariance_defect(f, w, shift) <= bound(scale)

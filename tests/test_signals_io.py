@@ -17,6 +17,7 @@ from torus_quant import (
     realize_fiducial,
 )
 from torus_quant import io_formats
+from torus_quant.hilbert import BLOCK_VALUES
 from torus_quant.io_formats import (
     _table_csv,
     format_complex_matrix_csv,
@@ -166,7 +167,7 @@ class TestMatrixCsv:
     def test_round_trip(self, rng, tmp_path):
         mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         path = tmp_path / "mat.csv"
-        path.write_text(format_complex_matrix_csv(mat))
+        path.write_bytes(format_complex_matrix_csv(mat))
         assert np.abs(read_complex_matrix_csv(path) - mat).max() < 1e-14
 
     def test_malformed_pair_names_row_and_column(self, tmp_path):
@@ -184,7 +185,7 @@ class TestMatrixCsv:
     def test_non_square_rejected(self, tmp_path):
         path = tmp_path / "mat.csv"
         mat = np.ones((2, 3), complex)
-        path.write_text(format_complex_matrix_csv(mat))
+        path.write_bytes(format_complex_matrix_csv(mat))
         with pytest.raises(InputFormatError, match="square"):
             read_complex_matrix_csv(path)
 
@@ -192,27 +193,27 @@ class TestMatrixCsv:
 class TestFormatting:
     def test_real_map_header_and_shape(self):
         text = format_real_map_csv(np.zeros((2, 3)))
-        lines = text.strip().split("\n")
-        assert lines[0] == "m,n0,n1,n2"
+        lines = text.strip().split(b"\n")
+        assert lines[0] == b"m,n0,n1,n2"
         assert len(lines) == 3
-        assert lines[1].startswith("0,")
+        assert lines[1].startswith(b"0,")
 
     def test_exact_bytes_with_signed_zero_and_nan(self):
         assert format_real_map_csv(np.array([[-0.0, np.nan], [1.5, -2e-300]])) == (
-            "m,n0,n1\n0,-0.000000000000000e+00,nan\n"
-            "1,1.500000000000000e+00,-2.000000000000000e-300\n")
+            b"m,n0,n1\n0,-0.000000000000000e+00,nan\n"
+            b"1,1.500000000000000e+00,-2.000000000000000e-300\n")
         assert format_complex_matrix_csv(np.array([[complex(-0.0, np.nan), 1j, -1]]),
                                          row_label="m", col_label="n") == (
-            "m,n0_re,n0_im,n1_re,n1_im,n2_re,n2_im\n"
-            "0,-0.000000000000000e+00,nan,0.000000000000000e+00,1.000000000000000e+00,"
-            "-1.000000000000000e+00,0.000000000000000e+00\n")
+            b"m,n0_re,n0_im,n1_re,n1_im,n2_re,n2_im\n"
+            b"0,-0.000000000000000e+00,nan,0.000000000000000e+00,1.000000000000000e+00,"
+            b"-1.000000000000000e+00,0.000000000000000e+00\n")
         assert format_vector_csv(np.array([complex(0.25, -0.0), complex(np.nan, 3)])) == (
-            "l,re,im\n0,2.500000000000000e-01,-0.000000000000000e+00\n"
-            "1,nan,3.000000000000000e+00\n")
+            b"l,re,im\n0,2.500000000000000e-01,-0.000000000000000e+00\n"
+            b"1,nan,3.000000000000000e+00\n")
 
     def test_vector_csv_header(self):
         text = format_vector_csv(np.array([1j]))
-        assert text.splitlines()[0] == "l,re,im"
+        assert text.splitlines()[0] == b"l,re,im"
 
     def test_pgm_header_and_scaling(self):
         arr = np.array([[0.0, 1.0], [2.0, 4.0]])
@@ -226,12 +227,12 @@ class TestFormatting:
         assert blob.endswith(bytes([0, 0]))
 
 
-def _first_difference(text: str, reference: str) -> str | None:
+def _first_difference(text: bytes, reference: bytes) -> str | None:
     """Where two CSV texts first differ (line and field values), or None."""
     if text == reference:
         return None
-    for number, (line, expected) in enumerate(zip(text.split("\n"), reference.split("\n"))):
-        for got, want in zip(line.split(","), expected.split(",")):
+    for number, (line, expected) in enumerate(zip(text.split(b"\n"), reference.split(b"\n"))):
+        for got, want in zip(line.split(b","), expected.split(b",")):
             if got != want:
                 return f"line {number}: {got!r} != {want!r}"
     return "lengths differ"
@@ -286,6 +287,13 @@ class TestTableCsvMatchesPercentFormat:
         # a few units from a power of ten; a wrong decade would send it ~1 in 5
         finite = [x for x in calls if np.isfinite(x)]
         assert len(finite) < values.size // 100, len(finite)
+
+    def test_several_blocks_and_a_partial_last_one(self, rng):
+        width = 100
+        rows = 2 * (BLOCK_VALUES // width) + 7
+        table = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-300, 300, (rows, width))
+        header = ["m"] + [f"n{j}" for j in range(width)]
+        assert _table_csv(header, table) == table_csv_reference(header, table)
 
     @pytest.mark.parametrize("value", [1234567890123456.5, 9.9999999999999995e-5, 1e22,
                                        np.nextafter(1e22, 0.0), 5e-324, -0.0])

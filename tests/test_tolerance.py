@@ -45,8 +45,8 @@ def random_weight(rng, d, peak):
 def run_file_inputs(directory, command, f, w):
     """Exit code and output of ``command`` on file symbol ``f`` and file weight ``w``."""
     sfile, wfile, out = (Path(directory) / name for name in ("f.csv", "w.csv", "out.csv"))
-    sfile.write_text(format_complex_matrix_csv(f))
-    wfile.write_text(format_complex_matrix_csv(w))
+    sfile.write_bytes(format_complex_matrix_csv(f))
+    wfile.write_bytes(format_complex_matrix_csv(w))
     code = main([command, "--d", str(f.shape[0]), "--symbol", f"file:{sfile}",
                  "--weight", f"file:{wfile}", "--out", str(out)])
     return code, read_complex_matrix_csv(out) if code == 0 else None
