@@ -10,8 +10,8 @@ inputs whose results overflow included), 4 internal tolerance failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -48,12 +48,19 @@ EXIT_PRECONDITION = 3
 EXIT_TOLERANCE = 4
 
 
-def _emit(out: str, payload: bytes | bytearray) -> None:
+def _emit(out, payload) -> None:
+    out.write(payload)
+
+
+def _write(out: str, format_data, data, **labels) -> None:
+    """Pass each chunk ``format_data`` makes of ``data`` to ``_emit``, for stdout ("-") or ``out``.
+
+    The file is created here, so a run that fails before its output writes none.
+    """
     if out == "-":
         sys.stdout.flush()
-        sys.stdout.buffer.write(payload)
-    else:
-        Path(out).write_bytes(payload)
+    with contextlib.nullcontext(sys.stdout.buffer) if out == "-" else open(out, "wb") as fh:
+        format_data(data, lambda chunk: _emit(fh, chunk), **labels)
 
 
 def _diag(message: str) -> None:
@@ -144,10 +151,7 @@ def cmd_gabor(args) -> int:
     d = signal.shape[0]
     window = _resolve_fiducial(args.fiducial, d)
     magnitude = np.abs(gabor_transform(signal, window))
-    if args.format == "pgm":
-        _emit(args.out, pgm_bytes(magnitude))
-    else:
-        _emit(args.out, format_real_map_csv(magnitude))
+    _write(args.out, pgm_bytes if args.format == "pgm" else format_real_map_csv, magnitude)
     _diag(f"isometry_residual {isometry_defect(signal, magnitude):.3e}")
     power = envelope_spectrum(column_energy(magnitude))
     rows = dominant_rows(power)
@@ -160,7 +164,7 @@ def cmd_gabor(args) -> int:
 def cmd_wigner(args) -> int:
     signal = _load_signal(args)
     w_map = wigner(signal)
-    _emit(args.out, format_real_map_csv(w_map))
+    _write(args.out, format_real_map_csv, w_map)
     pos = np.abs(signal) ** 2
     mom = np.abs(dft(signal)) ** 2
     _diag(f"marginal_residual_position {np.abs(w_map.sum(axis=0) - pos).max():.3e}")
@@ -172,7 +176,7 @@ def cmd_husimi(args) -> int:
     signal = _load_signal(args)
     window = _resolve_fiducial(args.fiducial, signal.shape[0])
     h_map = husimi(signal, window)
-    _emit(args.out, format_real_map_csv(h_map))
+    _write(args.out, format_real_map_csv, h_map)
     _diag(f"normalization_residual {abs(h_map.sum() - norm(signal) ** 2):.3e}")
     return EXIT_OK
 
@@ -189,7 +193,7 @@ def cmd_quantize(args) -> int:
         op = quantize(f, weight)
     _check_two_paths("quantization", op, quantize(f, weight, method="direct"),
                      np.abs(f).max() * np.abs(weight.values).max())
-    _emit(args.out, format_complex_matrix_csv(op))
+    _write(args.out, format_complex_matrix_csv, op)
     _diag(f"hermiticity_residual {np.abs(op - op.conj().T).max():.3e}")
     _diag(f"trace {np.trace(op).real:.15e} {np.trace(op).imag:+.15e}j")
     return EXIT_OK
@@ -202,7 +206,7 @@ def cmd_portrait(args) -> int:
     smoothed = portrait_of_symbol(f, weight)
     _check_two_paths("portrait", smoothed, portrait(quantize(f, weight), weight),
                      np.abs(f).max() * np.abs(weight.values).max() ** 2)
-    _emit(args.out, format_complex_matrix_csv(smoothed, row_label="m", col_label="n"))
+    _write(args.out, format_complex_matrix_csv, smoothed, row_label="m", col_label="n")
     mass = overlap_distribution(weight).sum() / d
     _diag(f"smoothing_mass_residual {abs(mass - 1.0):.3e}")
     return EXIT_OK
@@ -210,7 +214,7 @@ def cmd_portrait(args) -> int:
 
 def cmd_fiducials(args) -> int:
     vec = _resolve_fiducial(args.fiducial, args.d)
-    _emit(args.out, format_vector_csv(vec))
+    _write(args.out, format_vector_csv, vec)
     _diag(f"norm {norm(vec):.12f}")
     return EXIT_OK
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ToleranceError, bound
-from .hilbert import as_state, norm, row_blocks
-from .gabor import gabor_transform
+from .hilbert import as_state, row_blocks
+from .gabor import _column_blocks
 from .quantize import Weight, _negated_indices, quantization_operator, symplectic_dft
 from .weyl import adjoint_sign_table
 
@@ -38,12 +38,20 @@ def realize_real(values: np.ndarray, scale: float = 1.0, what: str = "map") -> n
 
 
 def husimi(psi, window) -> np.ndarray:
-    """H(m, n) = |<U(m,n) window, psi>|^2 / d; sums to ||psi||^2."""
+    """H(m, n) = |<U(m,n) window, psi>|^2 / d; sums to ||psi||^2.
+
+    Built a block of columns at a time, without Phi's unit-modulus half phase.
+    """
     psi = as_state(psi)
-    window = as_state(window, d=psi.shape[0])
-    h_map = np.abs(gabor_transform(psi, window))
-    h_map **= 2
-    h_map /= psi.shape[0]
+    d = psi.shape[0]
+    window = as_state(window, d=d)
+    h_map = np.empty((d, d))
+    for cols, block in _column_blocks(psi, window):
+        h_block = np.abs(block)
+        h_block **= 2
+        h_block /= d
+        h_map[:, cols] = h_block.T
+        del h_block  # before the next block's magnitudes are allocated
     return h_map
 
 
@@ -52,25 +60,30 @@ def wigner(psi) -> np.ndarray:
 
     Uses the integer-safe form
     W(m,n) = (1/d) sum_j e^{2 i pi m j / d} conj(psi(n+l)) psi(n-l) with
-    l = j (d+1)/2 mod d, the l with 2 l = j: the products are formed at
-    row j, a block of rows at a time, and one inverse FFT over j gives W
-    directly.  Asserts reality at the scale ||psi||^2 of the products,
-    and returns a real array whose marginals are |psi(n)|^2 (over m) and
-    |dft(psi)(m)|^2 (over n).
+    l = j (d+1)/2 mod d, the l with 2 l = j.  As n +- l = (2n +- j)/2, the
+    products of column n are u(2n + j) v(j - 2n) with u(k) = conj(psi(k/2))
+    and v(k) = psi(-k/2): rows [n, j] of a block of columns, whose inverse
+    FFTs along j give W there.  Asserts reality at the scale ||psi||^2 of
+    the products, and returns a real array whose marginals are |psi(n)|^2
+    (over m) and |dft(psi)(m)|^2 (over n).
     """
     psi = as_state(psi)
     d = psi.shape[0]
     if d % 2 == 0:
         raise ValueError("Wigner via parity requires odd dimension")
-    ns = np.arange(d)
-    conj_psi = np.conj(psi)
-    products = np.empty((d, d), dtype=complex)  # [j, n]
-    for rows in row_blocks(d, d):
-        ls = np.arange(rows.start, rows.stop)[:, None] * ((d + 1) // 2) % d
-        products[rows] = conj_psi[(ns + ls) % d] * psi[(ns - ls) % d]
-    out = np.fft.ifft(products, axis=0)
-    del products  # before the reality check's temporaries
-    return realize_real(out, scale=norm(psi) ** 2, what="Wigner map")
+    halves = np.arange(d) * ((d + 1) // 2) % d  # k/2 mod d
+    u, v = np.tile(np.conj(psi)[halves], 2), np.tile(psi[-halves % d], 2)
+    scale = np.linalg.norm(psi) ** 2
+    w_map = np.empty((d, d))
+    blocks = row_blocks(d, d)
+    buffer = np.empty((blocks[0].stop, d), dtype=complex)
+    for cols in blocks:
+        products = buffer[:cols.stop - cols.start]  # [n, j]
+        for row, s in zip(products, 2 * np.arange(cols.start, cols.stop) % d):
+            np.multiply(u[s:s + d], v[d - s:2 * d - s], out=row)
+        np.fft.ifft(products, axis=1, out=products)
+        w_map[:, cols] = realize_real(products, scale, "Wigner map").T
+    return w_map
 
 
 def portrait(op: np.ndarray, w: Weight) -> np.ndarray:

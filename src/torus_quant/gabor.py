@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .errors import bound
-from .hilbert import as_state, difference_index
+from .hilbert import as_state, difference_index, row_blocks
 from .weyl import multiply_half_phase
 
 __all__ = ["gabor_transform", "gabor_inverse", "isometry_defect"]
@@ -23,6 +23,25 @@ __all__ = ["gabor_transform", "gabor_inverse", "isometry_defect"]
 def _warn_if_not_unit(psi: np.ndarray, what: str) -> None:
     if abs(np.linalg.norm(psi) - 1.0) > bound():
         warnings.warn(f"{what} is not unit norm; coherent-state identities assume it")
+
+
+def _column_blocks(phi: np.ndarray, window: np.ndarray):
+    """Yield (cols, block) with block[j, m] = e^{-i pi m n/d} Phi(m, n), n = cols.start + j.
+
+    Row j of a block is the FFT over l of the windowed signal
+    conj(window(l-n)) phi(l), whose window is a slice of conj(window)
+    repeated twice; the FFT runs along the rows, in place.  One buffer
+    holds every block, so each block is overwritten by the next.
+    """
+    d = phi.shape[0]
+    conj_window = np.tile(np.conj(window), 2)  # conj(window(l - n)) at d - n + l
+    blocks = row_blocks(d, d)
+    buffer = np.empty((blocks[0].stop, d), dtype=complex)
+    for cols in blocks:
+        block = buffer[:cols.stop - cols.start]
+        for row, n in zip(block, range(cols.start, cols.stop)):
+            np.multiply(conj_window[d - n:2 * d - n], phi, out=row)
+        yield cols, np.fft.fft(block, axis=1, out=block)
 
 
 def gabor_transform(phi, window) -> np.ndarray:
@@ -35,10 +54,9 @@ def gabor_transform(phi, window) -> np.ndarray:
     d = phi.shape[0]
     window = as_state(window, d=d)
     _warn_if_not_unit(window, "fiducial window")
-    windowed = np.take(np.conj(window), difference_index(d))  # [l, n]
-    windowed *= phi[:, None]
-    coeffs = np.fft.fft(windowed, axis=0)
-    del windowed  # before the half phase's block temporaries
+    coeffs = np.empty((d, d), dtype=complex)
+    for cols, block in _column_blocks(phi, window):
+        coeffs[:, cols] = block.T
     return multiply_half_phase(coeffs, conjugate=True)
 
 
@@ -60,9 +78,15 @@ def gabor_inverse(coeffs, window) -> np.ndarray:
 
 
 def isometry_defect(phi, coeffs) -> float:
-    """|(1/d) sum |Phi|^2 - ||phi||^2| for the d x d map ``coeffs`` = Phi (or |Phi|) of ``phi``."""
+    """|(1/d) sum |Phi|^2 - ||phi||^2| / ||phi||^2 for the d x d map ``coeffs`` = Phi or |Phi|.
+
+    Absolute for phi = 0; the sum runs a block of rows at a time.
+    """
     phi = as_state(phi)
     d = phi.shape[0]
     if np.shape(coeffs) != (d, d):
         raise ValueError(f"coefficient map must be {d} x {d}, got shape {np.shape(coeffs)}")
-    return float(abs((np.abs(coeffs) ** 2).sum() / d - np.linalg.norm(phi) ** 2))
+    coeffs = np.asarray(coeffs)
+    energy = sum(np.square(np.abs(coeffs[rows])).sum() for rows in row_blocks(d, d))
+    expected = np.linalg.norm(phi) ** 2
+    return float(abs(energy / d - expected) / (expected if expected > 0 else 1.0))

@@ -202,6 +202,8 @@ def _tables() -> SimpleNamespace:
 
 def _fill_scales(t: SimpleNamespace, ei: np.ndarray) -> None:
     """Compute the scales of the frexp exponent indices ``ei`` not yet known."""
+    if t.ready[ei].all():
+        return
     needed = np.zeros_like(t.ready)
     needed[ei] = True
     for i in np.flatnonzero(needed & ~t.ready).tolist():
@@ -299,55 +301,45 @@ def _format_block(block: np.ndarray, first_row: int) -> np.ndarray:
     return text[text != 0]
 
 
-def _table_csv(header: list[str], table: np.ndarray) -> bytearray:
+def _table_csv(header: list[str], table: np.ndarray, write) -> None:
     """Header line, then per row its index and each entry as ``%.15e``, in ASCII.
 
-    The blocks are copied into one buffer sized for a full slot per value,
-    which is then trimmed to the text's length.
+    Each piece goes to ``write`` as soon as it is formatted: the header as
+    bytes, then each block of rows as a 1-D uint8 array of its text.  The
+    other writers below pass their pieces the same way.
     """
     table = np.asarray(table, dtype=np.float64)
     rows, width = table.shape
-    head = (",".join(header) + "\n").encode("ascii")
-    out = bytearray(len(head) + rows * (width + 1) * 4 * _SLOT_WORDS)
-    out[:len(head)] = head
-    view = np.frombuffer(out, np.uint8)
-    end = len(head)
+    write((",".join(header) + "\n").encode("ascii"))
     for block in row_blocks(rows, width):
-        text = _format_block(table[block], block.start)
-        view[end:end + text.size] = text
-        end += text.size
-    del view  # releases the buffer, so it can shrink
-    del out[end:]
-    return out
+        write(_format_block(table[block], block.start))
 
 
-def format_real_map_csv(arr: np.ndarray) -> bytearray:
+def format_real_map_csv(arr: np.ndarray, write) -> None:
     arr = np.asarray(arr).real
-    return _table_csv(["m"] + [f"n{j}" for j in range(arr.shape[1])], arr)
+    _table_csv(["m"] + [f"n{j}" for j in range(arr.shape[1])], arr, write)
 
 
-def format_complex_matrix_csv(arr: np.ndarray, row_label: str = "l",
-                              col_label: str = "lp") -> bytearray:
+def format_complex_matrix_csv(arr: np.ndarray, write, row_label: str = "l",
+                              col_label: str = "lp") -> None:
     arr = np.ascontiguousarray(arr, dtype=complex)
     header = [row_label]
     for j in range(arr.shape[1]):
         header += [f"{col_label}{j}_re", f"{col_label}{j}_im"]
-    return _table_csv(header, arr.view(float))
+    _table_csv(header, arr.view(float), write)
 
 
-def format_vector_csv(vec: np.ndarray) -> bytearray:
+def format_vector_csv(vec: np.ndarray, write) -> None:
     vec = np.ascontiguousarray(vec, dtype=complex)
-    return _table_csv(["l", "re", "im"], vec.reshape(-1, 1).view(float))
+    _table_csv(["l", "re", "im"], vec.reshape(-1, 1).view(float), write)
 
 
-def pgm_bytes(magnitude: np.ndarray) -> bytes:
-    """8-bit binary PGM (P5) of a nonnegative map, linearly scaled to 255."""
+def pgm_bytes(magnitude: np.ndarray, write) -> None:
+    """8-bit binary PGM (P5) of a nonnegative map, linearly scaled to 255, by blocks of rows."""
     arr = np.asarray(magnitude, dtype=float)
     peak = arr.max()
-    if peak > 0:
-        scaled = np.floor(arr / peak * 255.0 + 0.5)
-    else:
-        scaled = np.zeros_like(arr)
-    data = np.clip(scaled, 0, 255).astype(np.uint8)
-    header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
-    return header + data.tobytes()
+    write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii"))
+    for rows in row_blocks(*arr.shape):
+        block = arr[rows]
+        scaled = np.floor(block / peak * 255.0 + 0.5) if peak > 0 else np.zeros_like(block)
+        write(np.clip(scaled, 0, 255).astype(np.uint8).ravel())

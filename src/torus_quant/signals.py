@@ -20,8 +20,9 @@ __all__ = ["column_energy", "envelope_spectrum", "dominant_rows", "period_estima
 
 
 def column_energy(magnitude: np.ndarray) -> np.ndarray:
-    """Per-time-column energy E(n) = sum_m |Phi(m, n)|^2."""
-    return (np.asarray(magnitude) ** 2).sum(axis=0)
+    """Per-time-column energy E(n) = sum_m |Phi(m, n)|^2 of |Phi|, with no d x d temporary."""
+    magnitude = np.asarray(magnitude)
+    return np.einsum("ij,ij->j", magnitude, magnitude)
 
 
 def envelope_spectrum(energy: np.ndarray) -> np.ndarray:

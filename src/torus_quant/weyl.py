@@ -40,12 +40,6 @@ def half_phase(d: int, m, n) -> np.ndarray:
     return phase_table(2 * d, -np.multiply(m, n))
 
 
-def half_phase_table(d: int) -> np.ndarray:
-    """Table [m, n] of the half phase of U(m, n) on canonical representatives."""
-    ms = np.arange(d)
-    return half_phase(d, ms[:, None], ms[None, :])
-
-
 def multiply_half_phase(arr: np.ndarray, conjugate: bool = False) -> np.ndarray:
     """Multiply the d x d map ``arr`` in place by the half phase table (or its conjugate).
 
@@ -68,10 +62,13 @@ def sum_phase_table(d: int) -> np.ndarray:
     """Phase chi[m, n] of the d-periodic displacement family D.
 
     chi is the half phase times (-1)**(m n) at odd d and the half phase
-    itself at even d.
+    itself at even d.  Both factors depend on m n mod 2d only, so chi is
+    gathered from 2d roots of unity, as :func:`multiply_half_phase` does.
     """
+    ks = np.arange(2 * d)
+    roots = (-1) ** (d % 2 * ks % 2) * half_phase(d, 1, ks)
     ms = np.arange(d)
-    return (-1) ** (d % 2 * np.outer(ms, ms) % 2) * half_phase_table(d)
+    return roots[np.outer(ms, ms) % (2 * d)]
 
 
 def adjoint_sign_table(d: int) -> np.ndarray:

@@ -18,6 +18,13 @@ def random_state(rng, d, unit=False):
     return v
 
 
+def written_bytes(format_data, *args, **kwargs) -> bytes:
+    """The chunks a writer of ``io_formats`` passes to its ``write`` function, joined."""
+    chunks = []
+    format_data(*args, write=chunks.append, **kwargs)
+    return b"".join(chunks)
+
+
 def random_map(rng, d):
     return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
 

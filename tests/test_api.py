@@ -12,6 +12,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import torus_quant
 from torus_quant import cli
 
@@ -147,3 +150,23 @@ class TestBenchmarkContract:
                          "--out", str(tmp_path / "op.csv")]) == 0
         assert calls == [None, "direct"]
 
+    @pytest.mark.parametrize("argv", [["husimi", "--fiducial", "von_mises:2"], ["wigner"]],
+                             ids=["husimi", "wigner"])
+    def test_traced_run_writes_the_plain_bytes(self, tmp_path, monkeypatch, argv):
+        # d=257 writes the map in several blocks, each through one traced _emit
+        z = np.cos(np.arange(257)) + 1j * np.sin(np.arange(257) ** 2 / 7)
+        signal, plain, traced_out = tmp_path / "in.csv", tmp_path / "plain", tmp_path / "traced"
+        signal.write_text("".join(f"{x.real:.17g},{x.imag:.17g}\n" for x in z))
+        assert cli.main([*argv, "--in", str(signal), "--out", str(plain)]) == 0
+        traced = _load_traced_cli()
+        for name in [*traced.LAYER_OF, "FiducialSpec", "_emit"]:
+            monkeypatch.setattr(cli, name, getattr(cli, name))  # restored after the test
+        tracer = traced.Tracer("contract")
+        traced.instrument(tracer, cli)
+        assert cli.main([*argv, "--in", str(signal), "--out", str(traced_out)]) == 0
+        assert traced_out.read_bytes() == plain.read_bytes()
+        written = [span.get("bytes", 0) for span in tracer.spans
+                   if span["name"] == "io_formats.format"]
+        assert sum(written) == plain.stat().st_size
+        assert sum(1 for size in written if size) > 2
+        assert all(span["end"] is not None for span in tracer.spans)

@@ -1,11 +1,12 @@
-"""The d x d maps built a block of rows at a time.
+"""The d x d maps built a block of columns at a time, and written a block of rows at a time.
 
 A block holds ``hilbert.BLOCK_VALUES`` values, so the block loops of
-``gabor_transform``, ``wigner`` and the CSV writer only run more than once
-when d exceeds ~128.  The sizes below give several blocks and a partial
-last one.  The memory tests bound what each builder allocates, measured
-with tracemalloc (numpy reports its arrays to it), as a multiple of the
-size of its result.
+``gabor_transform``, ``husimi``, ``wigner`` and the CSV writer only run
+more than once when d exceeds ~128.  The sizes below give several blocks
+and a partial last one.  The memory tests bound what each builder, the
+writer and the map commands allocate, measured with tracemalloc (numpy
+reports its arrays to it): a map costs its own size and a few blocks,
+and the writer a few blocks, whatever the size of its text.
 """
 
 import tracemalloc
@@ -13,7 +14,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from torus_quant import FiducialSpec, gabor_inverse, gabor_transform, husimi, realize_fiducial, wigner
+from torus_quant import (FiducialSpec, cli, gabor_inverse, gabor_transform, husimi,
+                         realize_fiducial, wigner)
 from torus_quant.hilbert import BLOCK_VALUES, row_blocks
 from torus_quant.io_formats import format_real_map_csv
 
@@ -79,6 +81,10 @@ def traced_peak(function, *args):
     return result, peak
 
 
+#: what the CSV writer may hold at once: a few blocks of values and their text
+WRITER_BYTES = 4_000_000
+
+
 class TestMemory:
     """At d=511 each map costs about its own size, not a multiple of d^2 temporaries."""
 
@@ -94,20 +100,36 @@ class TestMemory:
 
     def test_gabor_transform(self, state, window):
         coeffs, peak = traced_peak(gabor_transform, state, window)
-        assert peak <= 2.25 * coeffs.nbytes
+        assert peak <= 1.25 * coeffs.nbytes
 
     def test_husimi(self, state, window):
         h_map, peak = traced_peak(husimi, state, window)
-        assert peak <= 4.5 * h_map.nbytes
+        assert peak <= 1.25 * h_map.nbytes
 
     def test_wigner(self, state):
         w_map, peak = traced_peak(wigner, state)
-        assert peak <= 4.5 * w_map.nbytes
+        assert peak <= 1.25 * w_map.nbytes
 
     def test_real_map_csv(self, state, window):
-        text, peak = traced_peak(format_real_map_csv, husimi(state, window))
-        assert len(text) > 20 * self.d ** 2
-        assert peak <= len(text) + 5_000_000
+        sizes = []
+        _, peak = traced_peak(format_real_map_csv, husimi(state, window),
+                              lambda chunk: sizes.append(len(chunk)))
+        assert sum(sizes) > 2 * 20 * self.d ** 2  # two calls
+        assert peak <= WRITER_BYTES
+
+    @pytest.mark.parametrize("argv, maps, writer", [
+        (["husimi", "--fiducial", "von_mises:2"], 1.25, WRITER_BYTES),
+        (["wigner"], 1.25, WRITER_BYTES),
+        # the complex map and its magnitude: three real maps
+        (["gabor", "--format", "pgm"], 3.75, 0),
+    ], ids=["husimi", "wigner", "gabor-pgm"])
+    def test_command(self, tmp_path, state, argv, maps, writer):
+        signal = tmp_path / "signal.csv"
+        signal.write_text("".join(f"{z.real:.17g},{z.imag:.17g}\n" for z in state))
+        code, peak = traced_peak(cli.main, [*argv, "--in", str(signal),
+                                            "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert peak <= maps * 8 * self.d ** 2 + writer
 
 
 def test_row_blocks_take_one_row_at_least():

@@ -30,7 +30,7 @@ from torus_quant.io_formats import (
     read_complex_matrix_csv,
 )
 
-from conftest import random_map, random_symmetric_weight
+from conftest import written_bytes, random_map, random_symmetric_weight
 
 
 def run(*argv):
@@ -159,6 +159,16 @@ class TestGaborCommand:
         sig = tmp_path / "sig.csv"
         write_signal(sig, np.arange(6, dtype=float))
         assert run("gabor", "--in", str(sig), "--fiducial", "von_mises:2",
+                   "--out", str(tmp_path / "o.csv")) == 0
+        err = capsys.readouterr().err
+        line = next(l for l in err.splitlines() if l.startswith("isometry_residual"))
+        assert float(line.split()[1]) < 1e-10
+
+    def test_isometry_residual_is_relative_to_the_signal_energy(self, tmp_path, capsys):
+        # ||phi||^2 = 1.9e158: a correct map of a huge signal reads ~1e-16, not ~1e142
+        sig = tmp_path / "sig.csv"
+        write_signal(sig, 1e78 * np.array([1.0, 3.0, 10.0, 2.0, 5.0, 7.0]))
+        assert run("gabor", "--in", str(sig), "--fiducial", "kronecker:0",
                    "--out", str(tmp_path / "o.csv")) == 0
         err = capsys.readouterr().err
         line = next(l for l in err.splitlines() if l.startswith("isometry_residual"))
@@ -333,7 +343,7 @@ class TestQuantizeCommand:
         phi = realize_fiducial(FiducialSpec.von_mises(1.0), d)
         w = coherent_state_weight(phi)
         wfile = tmp_path / "w.csv"
-        wfile.write_bytes(format_complex_matrix_csv(w.values))
+        wfile.write_bytes(written_bytes(format_complex_matrix_csv, w.values))
         out = tmp_path / "op.csv"
         assert run("quantize", "--d", str(d), "--symbol", "ones",
                    "--weight", f"file:{wfile}", "--out", str(out)) == 0
@@ -343,7 +353,7 @@ class TestQuantizeCommand:
         d = 3
         values = np.ones((d, d), complex) * 0.5
         wfile = tmp_path / "w.csv"
-        wfile.write_bytes(format_complex_matrix_csv(values))
+        wfile.write_bytes(written_bytes(format_complex_matrix_csv, values))
         assert run("quantize", "--d", str(d), "--symbol", "ones",
                    "--weight", f"file:{wfile}", "--out", str(tmp_path / "op.csv")) == 3
         assert "precondition" in capsys.readouterr().err
@@ -368,7 +378,7 @@ class TestPortraitCommand:
         d = 4
         f = random_map(rng, d)
         sfile = tmp_path / "sym.csv"
-        sfile.write_bytes(format_complex_matrix_csv(f))
+        sfile.write_bytes(written_bytes(format_complex_matrix_csv, f))
         out = tmp_path / "p.csv"
         assert run("portrait", "--d", str(d), "--symbol", f"file:{sfile}",
                    "--weight", "cs:von_mises:1", "--out", str(out)) == 0
@@ -384,8 +394,8 @@ class TestPortraitCommand:
         values[0, 0] = 1.0
         f = random_map(rng, d)
         wfile, sfile, out = tmp_path / "w.csv", tmp_path / "sym.csv", tmp_path / "p.csv"
-        wfile.write_bytes(format_complex_matrix_csv(values))
-        sfile.write_bytes(format_complex_matrix_csv(f))
+        wfile.write_bytes(written_bytes(format_complex_matrix_csv, values))
+        sfile.write_bytes(written_bytes(format_complex_matrix_csv, f))
         assert run("portrait", "--d", str(d), "--symbol", f"file:{sfile}",
                    "--weight", f"file:{wfile}", "--out", str(out)) == 0
         w = Weight(read_complex_matrix_csv(wfile))
@@ -406,10 +416,14 @@ class TestPortraitCommand:
 class TestStdout:
     """``--out -`` writes to stdout the bytes ``--out FILE`` writes to the file."""
 
-    @pytest.mark.parametrize("command, flags", [("wigner", []), ("gabor", ["--format", "pgm"])])
-    def test_stdout_matches_file(self, tmp_path, capsysbinary, command, flags):
+    @pytest.mark.parametrize("command, flags, d", [
+        ("wigner", [], 7), ("gabor", ["--format", "pgm"], 7),
+        # several blocks of rows, each written as it is formatted
+        ("wigner", [], 257), ("husimi", ["--fiducial", "von_mises:2"], 256),
+    ], ids=["wigner-flags0", "gabor-flags1", "wigner-d257", "husimi-d256"])
+    def test_stdout_matches_file(self, tmp_path, capsysbinary, command, flags, d):
         sig = tmp_path / "sig.csv"
-        write_signal(sig, np.cos(np.arange(7)) + 0.5)
+        write_signal(sig, np.cos(np.arange(d)) + 0.5)
         argv = [command, "--in", str(sig), *flags]
         out = tmp_path / "out"
         assert run(*argv, "--out", str(out)) == 0
@@ -496,7 +510,7 @@ class TestOverflow:
             write_signal(path, [amplitude, 1.0, 1.0])
             argv = ["--in", str(path)]
         else:
-            path.write_bytes(format_complex_matrix_csv(np.full((d, d), amplitude)))
+            path.write_bytes(written_bytes(format_complex_matrix_csv, np.full((d, d), amplitude)))
             argv = ["--d", str(d), "--symbol", f"file:{path}", "--weight", "parity"]
         assert run(command, *argv, "--out", str(tmp_path / "out.csv")) == 3
         assert "overflow" in capsys.readouterr().err
@@ -532,7 +546,7 @@ class TestCheckCatchesInjectedErrors:
         _corrupt_route(monkeypatch, command, kind)
         d = 5
         sfile = tmp_path / "sym.csv"
-        sfile.write_bytes(format_complex_matrix_csv(random_map(rng, d)))
+        sfile.write_bytes(written_bytes(format_complex_matrix_csv, random_map(rng, d)))
         out = tmp_path / "out.csv"
         assert run(command, "--d", str(d), "--symbol", f"file:{sfile}",
                    "--weight", "cs:von_mises:1", "--out", str(out)) == 4
@@ -551,10 +565,11 @@ class TestCheckCatchesInjectedErrors:
         d = 5
         if weight == "file":
             wfile = tmp_path / "w.csv"
-            wfile.write_bytes(format_complex_matrix_csv(even_gaussian_weight(d, 1e4)))
+            values = even_gaussian_weight(d, 1e4)
+            wfile.write_bytes(written_bytes(format_complex_matrix_csv, values))
             weight = f"file:{wfile}"
         sfile = tmp_path / "sym.csv"
-        sfile.write_bytes(format_complex_matrix_csv(amplitude * random_map(rng, d)))
+        sfile.write_bytes(written_bytes(format_complex_matrix_csv, amplitude * random_map(rng, d)))
         out = tmp_path / "out.csv"
         assert run(command, "--d", str(d), "--symbol", f"file:{sfile}",
                    "--weight", weight, "--out", str(out)) == 4
@@ -569,7 +584,7 @@ class TestLargeInputsPass:
                                                        ("quantize", 63, 1e8)])
     def test_large_symbol(self, tmp_path, rng, command, d, amplitude):
         sfile = tmp_path / "sym.csv"
-        sfile.write_bytes(format_complex_matrix_csv(amplitude * random_map(rng, d)))
+        sfile.write_bytes(written_bytes(format_complex_matrix_csv, amplitude * random_map(rng, d)))
         assert run(command, "--d", str(d), "--symbol", f"file:{sfile}",
                    "--weight", "cs:von_mises:3", "--out", str(tmp_path / "out.csv")) == 0
 
@@ -578,7 +593,7 @@ class TestLargeInputsPass:
         # a portrait's rounding grows with the square of the weight
         d = 31
         wfile = tmp_path / "w.csv"
-        wfile.write_bytes(format_complex_matrix_csv(even_gaussian_weight(d, peak)))
+        wfile.write_bytes(written_bytes(format_complex_matrix_csv, even_gaussian_weight(d, peak)))
         assert run("portrait", "--d", str(d), "--symbol", "momentum:index",
                    "--weight", f"file:{wfile}", "--out", str(tmp_path / "out.csv")) == 0
 
@@ -617,11 +632,12 @@ class TestNoPerPointLoops:
         d = 6
         if weight == "file":
             wfile = tmp_path / "w.csv"
-            wfile.write_bytes(format_complex_matrix_csv(random_symmetric_weight(rng, d).values))
+            values = random_symmetric_weight(rng, d).values
+            wfile.write_bytes(written_bytes(format_complex_matrix_csv, values))
             weight = f"file:{wfile}"
         if symbol == "file":
             sfile = tmp_path / "sym.csv"
-            sfile.write_bytes(format_complex_matrix_csv(random_map(rng, d)))
+            sfile.write_bytes(written_bytes(format_complex_matrix_csv, random_map(rng, d)))
             symbol = f"file:{sfile}"
         assert run(command, "--d", str(d), "--symbol", symbol, "--weight", weight,
                    "--out", str(tmp_path / "out.csv")) == 0

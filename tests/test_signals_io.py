@@ -29,6 +29,7 @@ from torus_quant.io_formats import (
     read_vector_csv,
 )
 
+from conftest import written_bytes
 from oracles import table_csv_reference
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -167,7 +168,7 @@ class TestMatrixCsv:
     def test_round_trip(self, rng, tmp_path):
         mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         path = tmp_path / "mat.csv"
-        path.write_bytes(format_complex_matrix_csv(mat))
+        path.write_bytes(written_bytes(format_complex_matrix_csv, mat))
         assert np.abs(read_complex_matrix_csv(path) - mat).max() < 1e-14
 
     def test_malformed_pair_names_row_and_column(self, tmp_path):
@@ -185,45 +186,46 @@ class TestMatrixCsv:
     def test_non_square_rejected(self, tmp_path):
         path = tmp_path / "mat.csv"
         mat = np.ones((2, 3), complex)
-        path.write_bytes(format_complex_matrix_csv(mat))
+        path.write_bytes(written_bytes(format_complex_matrix_csv, mat))
         with pytest.raises(InputFormatError, match="square"):
             read_complex_matrix_csv(path)
 
 
 class TestFormatting:
     def test_real_map_header_and_shape(self):
-        text = format_real_map_csv(np.zeros((2, 3)))
+        text = written_bytes(format_real_map_csv, np.zeros((2, 3)))
         lines = text.strip().split(b"\n")
         assert lines[0] == b"m,n0,n1,n2"
         assert len(lines) == 3
         assert lines[1].startswith(b"0,")
 
     def test_exact_bytes_with_signed_zero_and_nan(self):
-        assert format_real_map_csv(np.array([[-0.0, np.nan], [1.5, -2e-300]])) == (
+        assert written_bytes(format_real_map_csv, np.array([[-0.0, np.nan], [1.5, -2e-300]])) == (
             b"m,n0,n1\n0,-0.000000000000000e+00,nan\n"
             b"1,1.500000000000000e+00,-2.000000000000000e-300\n")
-        assert format_complex_matrix_csv(np.array([[complex(-0.0, np.nan), 1j, -1]]),
+        assert written_bytes(format_complex_matrix_csv, np.array([[complex(-0.0, np.nan), 1j, -1]]),
                                          row_label="m", col_label="n") == (
             b"m,n0_re,n0_im,n1_re,n1_im,n2_re,n2_im\n"
             b"0,-0.000000000000000e+00,nan,0.000000000000000e+00,1.000000000000000e+00,"
             b"-1.000000000000000e+00,0.000000000000000e+00\n")
-        assert format_vector_csv(np.array([complex(0.25, -0.0), complex(np.nan, 3)])) == (
+        vec = np.array([complex(0.25, -0.0), complex(np.nan, 3)])
+        assert written_bytes(format_vector_csv, vec) == (
             b"l,re,im\n0,2.500000000000000e-01,-0.000000000000000e+00\n"
             b"1,nan,3.000000000000000e+00\n")
 
     def test_vector_csv_header(self):
-        text = format_vector_csv(np.array([1j]))
+        text = written_bytes(format_vector_csv, np.array([1j]))
         assert text.splitlines()[0] == b"l,re,im"
 
     def test_pgm_header_and_scaling(self):
         arr = np.array([[0.0, 1.0], [2.0, 4.0]])
-        blob = pgm_bytes(arr)
+        blob = written_bytes(pgm_bytes, arr)
         assert blob.startswith(b"P5\n2 2\n255\n")
         pixels = list(blob[len(b"P5\n2 2\n255\n"):])
         assert pixels == [0, 64, 128, 255]
 
     def test_pgm_zero_map(self):
-        blob = pgm_bytes(np.zeros((1, 2)))
+        blob = written_bytes(pgm_bytes, np.zeros((1, 2)))
         assert blob.endswith(bytes([0, 0]))
 
 
@@ -271,7 +273,7 @@ class TestTableCsvMatchesPercentFormat:
                       elements=st.floats(width=64)))
     def test_small_tables_match_the_row_format(self, table):
         header = ["m"] + [f"n{j}" for j in range(table.shape[1])]
-        assert _table_csv(header, table) == table_csv_reference(header, table)
+        assert written_bytes(_table_csv, header, table) == table_csv_reference(header, table)
 
     def test_random_bit_patterns_and_crafted_values(self, monkeypatch):
         bits = np.random.default_rng(20261018).integers(0, 2**64, size=2**20, dtype=np.uint64)
@@ -280,7 +282,7 @@ class TestTableCsvMatchesPercentFormat:
         header = ["m"] + [f"n{j}" for j in range(1024)]
         calls = []
         monkeypatch.setattr(io_formats, "_FMT", _CountingFormat(calls))
-        text = _table_csv(header, table)
+        text = written_bytes(_table_csv, header, table)
         assert _first_difference(text, table_csv_reference(header, table)) is None
         # besides nan and inf, Python gets only the exact ties (common among
         # the doubles of 2**44..2**54, which have few fraction bits) and values
@@ -293,11 +295,11 @@ class TestTableCsvMatchesPercentFormat:
         rows = 2 * (BLOCK_VALUES // width) + 7
         table = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-300, 300, (rows, width))
         header = ["m"] + [f"n{j}" for j in range(width)]
-        assert _table_csv(header, table) == table_csv_reference(header, table)
+        assert written_bytes(_table_csv, header, table) == table_csv_reference(header, table)
 
     @pytest.mark.parametrize("value", [1234567890123456.5, 9.9999999999999995e-5, 1e22,
                                        np.nextafter(1e22, 0.0), 5e-324, -0.0])
     def test_crafted_value_in_every_column_of_a_block(self, value):
         table = np.full((3, 5), value)
         table[1, 2] = 0.1
-        assert _table_csv(["m"] * 6, table) == table_csv_reference(["m"] * 6, table)
+        assert written_bytes(_table_csv, ["m"] * 6, table) == table_csv_reference(["m"] * 6, table)

@@ -16,7 +16,7 @@ from torus_quant.cli import main
 from torus_quant.errors import bound
 from torus_quant.io_formats import format_complex_matrix_csv, read_complex_matrix_csv
 
-from conftest import random_map, random_symmetric_weight
+from conftest import written_bytes, random_map, random_symmetric_weight
 
 
 FLOOR = 1e-10 * sys.float_info.min
@@ -45,8 +45,8 @@ def random_weight(rng, d, peak):
 def run_file_inputs(directory, command, f, w):
     """Exit code and output of ``command`` on file symbol ``f`` and file weight ``w``."""
     sfile, wfile, out = (Path(directory) / name for name in ("f.csv", "w.csv", "out.csv"))
-    sfile.write_bytes(format_complex_matrix_csv(f))
-    wfile.write_bytes(format_complex_matrix_csv(w))
+    sfile.write_bytes(written_bytes(format_complex_matrix_csv, f))
+    wfile.write_bytes(written_bytes(format_complex_matrix_csv, w))
     code = main([command, "--d", str(f.shape[0]), "--symbol", f"file:{sfile}",
                  "--weight", f"file:{wfile}", "--out", str(out)])
     return code, read_complex_matrix_csv(out) if code == 0 else None

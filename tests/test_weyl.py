@@ -3,6 +3,7 @@ import pytest
 
 from torus_quant import displacement_apply, displacement_matrix, kronecker_basis
 
+from torus_quant.hilbert import phase_table
 from torus_quant.weyl import adjoint_sign_table, sum_phase_table
 
 from conftest import random_state
@@ -134,6 +135,13 @@ class TestDisplacement:
             else:
                 expected = np.exp(-1j * np.pi * ((m * n) % (2 * d)) / d)
             assert np.abs(sum_phase_table(d) - expected).max() < 1e-13, d
+
+    def test_sum_phase_gather_is_bitwise_the_table_expression(self):
+        # the gather from 2d roots reads the values the d x d expression computes
+        for d in [*range(1, 41), 1023]:
+            mn = np.outer(np.arange(d), np.arange(d))
+            expected = (-1) ** (d % 2 * mn % 2) * phase_table(2 * d, -mn)
+            assert np.array_equal(sum_phase_table(d), expected), d
 
     @pytest.mark.parametrize("d", list(range(1, 9)))
     def test_sum_family_adjoint_sign_table(self, d):
