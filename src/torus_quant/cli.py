@@ -146,6 +146,16 @@ def _check_two_paths(what: str, route: np.ndarray, check: np.ndarray, scale: flo
         raise ToleranceError(f"{what} paths disagree by {residual:.3e}")
 
 
+def _check_mass(key: str, residual: float, energy: float) -> None:
+    """Print ``residual`` relative to ``energy`` = ||psi||^2, absolute when it is 0.
+
+    Raise unless ``residual`` is within ``bound(energy)``.
+    """
+    _diag(f"{key} {residual / (energy if energy > 0 else 1.0):.3e}")
+    if not residual <= bound(energy):
+        raise ToleranceError(f"{key} {residual:.3e} exceeds {bound(energy):.3e}")
+
+
 def cmd_gabor(args) -> int:
     signal = _load_signal(args)
     d = signal.shape[0]
@@ -164,11 +174,12 @@ def cmd_gabor(args) -> int:
 def cmd_wigner(args) -> int:
     signal = _load_signal(args)
     w_map = wigner(signal)
-    _write(args.out, format_real_map_csv, w_map)
     pos = np.abs(signal) ** 2
     mom = np.abs(dft(signal)) ** 2
-    _diag(f"marginal_residual_position {np.abs(w_map.sum(axis=0) - pos).max():.3e}")
-    _diag(f"marginal_residual_momentum {np.abs(w_map.sum(axis=1) - mom).max():.3e}")
+    energy = float(pos.sum())
+    _check_mass("marginal_residual_position", np.abs(w_map.sum(axis=0) - pos).max(), energy)
+    _check_mass("marginal_residual_momentum", np.abs(w_map.sum(axis=1) - mom).max(), energy)
+    _write(args.out, format_real_map_csv, w_map)
     return EXIT_OK
 
 
@@ -176,8 +187,9 @@ def cmd_husimi(args) -> int:
     signal = _load_signal(args)
     window = _resolve_fiducial(args.fiducial, signal.shape[0])
     h_map = husimi(signal, window)
+    energy = float((np.abs(signal) ** 2).sum())  # numpy, so an overflow exits 3
+    _check_mass("normalization_residual", abs(h_map.sum() - energy), energy)
     _write(args.out, format_real_map_csv, h_map)
-    _diag(f"normalization_residual {abs(h_map.sum() - norm(signal) ** 2):.3e}")
     return EXIT_OK
 
 

@@ -8,18 +8,22 @@ inputs produce byte-identical files.  Complex entries occupy two adjacent
 columns (re, im); the header row names the indices.
 
 The writer formats blocks of rows with numpy: each value's 16 significant
-digits come from one exact double-double product (see
-:func:`_format_block`).  A value is formatted by Python's own ``%`` instead
-when it is not finite, when its 17th significant digit onwards lies within
-1e-9 of a rounding tie (exact ties need a double with at most a few
-fraction bits, such as a 16-digit half-integer), or when its decimal
-exponent is not settled by the product (a few units from a power of ten).
+digits come from one exact double-double product (see :func:`_decimal`).
+A value is formatted by Python's own ``%`` instead when it is not finite,
+when its 17th significant digit onwards lies within 1e-9 of a rounding tie
+(exact ties need a double with at most a few fraction bits, such as a
+16-digit half-integer), or when its decimal exponent is not settled by the
+product (a few units from a power of ten).
+
+Each table gets one workspace, sized to its first block (see
+:func:`_workspace`).  Every intermediate of every block, its text
+included, lives there, so a block allocates only the compacted text it
+passes on.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 from pathlib import Path
 from types import SimpleNamespace
@@ -85,6 +89,7 @@ def read_signal(path: str | Path) -> np.ndarray:
     path = Path(path)
     if path.suffix.lower() != ".json":
         return read_vector_csv(path)
+    import json  # only JSON signals need it: not imported with the command line
     try:
         payload = json.loads(path.read_text())
     except OSError as exc:
@@ -202,8 +207,6 @@ def _tables() -> SimpleNamespace:
 
 def _fill_scales(t: SimpleNamespace, ei: np.ndarray) -> None:
     """Compute the scales of the frexp exponent indices ``ei`` not yet known."""
-    if t.ready[ei].all():
-        return
     needed = np.zeros_like(t.ready)
     needed[ei] = True
     for i in np.flatnonzero(needed & ~t.ready).tolist():
@@ -222,8 +225,26 @@ def _fill_scales(t: SimpleNamespace, ei: np.ndarray) -> None:
         t.ready[i] = True
 
 
-def _decimal(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """16 significant digits N, decimal exponent k and fallback mask of each entry.
+def _workspace(rows: int, width: int) -> SimpleNamespace:
+    """The writer's scratch arrays for blocks of up to ``rows`` x ``width`` values.
+
+    One workspace serves every block of a table, so a block allocates
+    nothing but its compacted text.  ``real`` has nine rows of one float64
+    per value; ``ints`` and ``u32`` view the same memory as int64 and
+    uint32, so a row holds an integer intermediate once its float one is
+    no longer needed.  ``flags`` has four bool rows.  ``text`` holds a
+    block's text, viewed as ``slots`` of six words, so that one
+    ``bytearray.translate`` drops its NUL bytes.
+    """
+    real = np.empty((9, rows * width))
+    text = bytearray(rows * (width + 1) * 4 * _SLOT_WORDS)
+    return SimpleNamespace(real=real, ints=real.view(np.int64), u32=real.view("<u4"),
+                           flags=np.empty((4, rows * width), dtype=bool), text=text,
+                           slots=np.frombuffer(text, "<u4").reshape(rows, width + 1, _SLOT_WORDS))
+
+
+def _decimal(block: np.ndarray, ws: SimpleNamespace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """16 significant digits N, decimal exponent k and fallback mask of each entry, flattened.
 
     |x| = f 2**e is scaled to V = f C with C = 2**e 10**(15 - k), so that the
     16 significant digits are N = round(V).  C is a double-double and f C is
@@ -232,87 +253,161 @@ def _decimal(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lies within _TIE_MARGIN of a half-integer, or when its decade is not
     settled; everything else is exactly what ``"%.15e" % x`` writes.
     N and k of a fallback entry are in range of the tables but meaningless.
+
+    Every intermediate lives in the workspace ``ws`` (see :func:`_workspace`);
+    N, k and the mask are returned in its rows ``ints[0]``, ``ints[1]`` and
+    ``flags[2]``, and its other rows are free for the caller.
     """
     t = _tables()
-    finite = np.isfinite(block)
-    clean = block if finite.all() else np.where(finite, block, 0.0)
-    f, e = np.frexp(np.abs(clean))
-    ei = e - _FREXP_MIN
-    _fill_scales(t, ei)
+    size = block.size
+    f, _, _, v, f_head, f_tail, head, tail, pl = (row[:size] for row in ws.real)
+    n, k, at, _, _, _, _, _, spare = (row[:size] for row in ws.ints)
+    bad, nonzero, fallback, flag = (row[:size] for row in ws.flags)
+    np.abs(block, out=f.reshape(block.shape))
+    np.isfinite(f, out=bad)
+    np.logical_not(bad, out=bad)
+    if bad.any():
+        np.copyto(f, 0.0, where=bad)
+    e = k.view(np.int32)[:size]  # frexp's int32 exponents, in k's row until k is formed
+    np.frexp(f, out=(f, e))
+    np.not_equal(f, 0.0, out=nonzero)
+    ei = at
+    np.copyto(ei, e)
+    ei -= _FREXP_MIN
+    # every index is in range; only mode="clip" lets np.take fill ``out`` without a copy
+    if not np.take(t.ready, ei, out=flag, mode="clip").all():
+        _fill_scales(t, ei)
+    np.take(t.k0, ei, out=k, mode="clip")
+    at *= 2
     # scale j = 0 puts V in [1e15, 2e16); from 1e16 on, the next decade (j = 1) is used
-    at = 2 * ei
-    at += f * t.hi[at] >= 1e16
-    c = _SPLIT * f
-    f_head = c - (c - f)
-    f_tail = f - f_head
-    head, tail = t.head[at], t.tail[at]
-    ph = f * t.hi[at]
-    pl = (f_head * head - ph + f_head * tail + f_tail * head) + f_tail * tail
-    ih = np.rint(ph)
-    u = (ph - ih) + pl + f * t.lo[at] + 0.5
-    q = np.floor(u)
-    frac = u - q
-    n = ih.astype(np.int64) + q.astype(np.int64)
-    k = t.k0[ei] + (at & 1)
-    carry = n == 10**16
-    n[carry] = 10**15
-    k += carry
-    nonzero = f != 0
-    k[~nonzero] = 0
+    np.multiply(f, np.take(t.hi, at, out=v, mode="clip"), out=v)
+    np.copyto(spare, np.greater_equal(v, 1e16, out=flag))
+    at += spare
+    ph = v
+    np.multiply(f, np.take(t.hi, at, out=ph, mode="clip"), out=ph)
+    # f = f_head + f_tail in 26-bit halves: c = _SPLIT f, f_head = c - (c - f)
+    np.multiply(f, _SPLIT, out=f_head)
+    np.subtract(f_head, f, out=f_tail)
+    np.subtract(f_head, f_tail, out=f_head)
+    np.subtract(f, f_head, out=f_tail)
+    np.take(t.head, at, out=head, mode="clip")
+    np.take(t.tail, at, out=tail, mode="clip")
+    # pl = (f_head head - ph + f_head tail + f_tail head) + f_tail tail
+    np.multiply(f_head, head, out=pl)
+    pl -= ph
+    f_head *= tail
+    pl += f_head
+    head *= f_tail
+    pl += head
+    tail *= f_tail
+    pl += tail
+    ih = head
+    np.rint(ph, out=ih)
+    # u = (ph - ih) + pl + f lo + 0.5, kept in ph's row, then its fraction
+    u = ph
+    u -= ih
+    u += pl
+    np.multiply(f, np.take(t.lo, at, out=tail, mode="clip"), out=tail)
+    u += tail
+    u += 0.5
+    q = tail
+    np.floor(u, out=q)
+    frac = u
+    frac -= q
+    # N = ih + q in int64: N exceeds 2**53, where a float sum would round
+    np.copyto(n, ih, casting="unsafe")
+    np.copyto(spare, q, casting="unsafe")
+    n += spare
+    at &= 1
+    k += at
+    np.equal(n, 10**16, out=flag)
+    np.copyto(n, 10**15, where=flag)
+    np.add(k, 1, out=k, where=flag)
+    np.logical_not(nonzero, out=flag)
+    np.copyto(k, 0, where=flag)
     # V < 1e15 means j = 1 went a decade too far; N > 1e16, that j = 0 fell short
-    fallback = ~finite | (np.abs(frac - 0.5) > 0.5 - _TIE_MARGIN) | nonzero & (
-        (n < 10**15) | (n > 10**16) | (n == 10**15) & (frac < 0.5))
-    n[fallback] = 0
+    np.equal(n, 10**15, out=fallback)
+    fallback &= np.less(frac, 0.5, out=flag)
+    fallback |= np.less(n, 10**15, out=flag)
+    fallback |= np.greater(n, 10**16, out=flag)
+    fallback &= nonzero
+    frac -= 0.5
+    fallback |= np.greater(np.abs(frac, out=frac), 0.5 - _TIE_MARGIN, out=flag)
+    fallback |= bad
+    np.copyto(n, 0, where=fallback)
     return n, k, fallback
 
 
-def _format_block(block: np.ndarray, first_row: int) -> np.ndarray:
+def _format_block(block: np.ndarray, first_row: int, ws: SimpleNamespace) -> bytearray:
     """Rows of ``block`` as ASCII CSV lines: the row index, then each entry as ``%.15e``.
 
     The digits come from :func:`_decimal`; the fallback entries are
-    written by Python's ``%``.
+    written by Python's ``%``.  The text is built in the workspace ``ws``;
+    only the returned, compacted copy is allocated.
     """
     t = _tables()
     rows, width = block.shape
-    n, k, fallback = _decimal(block)
-    slots = np.empty((rows, width + 1, _SLOT_WORDS), dtype="<u4")
-    words = slots[:, 1:]
+    size = block.size
+    n, k, fallback = _decimal(block, ws)
+    n, k = n.reshape(block.shape), k.reshape(block.shape)
+    _, _, high, top, mid, low, mid_head, low_head, _ = (
+        row[:size].reshape(block.shape) for row in ws.ints)
+    word = ws.u32[8, :size].reshape(block.shape)
     # floor division by a constant is vectorized by numpy, % and divmod are not
-    high = n // 10**6
-    top = high // 10**8
-    mid, low = high - top * 10**8, n - high * 10**6
-    mid_head, low_head = mid // 10**4, low // 100
+    np.floor_divide(n, 10**6, out=high)
+    np.floor_divide(high, 10**8, out=top)
+    np.subtract(high, np.multiply(top, 10**8, out=mid), out=mid)
+    np.subtract(n, np.multiply(high, 10**6, out=low), out=low)
+    np.floor_divide(mid, 10**4, out=mid_head)
+    np.floor_divide(low, 100, out=low_head)
+    mid_tail, low_tail = high, n
+    np.subtract(mid, np.multiply(mid_head, 10**4, out=mid_tail), out=mid_tail)
+    np.subtract(low, np.multiply(low_head, 100, out=low_tail), out=low_tail)
     k -= _EXP_MIN
-    words[..., 0] = t.lead[top] | np.signbit(block) * np.uint32(_MINUS)
-    words[..., 1] = t.quad[mid_head]
-    words[..., 2] = t.quad[mid - mid_head * 10**4]
-    words[..., 3] = t.quad[low_head]
-    words[..., 4] = t.pair[low - low_head * 100] | t.exp_sign[k]
-    words[..., 5] = t.exp_digits[k]
+    sign_word = ws.u32[4, :size].reshape(block.shape)  # mid's row, free from here on
+    slots = ws.slots[:rows]
+    words = slots[:, 1:]
+    np.copyto(sign_word, np.signbit(block, out=ws.flags[3, :size].reshape(block.shape)))
+    sign_word *= _MINUS
+    words[..., 0] = np.bitwise_or(np.take(t.lead, top, out=word, mode="clip"), sign_word,
+                                  out=word)
+    for j, table, index in ((1, t.quad, mid_head), (2, t.quad, mid_tail),
+                            (3, t.quad, low_head), (5, t.exp_digits, k)):
+        words[..., j] = np.take(table, index, out=word, mode="clip")
+    np.take(t.pair, low_tail, out=word, mode="clip")
+    word |= np.take(t.exp_sign, k, out=sign_word, mode="clip")
+    words[..., 4] = word
     text = slots.view(np.uint8).reshape(rows, width + 1, 4 * _SLOT_WORDS)
     index = b"".join(b"%-23d" % i for i in range(first_row, first_row + rows))
     text[:, 0, :23] = np.frombuffer(index.replace(b" ", b"\0"), np.uint8).reshape(rows, 23)
-    for r, col in zip(*np.nonzero(fallback)):
+    for at in np.flatnonzero(fallback).tolist():
+        r, col = divmod(at, width)
         exact = (_FMT % block[r, col]).encode("ascii")
         text[r, col + 1, :23] = 0
         text[r, col + 1, :len(exact)] = np.frombuffer(exact, np.uint8)
     text[:, :, 23] = ord(",")
     text[:, -1, 23] = ord("\n")
-    return text[text != 0]
+    ws.slots[rows:] = 0  # the rows past a short last block
+    return ws.text.translate(None, b"\0")
 
 
 def _table_csv(header: list[str], table: np.ndarray, write) -> None:
     """Header line, then per row its index and each entry as ``%.15e``, in ASCII.
 
     Each piece goes to ``write`` as soon as it is formatted: the header as
-    bytes, then each block of rows as a 1-D uint8 array of its text.  The
-    other writers below pass their pieces the same way.
+    bytes, then each block of rows as a bytearray of its text.  The other
+    writers below pass bytes-like pieces the same way.  A piece is valid
+    only until ``write`` returns: ``write`` must copy what it keeps.  The
+    blocks share one workspace, sized to the first (largest) block.
     """
     table = np.asarray(table, dtype=np.float64)
     rows, width = table.shape
     write((",".join(header) + "\n").encode("ascii"))
-    for block in row_blocks(rows, width):
-        write(_format_block(table[block], block.start))
+    blocks = row_blocks(rows, width)
+    if blocks:
+        ws = _workspace(blocks[0].stop, width)
+    for block in blocks:
+        write(_format_block(table[block], block.start, ws))
 
 
 def format_real_map_csv(arr: np.ndarray, write) -> None:

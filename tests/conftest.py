@@ -19,9 +19,12 @@ def random_state(rng, d, unit=False):
 
 
 def written_bytes(format_data, *args, **kwargs) -> bytes:
-    """The chunks a writer of ``io_formats`` passes to its ``write`` function, joined."""
+    """The chunks a writer of ``io_formats`` passes to its ``write`` function, joined.
+
+    Each chunk is copied when it is passed: it is valid only until ``write`` returns.
+    """
     chunks = []
-    format_data(*args, write=chunks.append, **kwargs)
+    format_data(*args, write=lambda chunk: chunks.append(bytes(chunk)), **kwargs)
     return b"".join(chunks)
 
 

@@ -117,6 +117,13 @@ class TestMemory:
         assert sum(sizes) > 2 * 20 * self.d ** 2  # two calls
         assert peak <= WRITER_BYTES
 
+    def test_real_map_csv_workspace_does_not_grow_with_d(self, rng):
+        d = 1023
+        h_map = husimi(random_state(rng, d, unit=True),
+                       realize_fiducial(FiducialSpec.von_mises(2.0), d))
+        _, peak = traced_peak(format_real_map_csv, h_map, lambda chunk: None)
+        assert peak <= WRITER_BYTES
+
     @pytest.mark.parametrize("argv, maps, writer", [
         (["husimi", "--fiducial", "von_mises:2"], 1.25, WRITER_BYTES),
         (["wigner"], 1.25, WRITER_BYTES),

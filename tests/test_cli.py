@@ -274,6 +274,50 @@ class TestWignerCommand:
         assert "odd" in capsys.readouterr().err
 
 
+def _huge_signal_residuals(tmp_path, capsys, rng, *argv):
+    """Exit code and stderr residuals of a run on a random d=31 signal of amplitude 1e78."""
+    sig = tmp_path / "sig.csv"
+    write_signal(sig, 1e78 * (rng.normal(size=31) + 1j * rng.normal(size=31)))
+    code = run(*argv, "--in", str(sig), "--out", str(tmp_path / "map.csv"))
+    fields = [line.split() for line in capsys.readouterr().err.splitlines()]
+    return code, {key: float(value) for key, value, *_ in fields if "_residual" in key}
+
+
+class TestMassChecks:
+    """The Wigner marginals and the Husimi mass are relative to ||psi||^2 and held to a bound."""
+
+    @pytest.mark.parametrize("argv, keys", [
+        (["wigner"], ["marginal_residual_position", "marginal_residual_momentum"]),
+        (["husimi", "--fiducial", "von_mises:2"], ["normalization_residual"]),
+    ], ids=["wigner", "husimi"])
+    def test_residuals_are_relative_to_the_signal_energy(self, tmp_path, capsys, rng, argv, keys):
+        # ||psi||^2 ~ 1e158: a correct map reads ~1e-16, not ~1e142
+        code, residuals = _huge_signal_residuals(tmp_path, capsys, rng, *argv)
+        assert code == 0
+        assert list(residuals) == keys
+        assert all(value < 1e-10 for value in residuals.values()), residuals
+
+    @pytest.mark.parametrize("argv, route, wrong", [
+        (["wigner"], "wigner", lambda w_map: -w_map),
+        (["husimi", "--fiducial", "von_mises:2"], "husimi", lambda h_map: 2 * h_map),
+    ], ids=["wigner-negated", "husimi-doubled"])
+    def test_wrong_map_exits_4_without_output(self, tmp_path, capsys, monkeypatch, rng,
+                                              argv, route, wrong):
+        real = getattr(cli, route)
+        monkeypatch.setattr(cli, route, lambda *args: wrong(real(*args)))
+        code, _ = _huge_signal_residuals(tmp_path, capsys, rng, *argv)
+        assert code == 4
+        assert not (tmp_path / "map.csv").exists()
+
+    @pytest.mark.parametrize("argv", [["wigner"], ["husimi", "--fiducial", "constant"]])
+    def test_zero_signal_passes_with_absolute_residuals(self, tmp_path, capsys, argv):
+        sig = tmp_path / "sig.csv"
+        write_signal(sig, np.zeros(5))
+        assert run(*argv, "--in", str(sig), "--out", str(tmp_path / "map.csv")) == 0
+        err = capsys.readouterr().err
+        assert all(float(line.split()[1]) == 0.0 for line in err.splitlines())
+
+
 class TestHusimiCommand:
     def test_flat_signal_normalization(self, tmp_path, capsys):
         d = 4

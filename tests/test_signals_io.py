@@ -297,6 +297,26 @@ class TestTableCsvMatchesPercentFormat:
         header = ["m"] + [f"n{j}" for j in range(width)]
         assert written_bytes(_table_csv, header, table) == table_csv_reference(header, table)
 
+    def test_reused_workspace_leaks_no_stale_text(self, rng):
+        # the full blocks mix text of every length (fallbacks, signs, 3-digit
+        # exponents, 16 digits above 2**53); the short last block has the
+        # shortest text, so a byte left over from an earlier block would show
+        width = 100
+        step = BLOCK_VALUES // width
+        rows = 2 * step + 7
+        crafted = np.array([np.nan, np.inf, -np.inf, 1234567890123456.5, -9007199254740990.5,
+                            np.nextafter(1234567890123456.5, 0.0), 1.5e-150, -2.5e250,
+                            -9.876543210987654e-200, 9.999999999999999e99, 9.9999999999999995e-5,
+                            -0.0, 9.007199254740993e15, -0.1])
+        table = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-300, 300, (rows, width))
+        full = table[:2 * step]
+        mixed = rng.random(full.shape) < 0.3
+        full[mixed] = rng.choice(crafted, size=mixed.sum())
+        table[2 * step:] = rng.uniform(1.0, 2.0, size=(7, width))
+        header = ["m"] + [f"n{j}" for j in range(width)]
+        text = written_bytes(_table_csv, header, table)
+        assert _first_difference(text, table_csv_reference(header, table)) is None
+
     @pytest.mark.parametrize("value", [1234567890123456.5, 9.9999999999999995e-5, 1e22,
                                        np.nextafter(1e22, 0.0), 5e-324, -0.0])
     def test_crafted_value_in_every_column_of_a_block(self, value):
