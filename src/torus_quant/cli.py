@@ -231,6 +231,14 @@ def cmd_fiducials(args) -> int:
     return EXIT_OK
 
 
+def _dimension(text: str) -> int:
+    """Parse --d as an integer of at least 1; anything else is an argparse error (exit 2)."""
+    d = int(text) if text.strip().lstrip("+-").isdigit() else 0
+    if d < 1:
+        raise argparse.ArgumentTypeError(f"dimension must be an integer >= 1, got {text!r}")
+    return d
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torus-quant",
@@ -242,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_signal_flags(p):
         p.add_argument("--in", dest="infile", required=True, help="signal file (CSV or JSON)")
-        p.add_argument("--d", type=int, help="target dimension (defaults to signal length)")
+        p.add_argument("--d", type=_dimension, help="target dimension (defaults to signal length)")
         p.add_argument("--truncate", action="store_true", help="truncate a longer signal to --d")
         p.add_argument("--pad", action="store_true", help="zero-pad a shorter signal to --d")
 
@@ -269,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_husimi)
 
     p = sub.add_parser("quantize", help="operator assigned to a phase-space symbol")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_dimension, required=True)
     p.add_argument("--symbol", required=True,
                    help="ones | delta | file:PATH | momentum:index|index2|fourier|file:PATH "
                         "| position:index|index2|fourier|file:PATH")
@@ -278,14 +286,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("portrait", help="smoothed phase-space portrait of a symbol")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_dimension, required=True)
     p.add_argument("--symbol", required=True, help="as for quantize")
     p.add_argument("--weight", required=True, help="parity | cs:<fiducial> | file:PATH")
     add_out_flag(p)
     p.set_defaults(func=cmd_portrait)
 
     p = sub.add_parser("fiducials", help="realize a fiducial window vector")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_dimension, required=True)
     p.add_argument("--fiducial", required=True, help="spec, e.g. dirichlet:2 or custom:PATH")
     add_out_flag(p)
     p.set_defaults(func=cmd_fiducials)

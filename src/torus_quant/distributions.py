@@ -15,9 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ToleranceError, bound
-from .hilbert import as_state, row_blocks
-from .gabor import _column_blocks
-from .quantize import Weight, _negated_indices, quantization_operator, symplectic_dft
+from .hilbert import as_state
+from .gabor import _column_blocks, _product_blocks
+from .quantize import Weight, _diagonals, _kernel_diagonals, _negated_indices, symplectic_dft
 from .weyl import adjoint_sign_table
 
 __all__ = [
@@ -74,14 +74,9 @@ def wigner(psi) -> np.ndarray:
     halves = np.arange(d) * ((d + 1) // 2) % d  # k/2 mod d
     u, v = np.tile(np.conj(psi)[halves], 2), np.tile(psi[-halves % d], 2)
     scale = np.linalg.norm(psi) ** 2
+    shifts = 2 * np.arange(d) % d
     w_map = np.empty((d, d))
-    blocks = row_blocks(d, d)
-    buffer = np.empty((blocks[0].stop, d), dtype=complex)
-    for cols in blocks:
-        products = buffer[:cols.stop - cols.start]  # [n, j]
-        for row, s in zip(products, 2 * np.arange(cols.start, cols.stop) % d):
-            np.multiply(u[s:s + d], v[d - s:2 * d - s], out=row)
-        np.fft.ifft(products, axis=1, out=products)
+    for cols, products in _product_blocks(u, shifts, v, d - shifts, np.fft.ifft):  # [n, j]
         w_map[:, cols] = realize_real(products, scale, "Wigner map").T
     return w_map
 
@@ -92,21 +87,18 @@ def portrait(op: np.ndarray, w: Weight) -> np.ndarray:
     Through the closed form of the transported operator (see
     :mod:`torus_quant.quantize`),
     A(m, n) = sum_k e^{2 i pi m k / d} s(n, k) with
-    s(n, k) = sum_a op[a, a+k] M_w[a+k-n, a-n], a cyclic correlation over
-    a of the cyclic diagonals of op and M_w.  Both sums are FFTs, so
-    this costs O(d^2 log d).
+    s(n, k) = sum_b op[b-k, b] M_w[b-n, b-n-k], a cyclic correlation over
+    b of the cyclic diagonals of op^T and of M_w's kernel.  Both sums are
+    FFTs, so this costs O(d^2 log d).
     """
     op = np.asarray(op, dtype=complex)
     d = w.d
     if op.shape != (d, d):
         raise ValueError(f"operator shape {op.shape} does not match weight d={d}")
-    mw = quantization_operator(w)
-    index = (np.arange(d)[:, None] + np.arange(d)[None, :]) % d  # [a, k] -> a + k
-    op_diagonals = np.take_along_axis(op, index, axis=1)  # op[a, a + k]
-    mw_diagonals = np.take_along_axis(mw.T, index, axis=1)  # M_w[a + k, a]
-    s = d * np.fft.ifft(np.fft.fft(op_diagonals, axis=0)
-                        * np.fft.ifft(mw_diagonals, axis=0), axis=0)  # [n, k]
-    return d * np.fft.ifft(s, axis=1).T
+    s = np.fft.fft(_diagonals(op.T), axis=0)  # over b of op[b - k, b], at [b, k]
+    s *= np.fft.ifft(_kernel_diagonals(w.values), axis=0)  # over b of M_w[b, b - k]
+    np.fft.ifft(s, axis=0, out=s)  # s(n, k) / d
+    return d * d * np.fft.ifft(s, axis=1, out=s).T
 
 
 def _overlap_map(w: Weight) -> np.ndarray:

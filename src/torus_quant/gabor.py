@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import bound
 from .hilbert import as_state, difference_index, row_blocks
-from .weyl import multiply_half_phase
+from .weyl import half_phase, multiply_phase
 
 __all__ = ["gabor_transform", "gabor_inverse", "isometry_defect"]
 
@@ -25,23 +25,29 @@ def _warn_if_not_unit(psi: np.ndarray, what: str) -> None:
         warnings.warn(f"{what} is not unit norm; coherent-state identities assume it")
 
 
+def _product_blocks(u: np.ndarray, a: np.ndarray, v: np.ndarray, b: np.ndarray, transform):
+    """Yield (rows, block), block[j] = transform(u[a_n : a_n+d] * v[b_n : b_n+d]), n = rows.start+j.
+
+    ``transform``, an FFT, runs along the rows in place, in one buffer each block overwrites.
+    """
+    d = a.shape[0]
+    blocks = row_blocks(d, d)
+    buffer = np.empty((blocks[0].stop, d), dtype=complex)
+    for rows in blocks:
+        block = buffer[:rows.stop - rows.start]
+        for row, i, j in zip(block, a[rows], b[rows]):
+            np.multiply(u[i:i + d], v[j:j + d], out=row)
+        yield rows, transform(block, axis=1, out=block)
+
+
 def _column_blocks(phi: np.ndarray, window: np.ndarray):
     """Yield (cols, block) with block[j, m] = e^{-i pi m n/d} Phi(m, n), n = cols.start + j.
 
-    Row j of a block is the FFT over l of the windowed signal
-    conj(window(l-n)) phi(l), whose window is a slice of conj(window)
-    repeated twice; the FFT runs along the rows, in place.  One buffer
-    holds every block, so each block is overwritten by the next.
+    Row j is the FFT of conj(window(l-n)) phi(l), read at d - n from conj(window) repeated twice.
     """
     d = phi.shape[0]
-    conj_window = np.tile(np.conj(window), 2)  # conj(window(l - n)) at d - n + l
-    blocks = row_blocks(d, d)
-    buffer = np.empty((blocks[0].stop, d), dtype=complex)
-    for cols in blocks:
-        block = buffer[:cols.stop - cols.start]
-        for row, n in zip(block, range(cols.start, cols.stop)):
-            np.multiply(conj_window[d - n:2 * d - n], phi, out=row)
-        yield cols, np.fft.fft(block, axis=1, out=block)
+    ns = np.arange(d)
+    return _product_blocks(np.tile(np.conj(window), 2), d - ns, phi, np.zeros_like(ns), np.fft.fft)
 
 
 def gabor_transform(phi, window) -> np.ndarray:
@@ -57,7 +63,7 @@ def gabor_transform(phi, window) -> np.ndarray:
     coeffs = np.empty((d, d), dtype=complex)
     for cols, block in _column_blocks(phi, window):
         coeffs[:, cols] = block.T
-    return multiply_half_phase(coeffs, conjugate=True)
+    return multiply_phase(coeffs, np.conj(half_phase(d, 1, np.arange(2 * d))))
 
 
 def gabor_inverse(coeffs, window) -> np.ndarray:
@@ -72,8 +78,8 @@ def gabor_inverse(coeffs, window) -> np.ndarray:
     if coeffs.shape != (d, d):
         raise ValueError(f"coefficient map must be square, got {coeffs.shape}")
     window = as_state(window, d=d)
-    # the inverse FFT over m carries the synthesis weight 1/d
-    inner = np.fft.ifft(multiply_half_phase(coeffs), axis=0)  # [l, n]
+    # [l, n]; the inverse FFT over m carries the synthesis weight 1/d
+    inner = np.fft.ifft(multiply_phase(coeffs, half_phase(d, 1, np.arange(2 * d))), axis=0)
     return (inner * window[difference_index(d)]).sum(axis=1)
 
 

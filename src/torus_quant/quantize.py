@@ -19,7 +19,8 @@ operators,
     A_f = (1/d) sum_{m,n} f(m, n) D(m,n) M_w D(m,n)^dag.
 
 No function here loops over the d^2 phase-space points; each sum is
-evaluated in closed form with FFTs (chi is :func:`weyl.sum_phase_table`):
+evaluated in closed form with FFTs on the d cyclic diagonals [l, k] ->
+M[l, l - k] of each operator (chi is the phase of D, :func:`weyl.sum_phase_roots`):
 
 - M_w from its integral kernel: entry (l, l - nu) is
   (1/d) sum_mu w(mu, nu) chi(mu, nu) e^{2 i pi mu l / d}, one inverse FFT;
@@ -47,7 +48,7 @@ import numpy as np
 
 from .errors import bound
 from .hilbert import as_state, dft, difference_index, idft
-from .weyl import adjoint_sign_table, sum_phase_table
+from .weyl import adjoint_sign_table, multiply_phase, sum_phase_roots
 
 __all__ = [
     "Weight",
@@ -132,22 +133,27 @@ def coherent_state_weight(phi) -> Weight:
     return Weight(weight_from_operator(np.outer(phi, phi.conj())).values, is_density=True)
 
 
-def _kernel_operator(c: np.ndarray) -> np.ndarray:
-    """Assemble sum_{m,n} c(m,n) D(m,n) / d from its integral kernel.
+def _diagonals(M: np.ndarray) -> np.ndarray:
+    """The d cyclic diagonals of M as columns: [l, k] -> M[l, l - k]."""
+    return np.take_along_axis(M, difference_index(M.shape[0]), axis=1)
 
-    For each translation offset nu the kernel places
-    (1/d) sum_mu c(mu, nu) chi(mu, nu) e^{2 i pi mu l / d} at entries (l, l - nu).
-    """
-    d = c.shape[0]
-    cols_per_nu = np.fft.ifft(c * sum_phase_table(d), axis=0)  # [l, nu]
-    out = np.empty((d, d), dtype=complex)
-    np.put_along_axis(out, difference_index(d), cols_per_nu, axis=1)
+
+def _from_diagonals(diagonals: np.ndarray) -> np.ndarray:
+    """The matrix M whose cyclic diagonals are ``diagonals``: M[l, l - k] = diagonals[l, k]."""
+    out = np.empty(diagonals.shape, dtype=complex)
+    np.put_along_axis(out, difference_index(out.shape[0]), diagonals, axis=1)
     return out
+
+
+def _kernel_diagonals(c: np.ndarray) -> np.ndarray:
+    """Integral kernel of sum c(m,n) D(m,n) / d: its cyclic diagonals, [l, nu] -> (l, l - nu)."""
+    kernel = multiply_phase(np.array(c, dtype=complex), sum_phase_roots(c.shape[0]))
+    return np.fft.ifft(kernel, axis=0, out=kernel)
 
 
 def quantization_operator(w: Weight) -> np.ndarray:
     """Operator M_w = (1/d) sum w(m,n) D(m,n), of unit trace, from its integral kernel."""
-    return _kernel_operator(w.values)
+    return _from_diagonals(_kernel_diagonals(w.values))
 
 
 def weight_from_operator(M: np.ndarray) -> Weight:
@@ -161,10 +167,11 @@ def weight_from_operator(M: np.ndarray) -> Weight:
     and is then set to exactly 1.
     """
     M = np.asarray(M, dtype=complex)
-    d = M.shape[0]
-    diagonals = np.take_along_axis(M, difference_index(d), axis=1)  # M[l, l - n]
-    w = np.conj(sum_phase_table(d)) * np.fft.fft(diagonals, axis=0)
-    if not abs(w[0, 0] - 1.0) <= bound(max(1.0, np.abs(diagonals[:, 0]).sum())):
+    w = _diagonals(M)  # M[l, l - n]
+    scale = max(1.0, np.abs(w[:, 0]).sum())
+    np.fft.fft(w, axis=0, out=w)
+    multiply_phase(w, np.conj(sum_phase_roots(M.shape[0])))
+    if not abs(w[0, 0] - 1.0) <= bound(scale):
         raise ValueError(f"operator trace must be 1 to define a weight, got {w[0, 0]}")
     w[0, 0] = 1.0
     return Weight(w)
@@ -222,17 +229,13 @@ def quantize(f: np.ndarray, w: Weight, method: str = "kernel") -> np.ndarray:
     if f.shape != (d, d):
         raise ValueError(f"symbol shape {f.shape} does not match weight d={d}")
     if method == "kernel":
-        return _kernel_operator(w.values * symplectic_dft(f, conjugate=True))
+        return _from_diagonals(_kernel_diagonals(w.values * symplectic_dft(f, conjugate=True)))
     if method == "direct":
-        mw = quantization_operator(w)
         g = d * np.fft.ifft(f, axis=0)  # g[k, n] = sum_m f(m, n) e^{2 i pi m k / d}
-        index = difference_index(d)
-        mw_diagonals = np.take_along_axis(mw, index, axis=1)  # M_w[a, a - k]
+        mw_diagonals = _kernel_diagonals(w.values)  # M_w[a, a - k]
         # A[a, a-k] = (1/d) sum_n g[k, n] M_w[a-n, a-n-k], a convolution over n
         conv = np.fft.ifft(np.fft.fft(g.T, axis=0) * np.fft.fft(mw_diagonals, axis=0), axis=0)
-        out = np.empty((d, d), dtype=complex)
-        np.put_along_axis(out, index, conv / d, axis=1)
-        return out
+        return _from_diagonals(conv / d)
     raise ValueError(f"unknown method {method!r}")
 
 

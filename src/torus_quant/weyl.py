@@ -16,11 +16,13 @@ Sums over the whole phase space use the d-periodic family
 
     D(m, n) = (-1)**(m n) U(m, n) at odd d,     D(m, n) = U(m, n) at even d,
 
-whose phase :func:`sum_phase_table` equals exp(-2i pi m ((d+1)/2 n) / d)
-at odd d: the half phase realized with the modular inverse of 2.  This
-family satisfies D(m,n)^dag = c(m,n) D(-m,-n) with the sign table
-:func:`adjoint_sign_table`, identically one at odd d.  Every phase here
-is exponentiated by :func:`hilbert.phase_table`.
+whose phase chi equals exp(-2i pi m ((d+1)/2 n) / d) at odd d: the half
+phase realized with the modular inverse of 2.  This family satisfies
+D(m,n)^dag = c(m,n) D(-m,-n) with the sign table
+:func:`adjoint_sign_table`, identically one at odd d.  Both phases depend
+on m n mod 2d only: :func:`multiply_phase` applies either from its 2d
+values, ``half_phase(d, 1, arange(2d))`` or :func:`sum_phase_roots`.
+Every phase here is exponentiated by :func:`hilbert.phase_table`.
 """
 
 from __future__ import annotations
@@ -40,35 +42,23 @@ def half_phase(d: int, m, n) -> np.ndarray:
     return phase_table(2 * d, -np.multiply(m, n))
 
 
-def multiply_half_phase(arr: np.ndarray, conjugate: bool = False) -> np.ndarray:
-    """Multiply the d x d map ``arr`` in place by the half phase table (or its conjugate).
+def multiply_phase(arr: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Multiply the d x d map ``arr`` in place by roots[m n mod 2d] at entry [m, n]; return it.
 
-    The half phase of U(m, n) is entry m n mod 2d of the 2d phases
-    exp(-i pi k / d); they are gathered a block of rows at a time, so no
-    d x d table is formed.  Returns ``arr``.
+    The 2d ``roots`` are gathered a block of rows at a time, so no d x d table is formed.
     """
     d = arr.shape[0]
-    table = half_phase(d, 1, np.arange(2 * d))
-    if conjugate:
-        table = np.conj(table)
     ns = np.arange(d)
     for rows in row_blocks(d, d):
         block = arr[rows]
-        block *= table[np.arange(rows.start, rows.stop)[:, None] * ns % (2 * d)]
+        block *= roots[np.arange(rows.start, rows.stop)[:, None] * ns % (2 * d)]
     return arr
 
 
-def sum_phase_table(d: int) -> np.ndarray:
-    """Phase chi[m, n] of the d-periodic displacement family D.
-
-    chi is the half phase times (-1)**(m n) at odd d and the half phase
-    itself at even d.  Both factors depend on m n mod 2d only, so chi is
-    gathered from 2d roots of unity, as :func:`multiply_half_phase` does.
-    """
+def sum_phase_roots(d: int) -> np.ndarray:
+    """The 2d values, by m n mod 2d, of chi: the half phase times (-1)**(m n) at odd d."""
     ks = np.arange(2 * d)
-    roots = (-1) ** (d % 2 * ks % 2) * half_phase(d, 1, ks)
-    ms = np.arange(d)
-    return roots[np.outer(ms, ms) % (2 * d)]
+    return (-1) ** (d % 2 * ks % 2) * half_phase(d, 1, ks)
 
 
 def adjoint_sign_table(d: int) -> np.ndarray:

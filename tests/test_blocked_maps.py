@@ -6,7 +6,9 @@ more than once when d exceeds ~128.  The sizes below give several blocks
 and a partial last one.  The memory tests bound what each builder, the
 writer and the map commands allocate, measured with tracemalloc (numpy
 reports its arrays to it): a map costs its own size and a few blocks,
-and the writer a few blocks, whatever the size of its text.
+and the writer a few blocks, whatever the size of its text.  The operator
+routes (weight retrieval, quantization, portrait) are bounded the same
+way, in units of one d x d complex array.
 """
 
 import tracemalloc
@@ -14,12 +16,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from torus_quant import (FiducialSpec, cli, gabor_inverse, gabor_transform, husimi,
-                         realize_fiducial, wigner)
+from torus_quant import (FiducialSpec, cli, coherent_state_weight, gabor_inverse,
+                         gabor_transform, husimi, portrait, quantization_operator, quantize,
+                         realize_fiducial, weight_from_operator, wigner)
 from torus_quant.hilbert import BLOCK_VALUES, row_blocks
 from torus_quant.io_formats import format_real_map_csv
 
-from conftest import random_state
+from conftest import random_map, random_state
 from oracles import dft_matrix, wigner_half_argument
 
 SIZES = [129, 131, 257]
@@ -137,6 +140,33 @@ class TestMemory:
                                             "--out", str(tmp_path / "out")])
         assert code == 0
         assert peak <= maps * 8 * self.d ** 2 + writer
+
+
+class TestOperatorMemory:
+    """At d=511 the operator routes hold a few d x d complex arrays, not a table of each phase."""
+
+    d = 511
+    unit = 16 * d ** 2  # bytes of one d x d complex array
+
+    @pytest.fixture
+    def weight(self):
+        return coherent_state_weight(realize_fiducial(FiducialSpec.von_mises(2.0), self.d))
+
+    @pytest.fixture
+    def symbol(self, rng):
+        return random_map(rng, self.d)
+
+    def test_weight_from_operator(self, weight):
+        _, peak = traced_peak(weight_from_operator, quantization_operator(weight))
+        assert peak <= 2.25 * self.unit
+
+    def test_quantize(self, symbol, weight):
+        _, peak = traced_peak(quantize, symbol, weight)
+        assert peak <= 3.25 * self.unit
+
+    def test_portrait(self, symbol, weight):
+        _, peak = traced_peak(portrait, quantize(symbol, weight), weight)
+        assert peak <= 3.25 * self.unit
 
 
 def test_row_blocks_take_one_row_at_least():

@@ -488,6 +488,29 @@ class TestSelectorErrors:
         assert "weight" in capsys.readouterr().err
 
 
+class TestDimensionFlag:
+    """--d below 1, or not an integer, is an input error of every subcommand: exit 2, no output."""
+
+    @pytest.mark.parametrize("argv", [
+        ["wigner", "--in", "{signal}", "--d", "-1", "--truncate"],
+        ["gabor", "--in", "{signal}", "--d", "-2", "--truncate"],
+        ["husimi", "--in", "{signal}", "--d", "0", "--fiducial", "constant"],
+        ["quantize", "--d", "0", "--symbol", "ones", "--weight", "parity"],
+        ["portrait", "--d", "0", "--symbol", "ones", "--weight", "parity"],
+        ["fiducials", "--d", "0", "--fiducial", "constant"],
+        ["fiducials", "--d", "2.5", "--fiducial", "constant"],
+    ], ids=lambda argv: f"{argv[0]}{argv[argv.index('--d') + 1]}")
+    def test_exits_2_without_output(self, tmp_path, capsys, argv):
+        sig = tmp_path / "sig.csv"
+        write_signal(sig, np.arange(1.0, 7.0))  # six samples, so a slice [:-1] would run
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(*[arg.format(signal=sig) for arg in argv], "--out", str(out))
+        assert exc.value.code == 2
+        assert "argument --d: dimension must be" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("selector", ["weight", "symbol", "vector"])

@@ -4,7 +4,7 @@ Each example draws one of the six subcommands, a small d, flag values
 from the documented selectors and from junk, and input files that hold
 random bytes, or CSV/JSON of random numbers (any finite double, so some
 inputs overflow double precision in the computation).  An input error
-must exit 2 and a precondition violation 3; exit 1 (an uncaught
+(a --d below 1 among them) must exit 2 and a precondition violation 3; exit 1 (an uncaught
 exception) and exit 4 (a tolerance failure) are never the right answer
 to an input.
 """
@@ -164,3 +164,7 @@ class TestFuzzedCommandLines:
     def test_exit_code_is_0_2_or_3(self, case):
         code, output = run_case(*case)
         assert code in ALLOWED_EXITS, (case, output[-500:])
+        argv = case[0]
+        dimensions = [value for flag, value in zip(argv, argv[1:]) if flag == "--d"]
+        if any(value.lstrip("-").isdigit() and int(value) < 1 for value in dimensions):
+            assert code == 2, (case, output[-500:])

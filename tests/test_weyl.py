@@ -4,7 +4,7 @@ import pytest
 from torus_quant import displacement_apply, displacement_matrix, kronecker_basis
 
 from torus_quant.hilbert import phase_table
-from torus_quant.weyl import adjoint_sign_table, sum_phase_table
+from torus_quant.weyl import adjoint_sign_table, multiply_phase, sum_phase_roots
 
 from conftest import random_state
 from oracles import (
@@ -125,6 +125,11 @@ class TestDisplacement:
                     assert np.abs(fourier_conjugated(d, displacement_matrix(d, m, n))
                                   - displacement_matrix_fourier(d, m, n)).max() < 1e-12
 
+    @staticmethod
+    def sum_phase(d):
+        """chi[m, n], the gather of the 2d roots applied to a d x d array of ones."""
+        return multiply_phase(np.ones((d, d), dtype=complex), sum_phase_roots(d))
+
     def test_sum_phase_is_modular_half_phase(self):
         # odd d: exp(-2 i pi m ((d+1)/2 n mod d) / d); even d: the half phase
         for d in range(1, 12):
@@ -134,14 +139,14 @@ class TestDisplacement:
                 expected = np.exp(-2j * np.pi * ((m * (((d + 1) // 2 * n) % d)) % d) / d)
             else:
                 expected = np.exp(-1j * np.pi * ((m * n) % (2 * d)) / d)
-            assert np.abs(sum_phase_table(d) - expected).max() < 1e-13, d
+            assert np.abs(self.sum_phase(d) - expected).max() < 1e-13, d
 
     def test_sum_phase_gather_is_bitwise_the_table_expression(self):
         # the gather from 2d roots reads the values the d x d expression computes
         for d in [*range(1, 41), 1023]:
             mn = np.outer(np.arange(d), np.arange(d))
             expected = (-1) ** (d % 2 * mn % 2) * phase_table(2 * d, -mn)
-            assert np.array_equal(sum_phase_table(d), expected), d
+            assert np.array_equal(self.sum_phase(d), expected), d
 
     @pytest.mark.parametrize("d", list(range(1, 9)))
     def test_sum_family_adjoint_sign_table(self, d):
