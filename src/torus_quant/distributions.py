@@ -15,9 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ToleranceError, bound
-from .hilbert import as_state
+from .hilbert import as_state, cyclic_diagonals
 from .gabor import _column_blocks, _product_blocks
-from .quantize import Weight, _diagonals, _kernel_diagonals, _negated_indices, symplectic_dft
+from .quantize import Weight, _kernel_diagonals, _negated_indices, symplectic_dft
 from .weyl import adjoint_sign_table
 
 __all__ = [
@@ -95,22 +95,21 @@ def portrait(op: np.ndarray, w: Weight) -> np.ndarray:
     d = w.d
     if op.shape != (d, d):
         raise ValueError(f"operator shape {op.shape} does not match weight d={d}")
-    s = np.fft.fft(_diagonals(op.T), axis=0)  # over b of op[b - k, b], at [b, k]
-    s *= np.fft.ifft(_kernel_diagonals(w.values), axis=0)  # over b of M_w[b, b - k]
-    np.fft.ifft(s, axis=0, out=s)  # s(n, k) / d
-    return d * d * np.fft.ifft(s, axis=1, out=s).T
+    s = np.fft.fft(cyclic_diagonals(op.T), axis=0)  # over b of op[b - k, b], at [b, k]
+    mw = _kernel_diagonals(w.values)  # M_w[b, b - k]
+    s *= np.fft.ifft(mw, axis=0, out=mw)  # over b
+    np.fft.ifft(s, axis=0, norm="forward", out=s)  # unscaled: s(n, k)
+    return np.fft.ifft(s, axis=1, norm="forward", out=s).T
+
+
+def _paired(w: Weight) -> np.ndarray:
+    """w(q) w(-q) c(q), c the adjoint sign table; |w(q)|^2 when M_w is self-adjoint."""
+    return w.values * _negated_indices(w.values) * adjoint_sign_table(w.d)
 
 
 def _overlap_map(w: Weight) -> np.ndarray:
-    """Tr[M_w(m,n) M_w] in closed form, complex for asymmetric weights.
-
-    Pairing each displacement with its adjoint partner gives
-    (1/d) sum_q w(q) w(-q) c(q) e^{2 i pi (m q_n - q_m n) / d} with c the
-    adjoint sign table; for weights satisfying the self-adjointness
-    condition the product w(q) w(-q) c(q) is |w(q)|^2.
-    """
-    paired = w.values * _negated_indices(w.values) * adjoint_sign_table(w.d)
-    return symplectic_dft(paired)
+    """Tr[M_w(m,n) M_w] = (1/d) sum_q p(q) e^{2 i pi (m q_n - q_m n) / d}, p = _paired(w)."""
+    return symplectic_dft(_paired(w))
 
 
 def overlap_distribution(w: Weight) -> np.ndarray:
@@ -135,11 +134,14 @@ def portrait_of_symbol(f: np.ndarray, w: Weight) -> np.ndarray:
     """Smoothed symbol (1/d) sum_q f(p - q) Tr[M_w(q) M_w].
 
     Agrees with ``portrait(quantize(f, w), w)``; the unit symbol is a
-    fixed point.  Evaluated as the cyclic 2-D convolution
-    ifft2(fft2(overlap) * fft2(f)) / d, O(d^2 log d).
+    fixed point.  The cyclic convolution ifft2(fft2(overlap) * fft2(f)) / d
+    is ifft2(P * fft2(f)), P[a, b] = p(-b, a) with p = ``_paired(w)``, since
+    fft2(symplectic_dft(p))[a, b] = d p(-b, a).  O(d^2 log d).
     """
     f = np.asarray(f, dtype=complex)
     d = w.d
     if f.shape != (d, d):
         raise ValueError(f"symbol shape {f.shape} does not match weight d={d}")
-    return np.fft.ifft2(np.fft.fft2(_overlap_map(w)) * np.fft.fft2(f)) / d
+    spectrum = np.fft.fft2(f)
+    spectrum *= _paired(w).T[:, -np.arange(d) % d]
+    return np.fft.ifft2(spectrum, out=spectrum)

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .errors import bound
-from .hilbert import as_state, difference_index, row_blocks
+from .hilbert import as_state, cyclic_diagonals, row_blocks
 from .weyl import half_phase, multiply_phase
 
 __all__ = ["gabor_transform", "gabor_inverse", "isometry_defect"]
@@ -73,14 +73,15 @@ def gabor_inverse(coeffs, window) -> np.ndarray:
     :func:`gabor_transform` with the same window; otherwise it returns
     the frame projection of the given coefficient map.
     """
-    coeffs = np.array(coeffs, dtype=complex)  # a copy: the half phase goes on in place
+    coeffs = np.array(coeffs, dtype=complex)  # a copy: the half phase and the FFT go on in place
     d = coeffs.shape[0]
     if coeffs.shape != (d, d):
         raise ValueError(f"coefficient map must be square, got {coeffs.shape}")
     window = as_state(window, d=d)
     # [l, n]; the inverse FFT over m carries the synthesis weight 1/d
-    inner = np.fft.ifft(multiply_phase(coeffs, half_phase(d, 1, np.arange(2 * d))), axis=0)
-    return (inner * window[difference_index(d)]).sum(axis=1)
+    inner = np.fft.ifft(multiply_phase(coeffs, half_phase(d, 1, np.arange(2 * d))), axis=0,
+                        out=coeffs)
+    return np.einsum("lk,k->l", cyclic_diagonals(inner), window)  # sum_n inner[l, n] window(l - n)
 
 
 def isometry_defect(phi, coeffs) -> float:

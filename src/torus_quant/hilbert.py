@@ -7,7 +7,8 @@ its kernel W[k, l] = exp(-2i pi k l / d) / sqrt(d) is pinned by the tests
 against a dense reference matrix.  :func:`phase_table` is the one place
 where an integer phase is exponentiated: exponents are reduced in integer
 arithmetic first, which keeps identities exact to machine precision even
-for large indices.
+for large indices.  :func:`cyclic_diagonals`, an involution, reads and
+rebuilds every operator along its cyclic diagonals, with no index table.
 """
 
 from __future__ import annotations
@@ -78,16 +79,6 @@ def phase_table(d: int, numerators) -> np.ndarray:
     return np.exp(2j * np.pi * (np.asarray(numerators) % d) / d)
 
 
-def difference_index(d: int) -> np.ndarray:
-    """Index table [a, k] -> (a - k) mod d.
-
-    ``x[difference_index(d)]`` holds the cyclic shifts x(a - k) of a vector
-    as columns; ``take_along_axis(M, difference_index(d), axis=1)`` reads a
-    matrix along its cyclic diagonals M[a, a - k].
-    """
-    return (np.arange(d)[:, None] - np.arange(d)[None, :]) % d
-
-
 #: values per block when a d x d map is built or written a block of rows at a
 #: time: enough to amortize numpy's per-call cost, few enough that the block's
 #: temporaries stay small next to the map
@@ -98,6 +89,19 @@ def row_blocks(rows: int, width: int) -> list[slice]:
     """Slices of consecutive rows holding about BLOCK_VALUES values each (one row at least)."""
     step = max(1, BLOCK_VALUES // max(1, width))
     return [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
+
+
+def cyclic_diagonals(M: np.ndarray) -> np.ndarray:
+    """The d cyclic diagonals of the d x d ``M`` as columns: [l, k] -> M[l, l - k mod d].
+
+    The map is its own inverse, so it also rebuilds M from its diagonals.
+    Each row is two reversed slices of the row of M, so no index table is formed.
+    """
+    out = np.empty(M.shape, dtype=M.dtype)
+    for l, (row, source) in enumerate(zip(out, M)):
+        row[:l + 1] = source[l::-1]  # M[l, l - k] for k <= l
+        row[l + 1:] = source[:l:-1]  # M[l, d + l - k] for k > l
+    return out
 
 
 def dft(phi) -> np.ndarray:

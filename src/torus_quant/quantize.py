@@ -20,7 +20,9 @@ operators,
 
 No function here loops over the d^2 phase-space points; each sum is
 evaluated in closed form with FFTs on the d cyclic diagonals [l, k] ->
-M[l, l - k] of each operator (chi is the phase of D, :func:`weyl.sum_phase_roots`):
+M[l, l - k] of each operator, read and rebuilt by one involution with no
+index table, :func:`hilbert.cyclic_diagonals` (chi is the phase of D,
+:func:`weyl.sum_phase_roots`):
 
 - M_w from its integral kernel: entry (l, l - nu) is
   (1/d) sum_mu w(mu, nu) chi(mu, nu) e^{2 i pi mu l / d}, one inverse FFT;
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import bound
-from .hilbert import as_state, dft, difference_index, idft
+from .hilbert import as_state, cyclic_diagonals, dft, idft
 from .weyl import adjoint_sign_table, multiply_phase, sum_phase_roots
 
 __all__ = [
@@ -133,18 +135,6 @@ def coherent_state_weight(phi) -> Weight:
     return Weight(weight_from_operator(np.outer(phi, phi.conj())).values, is_density=True)
 
 
-def _diagonals(M: np.ndarray) -> np.ndarray:
-    """The d cyclic diagonals of M as columns: [l, k] -> M[l, l - k]."""
-    return np.take_along_axis(M, difference_index(M.shape[0]), axis=1)
-
-
-def _from_diagonals(diagonals: np.ndarray) -> np.ndarray:
-    """The matrix M whose cyclic diagonals are ``diagonals``: M[l, l - k] = diagonals[l, k]."""
-    out = np.empty(diagonals.shape, dtype=complex)
-    np.put_along_axis(out, difference_index(out.shape[0]), diagonals, axis=1)
-    return out
-
-
 def _kernel_diagonals(c: np.ndarray) -> np.ndarray:
     """Integral kernel of sum c(m,n) D(m,n) / d: its cyclic diagonals, [l, nu] -> (l, l - nu)."""
     kernel = multiply_phase(np.array(c, dtype=complex), sum_phase_roots(c.shape[0]))
@@ -153,7 +143,7 @@ def _kernel_diagonals(c: np.ndarray) -> np.ndarray:
 
 def quantization_operator(w: Weight) -> np.ndarray:
     """Operator M_w = (1/d) sum w(m,n) D(m,n), of unit trace, from its integral kernel."""
-    return _from_diagonals(_kernel_diagonals(w.values))
+    return cyclic_diagonals(_kernel_diagonals(w.values))
 
 
 def weight_from_operator(M: np.ndarray) -> Weight:
@@ -167,7 +157,7 @@ def weight_from_operator(M: np.ndarray) -> Weight:
     and is then set to exactly 1.
     """
     M = np.asarray(M, dtype=complex)
-    w = _diagonals(M)  # M[l, l - n]
+    w = cyclic_diagonals(M)  # M[l, l - n]
     scale = max(1.0, np.abs(w[:, 0]).sum())
     np.fft.fft(w, axis=0, out=w)
     multiply_phase(w, np.conj(sum_phase_roots(M.shape[0])))
@@ -221,21 +211,25 @@ def quantize(f: np.ndarray, w: Weight, method: str = "kernel") -> np.ndarray:
         g(k, n) = sum_m f(m, n) e^{2 i pi m k / d},
 
     along each cyclic diagonal a - b = k a convolution over n, evaluated
-    by FFT and independent of the kernel route.  The unit symbol quantizes to the
-    identity for every valid weight.
+    by FFT and independent of the kernel route; its 1/d cancels the d of
+    g.  Both routes rebuild A from its cyclic diagonals with the one
+    involution ``cyclic_diagonals``, which needs no index table.  The unit
+    symbol quantizes to the identity for every valid weight.
     """
     f = np.asarray(f, dtype=complex)
     d = w.d
     if f.shape != (d, d):
         raise ValueError(f"symbol shape {f.shape} does not match weight d={d}")
     if method == "kernel":
-        return _from_diagonals(_kernel_diagonals(w.values * symplectic_dft(f, conjugate=True)))
+        return cyclic_diagonals(_kernel_diagonals(w.values * symplectic_dft(f, conjugate=True)))
     if method == "direct":
-        g = d * np.fft.ifft(f, axis=0)  # g[k, n] = sum_m f(m, n) e^{2 i pi m k / d}
-        mw_diagonals = _kernel_diagonals(w.values)  # M_w[a, a - k]
+        g = np.fft.fft(np.fft.ifft(f, axis=0), axis=1)  # FFT over n of g[k, n] / d, at [k, b]
+        conv = _kernel_diagonals(w.values)  # M_w[a, a - k]
+        np.fft.fft(conv, axis=0, out=conv)
         # A[a, a-k] = (1/d) sum_n g[k, n] M_w[a-n, a-n-k], a convolution over n
-        conv = np.fft.ifft(np.fft.fft(g.T, axis=0) * np.fft.fft(mw_diagonals, axis=0), axis=0)
-        return _from_diagonals(conv / d)
+        np.multiply(g.T, conv, out=conv)
+        del g  # before the rebuilt operator is allocated
+        return cyclic_diagonals(np.fft.ifft(conv, axis=0, out=conv))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -247,10 +241,7 @@ def quantize_momentum(g, w: Weight) -> np.ndarray:
     weight this is multiplication by g in the Fourier basis.
     """
     g = as_state(g, d=w.d)
-    d = w.d
-    ghat_neg = idft(g)
-    delta = difference_index(d)
-    return ghat_neg[delta] * w.values[0, delta] / np.sqrt(d)
+    return cyclic_diagonals(np.broadcast_to(idft(g) * w.values[0] / np.sqrt(w.d), w.values.shape))
 
 
 def quantize_position(h, w: Weight) -> np.ndarray:

@@ -8,7 +8,8 @@
   phase space: the d-periodic displacement D(m, n), the transported
   operator D M D^dag, single coherent states and kernel values, the
   adjoint's sign and the trace of one U(m, n), U(m, n) in the Fourier
-  basis, the reversal matrix, the covariance residual of ``quantize``.
+  basis, the reversal matrix, the covariance residual of ``quantize``, the
+  cyclic diagonals of a matrix read entry by entry.
 - The dense DFT matrix, the pin of the kernel W[k, l] of ``dft``, and
   the scalar product.
 - Second routes to package results (the factored reproducing kernel, two
@@ -161,6 +162,16 @@ def table_csv_reference(header: list[str], table: np.ndarray) -> bytes:
     lines = [",".join(header)]
     lines += [row % (i, *values) for i, values in enumerate(table.tolist())]
     return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def cyclic_diagonals_entrywise(M) -> np.ndarray:
+    """[l, k] -> M[l, (l - k) % d], one entry at a time."""
+    d = M.shape[0]
+    out = np.empty((d, d), dtype=M.dtype)
+    for l in range(d):
+        for k in range(d):
+            out[l, k] = M[l, (l - k) % d]
+    return out
 
 
 def dft_matrix(d: int) -> np.ndarray:

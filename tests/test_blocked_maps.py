@@ -7,8 +7,11 @@ and a partial last one.  The memory tests bound what each builder, the
 writer and the map commands allocate, measured with tracemalloc (numpy
 reports its arrays to it): a map costs its own size and a few blocks,
 and the writer a few blocks, whatever the size of its text.  The operator
-routes (weight retrieval, quantization, portrait) are bounded the same
-way, in units of one d x d complex array.
+routes (weight retrieval, quantization and its check route, the momentum
+fast path, Gabor synthesis, portrait) are bounded the same way, in units
+of one d x d complex array.  The transform-pass counts pin how many 1-D
+FFTs each subcommand runs, a cost measure that does not depend on the
+machine.
 """
 
 import tracemalloc
@@ -18,7 +21,7 @@ import pytest
 
 from torus_quant import (FiducialSpec, cli, coherent_state_weight, gabor_inverse,
                          gabor_transform, husimi, portrait, quantization_operator, quantize,
-                         realize_fiducial, weight_from_operator, wigner)
+                         quantize_momentum, realize_fiducial, weight_from_operator, wigner)
 from torus_quant.hilbert import BLOCK_VALUES, row_blocks
 from torus_quant.io_formats import format_real_map_csv
 
@@ -158,15 +161,75 @@ class TestOperatorMemory:
 
     def test_weight_from_operator(self, weight):
         _, peak = traced_peak(weight_from_operator, quantization_operator(weight))
-        assert peak <= 2.25 * self.unit
+        assert peak <= 1.5 * self.unit
+
+    def test_quantization_operator(self, weight):
+        _, peak = traced_peak(quantization_operator, weight)
+        assert peak <= 2.5 * self.unit
 
     def test_quantize(self, symbol, weight):
         _, peak = traced_peak(quantize, symbol, weight)
+        assert peak <= 2.5 * self.unit
+
+    def test_quantize_check_route(self, symbol, weight):
+        _, peak = traced_peak(quantize, symbol, weight, "direct")
+        assert peak <= 3.25 * self.unit
+
+    def test_quantize_momentum(self, rng, weight):
+        _, peak = traced_peak(quantize_momentum, random_state(rng, self.d), weight)
+        assert peak <= 1.5 * self.unit
+
+    def test_gabor_inverse(self, rng, symbol):
+        _, peak = traced_peak(gabor_inverse, symbol, random_state(rng, self.d, unit=True))
         assert peak <= 3.25 * self.unit
 
     def test_portrait(self, symbol, weight):
         _, peak = traced_peak(portrait, quantize(symbol, weight), weight)
         assert peak <= 3.25 * self.unit
+
+
+class TestTransformPasses:
+    """Each subcommand at d=31 runs a fixed number of 1-D FFT passes (calls x transformed rows).
+
+    Wraps ``np.fft.fft``, ``ifft``, ``fft2`` and ``ifft2``, which the
+    package looks up at each call.  A changed count is a transform added
+    or removed on some route.
+    """
+
+    d = 31
+    PASSES = {"quantize": 279, "portrait": 465, "gabor": 32, "husimi": 31, "wigner": 32,
+              "fiducials": 0}
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        count = [0]
+
+        def counted(transform, default_axes):
+            def wrapper(a, *args, **kwargs):
+                shape = np.shape(a)
+                axes = kwargs.get("axes", kwargs.get("axis", default_axes))
+                count[0] += sum(int(np.prod(shape)) // shape[axis] for axis in np.atleast_1d(axes))
+                return transform(a, *args, **kwargs)
+            return wrapper
+
+        for name, axes in (("fft", -1), ("ifft", -1), ("fft2", (-2, -1)), ("ifft2", (-2, -1))):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), axes))
+        return count
+
+    @pytest.mark.parametrize("command", sorted(PASSES))
+    def test_passes(self, rng, tmp_path, passes, command):
+        signal = tmp_path / "signal.csv"
+        signal.write_text("".join(f"{x:.17g}\n" for x in rng.normal(size=self.d)))
+        argv = {
+            "quantize": ["--d", "31", "--weight", "cs:von_mises:3", "--symbol", "ones"],
+            "portrait": ["--d", "31", "--weight", "cs:von_mises:3", "--symbol", "ones"],
+            "gabor": ["--in", str(signal)],
+            "husimi": ["--in", str(signal), "--fiducial", "von_mises:3"],
+            "wigner": ["--in", str(signal)],
+            "fiducials": ["--d", "31", "--fiducial", "von_mises:3"],
+        }[command]
+        assert cli.main([command, *argv, "--out", str(tmp_path / "out")]) == 0
+        assert passes[0] == self.PASSES[command]
 
 
 def test_row_blocks_take_one_row_at_least():

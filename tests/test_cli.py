@@ -569,7 +569,7 @@ class TestOverflow:
     """Finite inputs whose results overflow double precision are a precondition failure."""
 
     @pytest.mark.parametrize("command, amplitude", [("wigner", 1e200), ("quantize", 1.7e308),
-                                                    ("portrait", 1e307)])
+                                                    ("portrait", 1.7e308)])
     def test_overflowing_input_exits_3(self, tmp_path, capsys, command, amplitude):
         d = 3
         path = tmp_path / "in.csv"
@@ -581,6 +581,16 @@ class TestOverflow:
             argv = ["--d", str(d), "--symbol", f"file:{path}", "--weight", "parity"]
         assert run(command, *argv, "--out", str(tmp_path / "out.csv")) == 3
         assert "overflow" in capsys.readouterr().err
+
+    def test_portrait_of_a_huge_constant_symbol_is_the_symbol(self, tmp_path):
+        """fft2(f) stays finite at 1e307 (d = 3), and the route multiplies it by no d."""
+        d, path, out = 3, tmp_path / "in.csv", tmp_path / "out.csv"
+        symbol = np.full((d, d), 1e307, dtype=complex)
+        path.write_bytes(written_bytes(format_complex_matrix_csv, symbol))
+        assert run("portrait", "--d", str(d), "--symbol", f"file:{path}", "--weight", "parity",
+                   "--out", str(out)) == 0
+        smoothed = read_complex_matrix_csv(out)
+        assert np.abs(smoothed - symbol).max() <= 1e-12 * 1e307
 
     @pytest.mark.parametrize("fiducial", ["constant", "kronecker:0"])
     def test_period_diagnostics_of_a_huge_signal_do_not_overflow(self, tmp_path, capsys,

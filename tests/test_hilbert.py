@@ -10,8 +10,10 @@ from torus_quant import (
     translate,
 )
 
-from conftest import random_state
-from oracles import dft_matrix, inner
+from torus_quant.hilbert import cyclic_diagonals
+
+from conftest import random_map, random_state
+from oracles import cyclic_diagonals_entrywise, dft_matrix, inner
 
 
 class TestInner:
@@ -134,3 +136,22 @@ class TestShifts:
     def test_modulation_is_translation_after_dft(self, rng):
         phi = random_state(rng, 6)
         assert np.abs(dft(modulate(phi, 2)) - translate(dft(phi), 2)).max() < 1e-12
+
+
+class TestCyclicDiagonals:
+    """The one gather behind every operator layout; 129 and 257 give several row blocks."""
+
+    @pytest.mark.parametrize("d", [*range(1, 10), 129, 257])
+    def test_matches_entrywise_oracle_bitwise(self, rng, d):
+        M = random_map(rng, d)
+        assert np.array_equal(cyclic_diagonals(M), cyclic_diagonals_entrywise(M))
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 129, 257])
+    def test_is_an_involution(self, rng, d):
+        M = random_map(rng, d)
+        assert np.array_equal(cyclic_diagonals(cyclic_diagonals(M)), M)
+
+    @pytest.mark.parametrize("d", [5, 257])
+    def test_reads_a_transposed_view(self, rng, d):
+        op = random_map(rng, d)
+        assert np.array_equal(cyclic_diagonals(op.T), cyclic_diagonals_entrywise(op.T))

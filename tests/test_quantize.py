@@ -8,6 +8,7 @@ from torus_quant import (
     coherent_state_weight,
     dft,
     fourier_basis,
+    idft,
     momentum_symbol,
     parity_weight,
     position_symbol,
@@ -240,6 +241,15 @@ class TestFastPaths:
         w = random_symmetric_weight(rng, d)
         g = random_state(rng, d)
         assert np.abs(quantize_momentum(g, w) - quantize(momentum_symbol(g), w)).max() < 1e-12
+
+    @pytest.mark.parametrize("d", [4, 5, 129])
+    def test_momentum_fast_path_is_the_difference_gather_bitwise(self, rng, d):
+        """Entry [l, k] is ghat(l - k) w(0, l - k) / sqrt(d), ghat = idft(g), as a d x d gather."""
+        w = random_symmetric_weight(rng, d)
+        g = random_state(rng, d)
+        delta = (np.arange(d)[:, None] - np.arange(d)[None, :]) % d
+        expected = idft(g)[delta] * w.values[0, delta] / np.sqrt(d)
+        assert np.array_equal(quantize_momentum(g, w), expected)
 
     @pytest.mark.parametrize("d", [4, 5])
     def test_position_fast_path_matches_general(self, rng, d):
