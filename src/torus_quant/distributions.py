@@ -17,8 +17,8 @@ import numpy as np
 from .errors import ToleranceError, bound
 from .hilbert import as_state, cyclic_diagonals
 from .gabor import _column_blocks, _product_blocks
-from .quantize import Weight, _kernel_diagonals, _negated_indices, symplectic_dft
-from .weyl import adjoint_sign_table
+from .quantize import Weight, symplectic_dft
+from .weyl import adjoint_reflection, multiply_phase, sum_phase_roots
 
 __all__ = [
     "husimi",
@@ -88,28 +88,28 @@ def portrait(op: np.ndarray, w: Weight) -> np.ndarray:
     :mod:`torus_quant.quantize`),
     A(m, n) = sum_k e^{2 i pi m k / d} s(n, k) with
     s(n, k) = sum_b op[b-k, b] M_w[b-n, b-n-k], a cyclic correlation over
-    b of the cyclic diagonals of op^T and of M_w's kernel.  Both sums are
-    FFTs, so this costs O(d^2 log d).
+    b of the cyclic diagonals of op^T and of M_w's kernel: the inverse FFT
+    over b of the FFT of the first times that of the second at -b.  As
+    M_w[b, b - k] is the inverse FFT over mu of w(mu, k) chi(mu, k), its
+    FFT over b is that product, and no transform of the kernel is run.
+    O(d^2 log d).
     """
     op = np.asarray(op, dtype=complex)
     d = w.d
     if op.shape != (d, d):
         raise ValueError(f"operator shape {op.shape} does not match weight d={d}")
     s = np.fft.fft(cyclic_diagonals(op.T), axis=0)  # over b of op[b - k, b], at [b, k]
-    mw = _kernel_diagonals(w.values)  # M_w[b, b - k]
-    s *= np.fft.ifft(mw, axis=0, out=mw)  # over b
-    np.fft.ifft(s, axis=0, norm="forward", out=s)  # unscaled: s(n, k)
+    kernel = multiply_phase(w.values.copy(), sum_phase_roots(d))  # over b of M_w[b, b - k]
+    s[0] *= kernel[0]  # at -b
+    s[1:] *= kernel[:0:-1]
+    np.fft.ifft(s, axis=0, out=s)  # s(n, k)
     return np.fft.ifft(s, axis=1, norm="forward", out=s).T
 
 
 def _paired(w: Weight) -> np.ndarray:
-    """w(q) w(-q) c(q), c the adjoint sign table; |w(q)|^2 when M_w is self-adjoint."""
-    return w.values * _negated_indices(w.values) * adjoint_sign_table(w.d)
-
-
-def _overlap_map(w: Weight) -> np.ndarray:
-    """Tr[M_w(m,n) M_w] = (1/d) sum_q p(q) e^{2 i pi (m q_n - q_m n) / d}, p = _paired(w)."""
-    return symplectic_dft(_paired(w))
+    """p(q) = w(q) c(q) w(-q), c the adjoint's sign; |w(q)|^2 when M_w is self-adjoint."""
+    reflected = adjoint_reflection(w.values)
+    return np.multiply(w.values, reflected, out=reflected)
 
 
 def overlap_distribution(w: Weight) -> np.ndarray:
@@ -119,9 +119,11 @@ def overlap_distribution(w: Weight) -> np.ndarray:
     normalized: (1/d) sum_{m,n} D = (tr M_w)^2 = 1.  For self-adjoint M_w
     (``Weight.symmetry_defect`` within ``bound`` at max|w|) D is asserted
     real and returned real, and nonnegative if ``Weight.is_density``; both
-    checks scale with max|w|^2.  Other weights give a complex D.
+    checks scale with max|w|^2.  Other weights give a complex D.  As
+    D(m, n) = (1/d) sum_q p(q) e^{2 i pi (m q_n - q_m n) / d}, it is the
+    symplectic transform of p = ``_paired(w)``.
     """
-    dist, peak = _overlap_map(w), np.abs(w.values).max()
+    dist, peak = symplectic_dft(_paired(w)), np.abs(w.values).max()
     if not w.is_density and w.symmetry_defect() > bound(peak):
         return dist
     dist = realize_real(dist, scale=peak ** 2, what="overlap distribution")
@@ -134,14 +136,21 @@ def portrait_of_symbol(f: np.ndarray, w: Weight) -> np.ndarray:
     """Smoothed symbol (1/d) sum_q f(p - q) Tr[M_w(q) M_w].
 
     Agrees with ``portrait(quantize(f, w), w)``; the unit symbol is a
-    fixed point.  The cyclic convolution ifft2(fft2(overlap) * fft2(f)) / d
-    is ifft2(P * fft2(f)), P[a, b] = p(-b, a) with p = ``_paired(w)``, since
-    fft2(symplectic_dft(p))[a, b] = d p(-b, a).  O(d^2 log d).
+    fixed point.  The 2-D DFT of the overlap distribution D of
+    :func:`overlap_distribution` is d P, P[a, b] = p(-b, a) with
+    p = ``_paired(w)``, so the smoothed symbol, the cyclic convolution of
+    D and f over d, is the inverse 2-D DFT of P times the 2-D DFT of f,
+    with no transform of D.  Each 2-D DFT runs in place as two 1-D passes,
+    axis 1 then axis 0.  O(d^2 log d).
     """
     f = np.asarray(f, dtype=complex)
     d = w.d
     if f.shape != (d, d):
         raise ValueError(f"symbol shape {f.shape} does not match weight d={d}")
-    spectrum = np.fft.fft2(f)
-    spectrum *= _paired(w).T[:, -np.arange(d) % d]
-    return np.fft.ifft2(spectrum, out=spectrum)
+    spectrum = np.fft.fft(f, axis=1)
+    np.fft.fft(spectrum, axis=0, out=spectrum)
+    p = _paired(w)
+    spectrum[:, 0] *= p[0]
+    spectrum[:, 1:] *= p[:0:-1].T
+    np.fft.ifft(spectrum, axis=1, out=spectrum)
+    return np.fft.ifft(spectrum, axis=0, out=spectrum)

@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import bound
 from .hilbert import as_state, cyclic_diagonals, dft, idft
-from .weyl import adjoint_sign_table, multiply_phase, sum_phase_roots
+from .weyl import adjoint_reflection, multiply_phase, sum_phase_roots
 
 __all__ = [
     "Weight",
@@ -67,11 +67,6 @@ __all__ = [
     "PositivityReport",
     "positivity_report",
 ]
-
-
-def _negated_indices(values: np.ndarray) -> np.ndarray:
-    """Map g(m, n) -> g(-m mod d, -n mod d)."""
-    return np.roll(values[::-1, ::-1], 1, axis=(0, 1))
 
 
 @dataclass(eq=False)
@@ -106,14 +101,15 @@ class Weight:
     def symmetry_defect(self) -> float:
         """Deviation from the condition that makes M_w self-adjoint.
 
-        The condition is conj(w(-m, -n)) = w(m, n) for odd d; for even d
-        the entries with both indices nonzero carry an extra (-1)**(m+n)
-        from reducing the adjoint's negated indices to canonical
-        representatives.
+        The condition is conj(c(q) w(-q)) = w(q), c the adjoint's sign
+        (:func:`weyl.adjoint_reflection`): conj(w(-m, -n)) = w(m, n) for
+        odd d, and an extra (-1)**(m+n) for even d on the entries with
+        both indices nonzero.
         """
-        w = self.values
-        w_neg = _negated_indices(w)
-        return float(np.abs(adjoint_sign_table(self.d) * np.conj(w_neg) - w).max())
+        defect = adjoint_reflection(self.values)
+        np.conjugate(defect, out=defect)
+        defect -= self.values
+        return float(np.abs(defect).max())
 
 
 def parity_weight(d: int) -> Weight:
@@ -179,9 +175,9 @@ def symplectic_dft(f: np.ndarray, conjugate: bool = False) -> np.ndarray:
     d = f.shape[0]
     if f.shape != (d, d):
         raise ValueError(f"phase-space map must be square, got {f.shape}")
-    if conjugate:
-        return np.fft.fft(np.fft.ifft(f, axis=0), axis=1).T
-    return np.fft.ifft(np.fft.fft(f, axis=0), axis=1).T
+    first, second = (np.fft.ifft, np.fft.fft) if conjugate else (np.fft.fft, np.fft.ifft)
+    g = first(f, axis=0)
+    return second(g, axis=1, out=g).T
 
 
 def momentum_symbol(g) -> np.ndarray:

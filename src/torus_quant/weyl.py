@@ -18,8 +18,8 @@ Sums over the whole phase space use the d-periodic family
 
 whose phase chi equals exp(-2i pi m ((d+1)/2 n) / d) at odd d: the half
 phase realized with the modular inverse of 2.  This family satisfies
-D(m,n)^dag = c(m,n) D(-m,-n) with the sign table
-:func:`adjoint_sign_table`, identically one at odd d.  Both phases depend
+D(m,n)^dag = c(m,n) D(-m,-n) with a sign c identically one at odd d;
+:func:`adjoint_reflection` takes a map v to c(q) v(-q).  Both phases depend
 on m n mod 2d only: :func:`multiply_phase` applies either from its 2d
 values, ``half_phase(d, 1, arange(2d))`` or :func:`sum_phase_roots`.
 Every phase here is exponentiated by :func:`hilbert.phase_table`.
@@ -61,17 +61,18 @@ def sum_phase_roots(d: int) -> np.ndarray:
     return (-1) ** (d % 2 * ks % 2) * half_phase(d, 1, ks)
 
 
-def adjoint_sign_table(d: int) -> np.ndarray:
-    """Sign c[m, n] in D(m,n)^dag = c[m, n] D(-m, -n) on canonical representatives.
+def adjoint_reflection(values: np.ndarray) -> np.ndarray:
+    """c(q) v(-q) on canonical representatives, c the sign in D(q)^dag = c(q) D(-q); a new array.
 
-    Identically one for odd d (the family is genuinely periodic); for even
-    d, where D = U, the entries with both indices nonzero carry (-1)**(m+n).
+    c is identically one at odd d (the family is genuinely periodic); at
+    even d, where D = U, the entries with both indices nonzero carry
+    (-1)**(m+n), flipped in place on the reflected copy.
     """
-    if d % 2:
-        return np.ones((d, d))
-    m = np.arange(d)[:, None]
-    n = np.arange(d)[None, :]
-    return np.where((m == 0) | (n == 0), 1.0, (-1.0) ** ((m + n) % 2))
+    reflected = np.roll(values[::-1, ::-1], 1, axis=(0, 1))
+    if reflected.shape[0] % 2 == 0:
+        reflected[1::2, 2::2] *= -1
+        reflected[2::2, 1::2] *= -1
+    return reflected
 
 
 def displacement_apply(psi, m: int, n: int) -> np.ndarray:

@@ -7,7 +7,8 @@
 - Per-point definitions that the package only ever uses summed over the
   phase space: the d-periodic displacement D(m, n), the transported
   operator D M D^dag, single coherent states and kernel values, the
-  adjoint's sign and the trace of one U(m, n), U(m, n) in the Fourier
+  adjoint's sign, one entry and as a d x d table, the trace of one
+  U(m, n), U(m, n) in the Fourier
   basis, the reversal matrix, the covariance residual of ``quantize``, the
   cyclic diagonals of a matrix read entry by entry.
 - The dense DFT matrix, the pin of the kernel W[k, l] of ``dft``, and
@@ -35,7 +36,7 @@ from torus_quant import (
     quantization_operator,
     quantize,
 )
-from torus_quant.distributions import _overlap_map, realize_real
+from torus_quant.distributions import realize_real
 from torus_quant.gabor import _warn_if_not_unit
 from torus_quant.hilbert import phase_table
 from torus_quant.weyl import half_phase
@@ -53,13 +54,27 @@ def conjugate_sign(d: int, m: int, n: int) -> int:
 
     U(m, n)^dag = sign * U(-m mod d, -n mod d).  The sign is +1 whenever
     m = 0 or n = 0, and (-1)**(d + m + n) otherwise; at even d it is the
-    entry [m, n] of ``weyl.adjoint_sign_table``.
+    entry [m, n] of :func:`adjoint_sign_table`, the sign that
+    ``weyl.adjoint_reflection`` applies.
     """
     m %= d
     n %= d
     if m == 0 or n == 0:
         return 1
     return -1 if (d + m + n) % 2 else 1
+
+
+def adjoint_sign_table(d: int) -> np.ndarray:
+    """Sign c[m, n] in D(m,n)^dag = c[m, n] D(-m, -n) on canonical representatives.
+
+    Identically one for odd d (the family is genuinely periodic); for even
+    d, where D = U, the entries with both indices nonzero carry (-1)**(m+n).
+    """
+    if d % 2:
+        return np.ones((d, d))
+    m = np.arange(d)[:, None]
+    n = np.arange(d)[None, :]
+    return np.where((m == 0) | (n == 0), 1.0, (-1.0) ** ((m + n) % 2))
 
 
 def trace_displacement(d: int, m: int, n: int) -> complex:
@@ -246,13 +261,13 @@ def portrait_sum(op, w) -> np.ndarray:
 
 
 def portrait_of_symbol_sum(f, w) -> np.ndarray:
-    """(1/d) sum_q f(p - q) Tr[M_w(q) M_w], one shifted copy of f per q."""
+    """(1/d) sum_q f(p - q) Tr[M_w(q) M_w], M_w(q) = D(q) M_w D(q)^dag, one shifted copy of f per q."""
     d = w.d
-    dist = _overlap_map(w)
+    mw = quantization_operator(w)
     out = np.zeros((d, d), dtype=complex)
     for m in range(d):
         for n in range(d):
-            out += dist[m, n] * np.roll(f, (m, n), axis=(0, 1))
+            out += np.sum(transported(mw, m, n) * mw.T) * np.roll(f, (m, n), axis=(0, 1))
     return out / d
 
 

@@ -4,6 +4,7 @@ Each test prints a single PASS line on success (run with ``pytest -s`` to
 see them); a failed assertion is the corresponding FAIL.
 """
 
+import os
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import torus_quant
 from torus_quant import (
     FiducialSpec,
     coherent_state_weight,
@@ -226,6 +228,7 @@ def test_criterion_10_portrait_consistency(rng):
 
 def test_criterion_11_period_detection_demo(tmp_path):
     cases = [("signal3.csv", 6, 10), ("signal1.csv", 10, 6), ("signal2.csv", 4, 15)]
+    src = Path(torus_quant.__file__).resolve().parent.parent
     for filename, base, period in cases:
         out = tmp_path / f"spec_{filename}"
         start = time.monotonic()
@@ -235,6 +238,7 @@ def test_criterion_11_period_detection_demo(tmp_path):
              "--fiducial", "von_mises:400",
              "--out", str(out)],
             capture_output=True, text=True, cwd=REPO_ROOT,
+            env={**os.environ, "PYTHONPATH": str(src)},
         )
         elapsed = time.monotonic() - start
         assert proc.returncode == 0, proc.stderr

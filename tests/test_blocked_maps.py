@@ -8,10 +8,11 @@ writer and the map commands allocate, measured with tracemalloc (numpy
 reports its arrays to it): a map costs its own size and a few blocks,
 and the writer a few blocks, whatever the size of its text.  The operator
 routes (weight retrieval, quantization and its check route, the momentum
-fast path, Gabor synthesis, portrait) are bounded the same way, in units
-of one d x d complex array.  The transform-pass counts pin how many 1-D
-FFTs each subcommand runs, a cost measure that does not depend on the
-machine.
+fast path, Gabor synthesis, portrait, the smoothed symbol, the overlap
+distribution, the symplectic transform, the weight's symmetry defect) are
+bounded the same way, in units of one d x d complex array.  The
+transform-pass counts pin how many 1-D FFTs each subcommand runs, a cost
+measure that does not depend on the machine.
 """
 
 import tracemalloc
@@ -20,8 +21,9 @@ import numpy as np
 import pytest
 
 from torus_quant import (FiducialSpec, cli, coherent_state_weight, gabor_inverse,
-                         gabor_transform, husimi, portrait, quantization_operator, quantize,
-                         quantize_momentum, realize_fiducial, weight_from_operator, wigner)
+                         gabor_transform, husimi, overlap_distribution, portrait,
+                         portrait_of_symbol, quantization_operator, quantize, quantize_momentum,
+                         realize_fiducial, symplectic_dft, weight_from_operator, wigner)
 from torus_quant.hilbert import BLOCK_VALUES, row_blocks
 from torus_quant.io_formats import format_real_map_csv
 
@@ -187,6 +189,22 @@ class TestOperatorMemory:
         _, peak = traced_peak(portrait, quantize(symbol, weight), weight)
         assert peak <= 3.25 * self.unit
 
+    def test_portrait_of_symbol(self, symbol, weight):
+        _, peak = traced_peak(portrait_of_symbol, symbol, weight)
+        assert peak <= 2.25 * self.unit
+
+    def test_overlap_distribution(self, weight):
+        _, peak = traced_peak(overlap_distribution, weight)
+        assert peak <= 2.25 * self.unit
+
+    def test_symplectic_dft(self, symbol):
+        _, peak = traced_peak(symplectic_dft, symbol)
+        assert peak <= 1.25 * self.unit
+
+    def test_symmetry_defect(self, weight):
+        _, peak = traced_peak(weight.symmetry_defect)
+        assert peak <= 2.25 * self.unit
+
 
 class TestTransformPasses:
     """Each subcommand at d=31 runs a fixed number of 1-D FFT passes (calls x transformed rows).
@@ -197,7 +215,7 @@ class TestTransformPasses:
     """
 
     d = 31
-    PASSES = {"quantize": 279, "portrait": 465, "gabor": 32, "husimi": 31, "wigner": 32,
+    PASSES = {"quantize": 279, "portrait": 403, "gabor": 32, "husimi": 31, "wigner": 32,
               "fiducials": 0}
 
     @pytest.fixture

@@ -4,11 +4,12 @@ import pytest
 from torus_quant import displacement_apply, displacement_matrix, kronecker_basis
 
 from torus_quant.hilbert import phase_table
-from torus_quant.weyl import adjoint_sign_table, multiply_phase, sum_phase_roots
+from torus_quant.weyl import adjoint_reflection, multiply_phase, sum_phase_roots
 
 from conftest import random_state
 from oracles import (
     GroupElement,
+    adjoint_sign_table,
     compose_displacements,
     conjugate_sign,
     conjugation_phase,
@@ -158,6 +159,16 @@ class TestDisplacement:
                 assert np.abs(lhs - rhs).max() < 1e-12
                 if d % 2 == 0:
                     assert table[m, n] == conjugate_sign(d, m, n)
+
+    @pytest.mark.parametrize("d", [*range(1, 10), 128, 129])
+    def test_adjoint_reflection_is_the_signed_negation(self, rng, d):
+        v = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        m, n = np.ogrid[:d, :d]
+        for values in (v, v.T, v[:, ::-1].T):  # contiguous, transposed, negative strides
+            expected = adjoint_sign_table(d) * values[(-m) % d, (-n) % d]
+            reflected = adjoint_reflection(values)
+            assert np.array_equal(reflected, expected), d
+            assert not np.shares_memory(reflected, values)
 
     @pytest.mark.parametrize("d", list(range(2, 9)))
     def test_adjoint_negation_sign_law(self, d):
