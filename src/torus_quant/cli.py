@@ -16,10 +16,11 @@ import sys
 import numpy as np
 
 from . import __version__
+# gabor_transform and overlap_distribution are unused here: perfbench/traced_cli.py wraps them
 from .distributions import husimi, overlap_distribution, portrait, portrait_of_symbol, wigner
 from .errors import InputFormatError, ToleranceError, bound
 from .fiducials import FiducialSpec, realize_fiducial
-from .gabor import gabor_transform, isometry_defect
+from .gabor import _magnitudes, gabor_transform, isometry_defect
 from .hilbert import dft, norm, phase_table
 from .io_formats import (
     format_complex_matrix_csv,
@@ -147,7 +148,7 @@ def _check_two_paths(what: str, route: np.ndarray, check: np.ndarray, scale: flo
 
 
 def _check_mass(key: str, residual: float, energy: float) -> None:
-    """Print ``residual`` relative to ``energy`` = ||psi||^2, absolute when it is 0.
+    """Print ``residual`` relative to ``energy``, the size of the summed terms; absolute at 0.
 
     Raise unless ``residual`` is within ``bound(energy)``.
     """
@@ -160,9 +161,9 @@ def cmd_gabor(args) -> int:
     signal = _load_signal(args)
     d = signal.shape[0]
     window = _resolve_fiducial(args.fiducial, d)
-    magnitude = np.abs(gabor_transform(signal, window))
+    magnitude = _magnitudes(signal, window)
+    _check_mass("isometry_residual", isometry_defect(signal, magnitude), 1.0)  # already relative
     _write(args.out, pgm_bytes if args.format == "pgm" else format_real_map_csv, magnitude)
-    _diag(f"isometry_residual {isometry_defect(signal, magnitude):.3e}")
     power = envelope_spectrum(column_energy(magnitude))
     rows = dominant_rows(power)
     _diag(f"dominant_rows {' '.join(map(str, rows)) if rows else '-'}")
@@ -216,11 +217,12 @@ def cmd_portrait(args) -> int:
     weight = _resolve_weight(args.weight, d)
     f, _, _ = _resolve_symbol(args.symbol, d)
     smoothed = portrait_of_symbol(f, weight)
+    scale = np.abs(weight.values).max() ** 2  # a portrait is quadratic in the weight
     _check_two_paths("portrait", smoothed, portrait(quantize(f, weight), weight),
-                     np.abs(f).max() * np.abs(weight.values).max() ** 2)
+                     np.abs(f).max() * scale)
+    mass = weight.values[0, 0] ** 2 * f.sum()  # sum smoothed = (tr M_w)^2 sum f, tr M_w = w(0, 0)
+    _check_mass("smoothing_mass_residual", abs(smoothed.sum() - mass), np.abs(f).sum() * scale)
     _write(args.out, format_complex_matrix_csv, smoothed, row_label="m", col_label="n")
-    mass = overlap_distribution(weight).sum() / d
-    _diag(f"smoothing_mass_residual {abs(mass - 1.0):.3e}")
     return EXIT_OK
 
 

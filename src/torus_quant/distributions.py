@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ToleranceError, bound
 from .hilbert import as_state, cyclic_diagonals
-from .gabor import _column_blocks, _product_blocks
+from .gabor import _magnitudes, _product_blocks
 from .quantize import Weight, symplectic_dft
 from .weyl import adjoint_reflection, multiply_phase, sum_phase_roots
 
@@ -38,21 +38,9 @@ def realize_real(values: np.ndarray, scale: float = 1.0, what: str = "map") -> n
 
 
 def husimi(psi, window) -> np.ndarray:
-    """H(m, n) = |<U(m,n) window, psi>|^2 / d; sums to ||psi||^2.
-
-    Built a block of columns at a time, without Phi's unit-modulus half phase.
-    """
-    psi = as_state(psi)
-    d = psi.shape[0]
-    window = as_state(window, d=d)
-    h_map = np.empty((d, d))
-    for cols, block in _column_blocks(psi, window):
-        h_block = np.abs(block)
-        h_block **= 2
-        h_block /= d
-        h_map[:, cols] = h_block.T
-        del h_block  # before the next block's magnitudes are allocated
-    return h_map
+    """H(m, n) = |<U(m,n) window, psi>|^2 / d; sums to ||psi||^2."""
+    h_map = _magnitudes(psi, window)
+    return np.divide(np.square(h_map, out=h_map), len(h_map), out=h_map)
 
 
 def wigner(psi) -> np.ndarray:

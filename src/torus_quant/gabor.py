@@ -50,6 +50,16 @@ def _column_blocks(phi: np.ndarray, window: np.ndarray):
     return _product_blocks(np.tile(np.conj(window), 2), d - ns, phi, np.zeros_like(ns), np.fft.fft)
 
 
+def _magnitudes(phi, window) -> np.ndarray:
+    """|Phi| as a real d x d map, built a block of columns at a time without Phi's half phase."""
+    phi = as_state(phi)
+    window = as_state(window, d=len(phi))
+    magnitude = np.empty((len(phi), len(phi)))
+    for cols, block in _column_blocks(phi, window):
+        magnitude[:, cols] = np.abs(block).T
+    return magnitude
+
+
 def gabor_transform(phi, window) -> np.ndarray:
     """Analysis coefficients Phi[m, n] = <U(m,n) window, phi>.
 

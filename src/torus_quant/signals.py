@@ -38,23 +38,27 @@ def envelope_spectrum(energy: np.ndarray) -> np.ndarray:
 
 
 def dominant_rows(power: np.ndarray) -> list[int]:
-    """Smallest set of off-DC rows capturing 90% of the off-DC power.
+    """Smallest set of off-DC conjugate pairs {k, d - k} capturing 90% of the off-DC power.
 
+    Pairs are taken whole, by summed power, so rounding noise between the
+    equal powers of a real envelope's rows k and d - k cannot split one.
     Returns an empty list when the off-DC power is numerically negligible
     relative to the total (a constant envelope has no periodicity to report).
     """
     power = np.asarray(power, dtype=float)
-    order = np.argsort(power[1:])[::-1] + 1
+    d = power.shape[0]
     total = power[1:].sum()
     if total <= 1e-12 * power.sum():
         return []
+    ks = np.arange(1, d // 2 + 1)  # the lower row of each pair
+    pairs = np.where(2 * ks == d, power[ks], power[ks] + power[d - ks])
     rows: list[int] = []
     acc = 0.0
-    for k in order:
+    for j in np.argsort(pairs)[::-1]:
         if acc >= 0.9 * total:
             break
-        rows.append(int(k))
-        acc += power[k]
+        rows += {int(ks[j]), d - int(ks[j])}
+        acc += pairs[j]
     return sorted(rows)
 
 

@@ -135,8 +135,8 @@ class TestMemory:
     @pytest.mark.parametrize("argv, maps, writer", [
         (["husimi", "--fiducial", "von_mises:2"], 1.25, WRITER_BYTES),
         (["wigner"], 1.25, WRITER_BYTES),
-        # the complex map and its magnitude: three real maps
-        (["gabor", "--format", "pgm"], 3.75, 0),
+        # the magnitude map only, built without the complex Phi
+        (["gabor", "--format", "pgm"], 1.25, 0),
     ], ids=["husimi", "wigner", "gabor-pgm"])
     def test_command(self, tmp_path, state, argv, maps, writer):
         signal = tmp_path / "signal.csv"
@@ -215,7 +215,7 @@ class TestTransformPasses:
     """
 
     d = 31
-    PASSES = {"quantize": 279, "portrait": 403, "gabor": 32, "husimi": 31, "wigner": 32,
+    PASSES = {"quantize": 279, "portrait": 341, "gabor": 32, "husimi": 31, "wigner": 32,
               "fiducials": 0}
 
     @pytest.fixture

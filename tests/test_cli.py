@@ -14,6 +14,7 @@ from torus_quant import (
     FiducialSpec,
     Weight,
     coherent_state_weight,
+    husimi,
     overlap_distribution,
     parity_weight,
     portrait,
@@ -28,6 +29,7 @@ from torus_quant.io_formats import (
     format_complex_matrix_csv,
     format_vector_csv,
     read_complex_matrix_csv,
+    read_signal,
 )
 
 from conftest import written_bytes, random_map, random_symmetric_weight
@@ -224,19 +226,40 @@ class TestGaborCommand:
 
     @pytest.mark.parametrize("fmt", ["csv", "pgm"])
     def test_one_transform_per_run(self, tmp_path, monkeypatch, fmt):
+        # every route to Phi's columns runs through gabor._column_blocks
         calls = []
-        real = cli.gabor_transform
+        gabor = importlib.import_module("torus_quant.gabor")
+        real = gabor._column_blocks
 
         def counting(*args):
             calls.append(args)
             return real(*args)
-        for module in (cli, importlib.import_module("torus_quant.gabor")):
-            monkeypatch.setattr(module, "gabor_transform", counting)
+        monkeypatch.setattr(gabor, "_column_blocks", counting)
         sig = tmp_path / "sig.csv"
         write_signal(sig, np.arange(7, dtype=float))
         assert run("gabor", "--in", str(sig), "--format", fmt,
                    "--out", str(tmp_path / "o")) == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("d", [9, 31, 1020])
+    def test_map_squared_over_d_is_the_husimi_map(self, tmp_path, monkeypatch, rng, d):
+        maps = []
+        monkeypatch.setattr(cli, "format_real_map_csv", lambda data, write: maps.append(data))
+        sig = tmp_path / "sig.csv"
+        write_signal(sig, rng.normal(size=d) + 1j * rng.normal(size=d))
+        assert run("gabor", "--in", str(sig), "--fiducial", "gaussian:1", "--out", "-") == 0
+        window = realize_fiducial(FiducialSpec.gaussian(1.0), d)
+        expected = husimi(read_signal(str(sig)), window)
+        assert np.array_equal(maps[0] ** 2 / d, expected)  # bitwise
+
+    def test_wrong_magnitude_exits_4_without_output(self, tmp_path, capsys, monkeypatch, rng):
+        real = cli._magnitudes
+        monkeypatch.setattr(cli, "_magnitudes", lambda *args: (1 + 1e-6) * real(*args))
+        sig, out = tmp_path / "sig.csv", tmp_path / "o.csv"
+        write_signal(sig, rng.normal(size=31))
+        assert run("gabor", "--in", str(sig), "--out", str(out)) == 4
+        assert capsys.readouterr().err.startswith("isometry_residual 2.000e-06\n")
+        assert not out.exists()
 
     def test_pgm_output(self, tmp_path):
         sig = tmp_path / "sig.csv"
@@ -456,6 +479,34 @@ class TestPortraitCommand:
         line = next(l for l in err.splitlines() if l.startswith("smoothing_mass_residual"))
         assert float(line.split()[1]) < 1e-12
 
+    def test_doubled_routes_exit_4_without_output(self, tmp_path, capsys, monkeypatch):
+        # both routes agree, so only the mass check sees the doubled portrait
+        for route in ("portrait_of_symbol", "portrait"):
+            real = getattr(cli, route)
+            monkeypatch.setattr(cli, route, lambda *args, real=real: 2 * real(*args))
+        out = tmp_path / "p.csv"
+        assert run("portrait", "--d", "5", "--symbol", "momentum:index", "--weight",
+                   "cs:von_mises:3", "--out", str(out)) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split()[0] for line in err[:2]] == ["two_path_residual",
+                                                         "smoothing_mass_residual"]
+        assert float(err[1].split()[1]) > 0.1
+        assert not out.exists()
+
+    def test_mass_check_passes_a_weight_origin_within_its_bound(self, tmp_path, capsys, rng):
+        # Weight accepts w(0, 0) within bound() of 1, and the mass is w(0, 0)^2 sum f
+        d = 5
+        values = random_map(rng, d)
+        values[0, 0] = 1 + 9e-11
+        wfile, sfile = tmp_path / "w.csv", tmp_path / "sym.csv"
+        wfile.write_bytes(written_bytes(format_complex_matrix_csv, values))
+        sfile.write_bytes(written_bytes(format_complex_matrix_csv, np.ones((d, d))))
+        assert run("portrait", "--d", str(d), "--symbol", f"file:{sfile}",
+                   "--weight", f"file:{wfile}", "--out", str(tmp_path / "p.csv")) == 0
+        line = next(l for l in capsys.readouterr().err.splitlines()
+                    if l.startswith("smoothing_mass_residual"))
+        assert float(line.split()[1]) < 1e-14
+
 
 class TestStdout:
     """``--out -`` writes to stdout the bytes ``--out FILE`` writes to the file."""
@@ -592,12 +643,14 @@ class TestOverflow:
         smoothed = read_complex_matrix_csv(out)
         assert np.abs(smoothed - symbol).max() <= 1e-12 * 1e307
 
-    @pytest.mark.parametrize("fiducial", ["constant", "kronecker:0"])
+    @pytest.mark.parametrize("fiducial", ["constant", "kronecker:0", "von_mises:3"])
     def test_period_diagnostics_of_a_huge_signal_do_not_overflow(self, tmp_path, capsys,
                                                                  fiducial):
+        # nor depend on the amplitude: rows k and d - k of a real envelope
+        # carry equal power up to rounding noise, which must not split them
         samples = np.array([1.0, 3.0, 10.0, 2.0, 5.0, 7.0])
         diagnostics = []
-        for amplitude in (1e79, 0.1):
+        for amplitude in (1e79, 0.1, 0.3, 1.0, 3.0, 1e5, 1e40):
             path = tmp_path / "in.csv"
             write_signal(path, amplitude * samples)
             assert run("gabor", "--in", str(path), "--fiducial", fiducial,
@@ -605,8 +658,10 @@ class TestOverflow:
             lines = capsys.readouterr().err.splitlines()
             diagnostics.append([line for line in lines
                                 if line.startswith(("dominant_rows", "period_estimate"))])
-        assert diagnostics[0] == diagnostics[1]
+        assert all(lines == diagnostics[0] for lines in diagnostics)
         assert len(diagnostics[0]) == 2
+        rows = [int(k) for k in diagnostics[0][0].split()[1:] if k != "-"]
+        assert rows == sorted({*rows, *(len(samples) - k for k in rows)})
 
     @pytest.mark.parametrize("spec", ["von_mises:1e308", "gaussian:1e-320"])
     def test_window_exponent_overflowing_to_zero_runs_clean(self, tmp_path, spec):

@@ -106,6 +106,15 @@ class TestPeriodDetection:
         assert rows and all(r % base == 0 for r in rows)
         assert period_estimate(d, rows) == period
 
+    @pytest.mark.parametrize("noise", [-2.0 ** -52, 0.0, 2.0 ** -52])
+    def test_conjugate_rows_are_taken_together(self, noise):
+        # rows 2 and 4 hold 90% of the off-DC power; rounding noise must not split a pair
+        d = 6
+        power = np.array([1.0, 0.05, 0.45, 0.0, 0.45 * (1 + noise), 0.05 * (1 - noise)])
+        rows = dominant_rows(power)
+        assert rows == sorted({*rows, *(d - k for k in rows)})
+        assert {2, 4} <= set(rows)
+
     def test_constant_signal_has_no_dominant_rows(self):
         d = 8
         window = realize_fiducial(FiducialSpec.von_mises(5.0), d)
