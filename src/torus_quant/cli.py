@@ -82,9 +82,17 @@ def _load_signal(args) -> np.ndarray:
     return signal
 
 
+def _read_sized(reader, text: str, d: int) -> np.ndarray:
+    """Read the path after ``text``'s ":" with ``reader``, a global traced runs wrap; size d."""
+    values = reader(text.partition(":")[2])
+    if values.shape[0] != d:
+        raise InputFormatError(f"{text} has size {values.shape[0]}, expected d={d}")
+    return values
+
+
 def _resolve_fiducial(text: str, d: int) -> np.ndarray:
     if text.startswith("custom:"):
-        spec = FiducialSpec.custom(read_vector_csv(text[len("custom:"):]))
+        spec = FiducialSpec.custom(_read_sized(read_vector_csv, text, d))
     else:
         spec = FiducialSpec.parse(text)
     return realize_fiducial(spec, d)
@@ -96,10 +104,7 @@ def _resolve_weight(text: str, d: int) -> Weight:
     if text.startswith("cs:"):
         return coherent_state_weight(_resolve_fiducial(text[len("cs:"):], d))
     if text.startswith("file:"):
-        values = read_complex_matrix_csv(text[len("file:"):])
-        if values.shape[0] != d:
-            raise InputFormatError(f"weight file has d={values.shape[0]}, expected {d}")
-        return Weight(values)
+        return Weight(_read_sized(read_complex_matrix_csv, text, d))
     raise InputFormatError(f"unknown weight selector {text!r}")
 
 
@@ -116,10 +121,7 @@ def _resolve_symbol(text: str, d: int):
         f[0, 0] = d  # unit mass under the 1/d-weighted counting measure
         return f, "general", None
     if text.startswith("file:"):
-        values = read_complex_matrix_csv(text[len("file:"):])
-        if values.shape[0] != d:
-            raise InputFormatError(f"symbol file has d={values.shape[0]}, expected {d}")
-        return values, "general", None
+        return _read_sized(read_complex_matrix_csv, text, d), "general", None
     for prefix, symbol in (("momentum", momentum_symbol), ("position", position_symbol)):
         if text.startswith(prefix + ":"):
             arg = text[len(prefix) + 1:]
@@ -130,9 +132,7 @@ def _resolve_symbol(text: str, d: int):
             elif arg == "fourier":
                 vec = phase_table(d, np.arange(d))
             elif arg.startswith("file:"):
-                vec = read_vector_csv(arg[len("file:"):])
-                if vec.shape[0] != d:
-                    raise InputFormatError(f"symbol vector has length {vec.shape[0]}, expected {d}")
+                vec = _read_sized(read_vector_csv, arg, d)
             else:
                 raise InputFormatError(f"unknown {prefix} symbol {arg!r}")
             return symbol(vec), prefix, vec
@@ -218,10 +218,13 @@ def cmd_portrait(args) -> int:
     f, _, _ = _resolve_symbol(args.symbol, d)
     smoothed = portrait_of_symbol(f, weight)
     scale = np.abs(weight.values).max() ** 2  # a portrait is quadratic in the weight
-    _check_two_paths("portrait", smoothed, portrait(quantize(f, weight), weight),
-                     np.abs(f).max() * scale)
+    peak = np.abs(f).max()
+    _check_two_paths("portrait", smoothed, portrait(quantize(f, weight), weight), peak * scale)
+    unit = np.ldexp(1.0, min(-np.frexp(peak)[1], 1023))
+    f *= unit  # by a power of two near 1 / max|f|: exact, and no sum below overflows
     mass = weight.values[0, 0] ** 2 * f.sum()  # sum smoothed = (tr M_w)^2 sum f, tr M_w = w(0, 0)
-    _check_mass("smoothing_mass_residual", abs(smoothed.sum() - mass), np.abs(f).sum() * scale)
+    _check_mass("smoothing_mass_residual", abs((smoothed * unit).sum() - mass),
+                np.abs(f).sum() * scale)
     _write(args.out, format_complex_matrix_csv, smoothed, row_label="m", col_label="n")
     return EXIT_OK
 

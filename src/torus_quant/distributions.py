@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ToleranceError, bound
-from .hilbert import as_state, cyclic_diagonals
+from .hilbert import as_map, as_state, cyclic_diagonals
 from .gabor import _magnitudes, _product_blocks
 from .quantize import Weight, symplectic_dft
 from .weyl import adjoint_reflection, multiply_phase, sum_phase_roots
@@ -82,11 +82,8 @@ def portrait(op: np.ndarray, w: Weight) -> np.ndarray:
     FFT over b is that product, and no transform of the kernel is run.
     O(d^2 log d).
     """
-    op = np.asarray(op, dtype=complex)
     d = w.d
-    if op.shape != (d, d):
-        raise ValueError(f"operator shape {op.shape} does not match weight d={d}")
-    s = np.fft.fft(cyclic_diagonals(op.T), axis=0)  # over b of op[b - k, b], at [b, k]
+    s = np.fft.fft(cyclic_diagonals(as_map(op, d).T), axis=0)  # over b of op[b - k, b], at [b, k]
     kernel = multiply_phase(w.values.copy(), sum_phase_roots(d))  # over b of M_w[b, b - k]
     s[0] *= kernel[0]  # at -b
     s[1:] *= kernel[:0:-1]
@@ -131,11 +128,7 @@ def portrait_of_symbol(f: np.ndarray, w: Weight) -> np.ndarray:
     with no transform of D.  Each 2-D DFT runs in place as two 1-D passes,
     axis 1 then axis 0.  O(d^2 log d).
     """
-    f = np.asarray(f, dtype=complex)
-    d = w.d
-    if f.shape != (d, d):
-        raise ValueError(f"symbol shape {f.shape} does not match weight d={d}")
-    spectrum = np.fft.fft(f, axis=1)
+    spectrum = np.fft.fft(as_map(f, w.d), axis=1)
     np.fft.fft(spectrum, axis=0, out=spectrum)
     p = _paired(w)
     spectrum[:, 0] *= p[0]

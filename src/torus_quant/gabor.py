@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .errors import bound
-from .hilbert import as_state, cyclic_diagonals, row_blocks
+from .hilbert import as_map, as_state, cyclic_diagonals, row_blocks
 from .weyl import half_phase, multiply_phase
 
 __all__ = ["gabor_transform", "gabor_inverse", "isometry_defect"]
@@ -83,10 +83,8 @@ def gabor_inverse(coeffs, window) -> np.ndarray:
     :func:`gabor_transform` with the same window; otherwise it returns
     the frame projection of the given coefficient map.
     """
-    coeffs = np.array(coeffs, dtype=complex)  # a copy: the half phase and the FFT go on in place
+    coeffs = np.array(as_map(coeffs))  # a copy: the half phase and the FFT go on in place
     d = coeffs.shape[0]
-    if coeffs.shape != (d, d):
-        raise ValueError(f"coefficient map must be square, got {coeffs.shape}")
     window = as_state(window, d=d)
     # [l, n]; the inverse FFT over m carries the synthesis weight 1/d
     inner = np.fft.ifft(multiply_phase(coeffs, half_phase(d, 1, np.arange(2 * d))), axis=0,
@@ -101,6 +99,7 @@ def isometry_defect(phi, coeffs) -> float:
     """
     phi = as_state(phi)
     d = phi.shape[0]
+    # not as_map: casting the real |Phi| the gabor command passes to complex would copy the map
     if np.shape(coeffs) != (d, d):
         raise ValueError(f"coefficient map must be {d} x {d}, got shape {np.shape(coeffs)}")
     coeffs = np.asarray(coeffs)

@@ -7,8 +7,9 @@ its kernel W[k, l] = exp(-2i pi k l / d) / sqrt(d) is pinned by the tests
 against a dense reference matrix.  :func:`phase_table` is the one place
 where an integer phase is exponentiated: exponents are reduced in integer
 arithmetic first, which keeps identities exact to machine precision even
-for large indices.  :func:`cyclic_diagonals`, an involution, reads and
-rebuilds every operator along its cyclic diagonals, with no index table.
+for large indices.  :func:`as_map` checks a d x d map as :func:`as_state`
+a state.  :func:`cyclic_diagonals`, an involution, reads and rebuilds
+every operator along its cyclic diagonals, with no index table.
 """
 
 from __future__ import annotations
@@ -45,6 +46,16 @@ def as_state(values, d: int | None = None) -> np.ndarray:
     if d is not None and v.shape[0] != d:
         raise ValueError(f"dimension mismatch: expected d={d}, got {v.shape[0]}")
     return v
+
+
+def as_map(values, d: int | None = None) -> np.ndarray:
+    """Validate ``values`` as a d x d map (d its first axis by default); return it as complex128."""
+    m = np.asarray(values, dtype=complex)
+    if d is None:
+        d = max(1, m.shape[0]) if m.ndim else 1
+    if m.shape != (d, d):
+        raise ValueError(f"phase-space map must be {d} x {d} to match d={d}, got shape {m.shape}")
+    return m
 
 
 def norm(a) -> float:

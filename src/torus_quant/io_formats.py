@@ -53,14 +53,18 @@ def _json_number(value, where: str) -> float:
     return _parse_number(value, where)
 
 
+def _read_text(path: str | Path) -> str:
+    """The text of ``path``; a file that cannot be read as UTF-8 raises InputFormatError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputFormatError(f"cannot read {path}: {exc}") from exc
+
+
 def read_vector_csv(path: str | Path) -> np.ndarray:
     """Read a complex vector: one sample per line, ``x`` or ``re,im``."""
     values = []
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    for i, raw in enumerate(lines, start=1):
+    for i, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -91,9 +95,7 @@ def read_signal(path: str | Path) -> np.ndarray:
         return read_vector_csv(path)
     import json  # only JSON signals need it: not imported with the command line
     try:
-        payload = json.loads(path.read_text())
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
+        payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path}: invalid JSON ({exc})") from exc
     if isinstance(payload, dict):
@@ -134,10 +136,7 @@ def read_complex_matrix_csv(path: str | Path) -> np.ndarray:
     Layout: header line, then one line per row: row index followed by
     re,im pairs for each column.
     """
-    try:
-        lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
+    lines = [ln for ln in _read_text(path).splitlines() if ln.strip()]
     if len(lines) < 2:
         raise InputFormatError(f"{path}: expected a header and at least one data row")
     rows = []

@@ -36,9 +36,10 @@ index table, :func:`hilbert.cyclic_diagonals` (chi is the phase of D,
   M[a - n, b - n] at entry (a, b), which gives
   A[a, b] = (1/d) sum_n g(a - b, n) M_w[a - n, b - n] with
   g(k, n) = sum_m f(m, n) e^{2 i pi m k / d}: along each cyclic diagonal
-  a - b = k a convolution over n, evaluated by FFT.  It does not go
-  through the symplectic transform of the production route, so the two
-  stay independent checks of each other.
+  a - b = k a convolution over n, evaluated by FFT.  Its g transposed is
+  bitwise the conjugate symplectic transform of f, inlined, and its FFT
+  undoes the inverse FFT of ``_kernel_diagonals(w)``: both routes run one
+  pipeline, so only a fault in ``symplectic_dft``'s own code parts them.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import bound
-from .hilbert import as_state, cyclic_diagonals, dft, idft
+from .hilbert import as_map, as_state, cyclic_diagonals, dft, idft
 from .weyl import adjoint_reflection, multiply_phase, sum_phase_roots
 
 __all__ = [
@@ -87,9 +88,7 @@ class Weight:
     is_density: bool = False
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] < 1:
-            raise ValueError(f"weight must be a square array, got shape {v.shape}")
+        v = as_map(self.values)
         if not abs(v[0, 0] - 1.0) <= bound():
             raise ValueError(f"weight origin value must be 1 (unit trace), got {v[0, 0]}")
         self.values = v
@@ -152,7 +151,7 @@ def weight_from_operator(M: np.ndarray) -> Weight:
     at max(1, sum_l |M[l, l]|), or ``ValueError`` is raised (NaN included),
     and is then set to exactly 1.
     """
-    M = np.asarray(M, dtype=complex)
+    M = as_map(M)
     w = cyclic_diagonals(M)  # M[l, l - n]
     scale = max(1.0, np.abs(w[:, 0]).sum())
     np.fft.fft(w, axis=0, out=w)
@@ -171,10 +170,7 @@ def symplectic_dft(f: np.ndarray, conjugate: bool = False) -> np.ndarray:
     their own inverse, and conjugate(plain(f)) reflects f through the
     origin.
     """
-    f = np.asarray(f, dtype=complex)
-    d = f.shape[0]
-    if f.shape != (d, d):
-        raise ValueError(f"phase-space map must be square, got {f.shape}")
+    f = as_map(f)
     first, second = (np.fft.ifft, np.fft.fft) if conjugate else (np.fft.fft, np.fft.ifft)
     g = first(f, axis=0)
     return second(g, axis=1, out=g).T
@@ -207,15 +203,13 @@ def quantize(f: np.ndarray, w: Weight, method: str = "kernel") -> np.ndarray:
         g(k, n) = sum_m f(m, n) e^{2 i pi m k / d},
 
     along each cyclic diagonal a - b = k a convolution over n, evaluated
-    by FFT and independent of the kernel route; its 1/d cancels the d of
-    g.  Both routes rebuild A from its cyclic diagonals with the one
-    involution ``cyclic_diagonals``, which needs no index table.  The unit
-    symbol quantizes to the identity for every valid weight.
+    by FFT; its 1/d cancels the d of g.  As g is F transposed, bitwise,
+    the routes run one pipeline and are not independent checks.
+    Both rebuild A from its cyclic diagonals with the one involution
+    ``cyclic_diagonals``, which needs no index table.  The unit symbol
+    quantizes to the identity for every valid weight.
     """
-    f = np.asarray(f, dtype=complex)
-    d = w.d
-    if f.shape != (d, d):
-        raise ValueError(f"symbol shape {f.shape} does not match weight d={d}")
+    f = as_map(f, w.d)
     if method == "kernel":
         return cyclic_diagonals(_kernel_diagonals(w.values * symplectic_dft(f, conjugate=True)))
     if method == "direct":

@@ -18,6 +18,7 @@ from torus_quant import (
     overlap_distribution,
     parity_weight,
     portrait,
+    portrait_of_symbol,
     quantize,
     quantize_momentum,
     realize_fiducial,
@@ -539,6 +540,54 @@ class TestSelectorErrors:
         assert "weight" in capsys.readouterr().err
 
 
+#: each reader path of the command line: its arguments, with {file} for the input file and
+#: {d} for --d, and the kind of that file (a vector of d samples or a d x d matrix)
+READER_PATHS = {
+    "csv_signal": (["gabor", "--in", "{file}.csv"], "vector"),
+    "json_signal": (["wigner", "--in", "{file}.json"], "json"),
+    "custom_window": (["fiducials", "--d", "{d}", "--fiducial", "custom:{file}.csv"], "vector"),
+    "weight_file": (["quantize", "--d", "{d}", "--symbol", "ones",
+                     "--weight", "file:{file}.csv"], "matrix"),
+    "symbol_file": (["portrait", "--d", "{d}", "--symbol", "file:{file}.csv",
+                     "--weight", "parity"], "matrix"),
+    "symbol_vector": (["quantize", "--d", "{d}", "--symbol", "position:file:{file}.csv",
+                       "--weight", "parity"], "vector"),
+}
+
+
+def _run_reader_path(tmp_path, path, prefix, size, d):
+    """Run ``path`` on an input file of ``size`` samples (or rows) after the bytes ``prefix``.
+
+    Returns the exit code and whether an output file was written.
+    """
+    argv, kind = READER_PATHS[path]
+    text = {"vector": b"1\n" * size, "json": b"[" + b", ".join([b"1"] * size) + b"]",
+            "matrix": written_bytes(format_complex_matrix_csv, np.ones((size, size)))}[kind]
+    (tmp_path / ("in.json" if kind == "json" else "in.csv")).write_bytes(prefix + text)
+    out = tmp_path / "out.csv"
+    code = run(*[a.format(file=tmp_path / "in", d=d) for a in argv], "--out", str(out))
+    return code, out.exists()
+
+
+class TestInputFiles:
+    """An input file that is not UTF-8, or whose size is not d, is an input error: exit 2."""
+
+    @pytest.mark.parametrize("path", READER_PATHS)
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys, path):
+        assert _run_reader_path(tmp_path, path, b"\xff", 3, 3) == (2, False)
+        assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", ["custom_window", "weight_file", "symbol_file",
+                                      "symbol_vector"])
+    def test_wrong_size_file_exits_2(self, tmp_path, capsys, path):
+        assert _run_reader_path(tmp_path, path, b"", 3, 5) == (2, False)
+        assert "has size 3, expected d=5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", READER_PATHS)
+    def test_right_size_file_runs(self, tmp_path, path):
+        assert _run_reader_path(tmp_path, path, b"", 3, 3) == (0, True)
+
+
 class TestDimensionFlag:
     """--d below 1, or not an integer, is an input error of every subcommand: exit 2, no output."""
 
@@ -642,6 +691,20 @@ class TestOverflow:
                    "--out", str(out)) == 0
         smoothed = read_complex_matrix_csv(out)
         assert np.abs(smoothed - symbol).max() <= 1e-12 * 1e307
+
+    def test_portrait_mass_check_of_a_huge_symbol_does_not_overflow(self, tmp_path, capsys, rng):
+        # the sums of the mass check run on f and the map scaled by a power of two near 1 / max|f|
+        d, path, out = 20, tmp_path / "in.csv", tmp_path / "out.csv"
+        symbol = 1e306 * rng.choice([-1.0, 1.0], size=(d, d)) + 0j
+        path.write_bytes(written_bytes(format_complex_matrix_csv, symbol))
+        assert run("portrait", "--d", str(d), "--symbol", f"file:{path}",
+                   "--weight", "cs:von_mises:3", "--out", str(out)) == 0
+        keys = [line.split()[0] for line in capsys.readouterr().err.splitlines()]
+        assert keys == ["two_path_residual", "smoothing_mass_residual"]
+        expected = portrait_of_symbol(symbol, coherent_state_weight(
+            realize_fiducial(FiducialSpec.von_mises(3.0), d)))
+        assert np.abs(read_complex_matrix_csv(out) - expected).max() <= \
+            1e-12 * np.abs(expected).max()
 
     @pytest.mark.parametrize("fiducial", ["constant", "kronecker:0", "von_mises:3"])
     def test_period_diagnostics_of_a_huge_signal_do_not_overflow(self, tmp_path, capsys,

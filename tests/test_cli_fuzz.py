@@ -6,7 +6,8 @@ random bytes, or CSV/JSON of random numbers (any finite double, so some
 inputs overflow double precision in the computation).  An input error
 (a --d below 1 among them) must exit 2 and a precondition violation 3; exit 1 (an uncaught
 exception) and exit 4 (a tolerance failure) are never the right answer
-to an input.
+to an input.  An input file whose bytes are not UTF-8 is an input error
+whichever reader takes it.
 """
 
 import contextlib
@@ -137,6 +138,32 @@ def fuzz_case(draw):
     return argv, used
 
 
+#: each reader path: its arguments, with {file} for the input file, and the file's contents
+READERS = [
+    (["gabor", "--in", "{file}"], ".csv", csv_vector),
+    (["wigner", "--in", "{file}"], ".json", json_signal),
+    (["fiducials", "--d", "{d}", "--fiducial", "custom:{file}"], ".csv", csv_vector),
+    (["quantize", "--d", "{d}", "--symbol", "ones", "--weight", "file:{file}"], ".csv", csv_matrix),
+    (["portrait", "--d", "{d}", "--symbol", "file:{file}", "--weight", "parity"], ".csv",
+     csv_matrix),
+    (["quantize", "--d", "{d}", "--symbol", "momentum:file:{file}", "--weight", "parity"], ".csv",
+     csv_vector),
+]
+
+
+@st.composite
+def non_utf8_case(draw):
+    """A reader path whose file is ASCII text of its kind with one byte from 0x80 up inserted.
+
+    A single such byte among ASCII bytes never forms a UTF-8 sequence.
+    """
+    argv, suffix, text = draw(st.sampled_from(READERS))
+    d = draw(st.integers(1, 9))
+    payload = bytearray(draw(text(d)).encode("ascii"))
+    payload.insert(draw(st.integers(0, len(payload))), draw(st.integers(0x80, 0xFF)))
+    return [arg.replace("{d}", str(d)) for arg in argv], {"file": (suffix, bytes(payload))}
+
+
 def run_case(argv, files):
     """Exit code and captured output of ``main`` on the case, files in a temporary directory."""
     with tempfile.TemporaryDirectory() as directory:
@@ -168,3 +195,11 @@ class TestFuzzedCommandLines:
         dimensions = [value for flag, value in zip(argv, argv[1:]) if flag == "--d"]
         if any(value.lstrip("-").isdigit() and int(value) < 1 for value in dimensions):
             assert code == 2, (case, output[-500:])
+
+    @seed(20261019)
+    @settings(max_examples=100, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=non_utf8_case())
+    def test_non_utf8_input_file_exits_2(self, case):
+        code, output = run_case(*case)
+        assert code == 2 and "cannot read" in output, (case, output[-500:])

@@ -1,13 +1,23 @@
 import numpy as np
 import pytest
 
+import re
+
 from torus_quant import (
+    Weight,
     dft,
     fourier_basis,
+    gabor_inverse,
     idft,
     kronecker_basis,
     modulate,
+    parity_weight,
+    portrait,
+    portrait_of_symbol,
+    quantize,
+    symplectic_dft,
     translate,
+    weight_from_operator,
 )
 
 from torus_quant.hilbert import cyclic_diagonals
@@ -34,6 +44,38 @@ class TestInner:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             inner(np.ones(3), np.ones(4))
+
+
+#: each public entry point that takes a d x d map, with d fixed by another argument or None
+MAP_ENTRY_POINTS = {
+    "Weight": (Weight, None),
+    "symplectic_dft": (symplectic_dft, None),
+    "weight_from_operator": (weight_from_operator, None),
+    "gabor_inverse": (lambda values: gabor_inverse(values, np.ones(3) / np.sqrt(3)), None),
+    "quantize": (lambda values: quantize(values, parity_weight(3)), 3),
+    "portrait": (lambda values: portrait(values, parity_weight(3)), 3),
+    "portrait_of_symbol": (lambda values: portrait_of_symbol(values, parity_weight(3)), 3),
+}
+
+
+class TestMapGate:
+    """Every entry point that takes a d x d map rejects any other shape with one message."""
+
+    @pytest.mark.parametrize("name", MAP_ENTRY_POINTS)
+    @pytest.mark.parametrize("shape", [(3, 4), (3,), (2, 2, 2)])
+    def test_wrong_shape(self, name, shape):
+        call, d = MAP_ENTRY_POINTS[name]
+        d = shape[0] if d is None else d
+        with pytest.raises(ValueError, match=re.escape(
+                f"must be {d} x {d} to match d={d}, got shape {shape}")):
+            call(np.ones(shape))
+
+    @pytest.mark.parametrize("name", [name for name, (_, d) in MAP_ENTRY_POINTS.items() if d])
+    def test_d_mismatch(self, name):
+        call, d = MAP_ENTRY_POINTS[name]
+        with pytest.raises(ValueError, match=re.escape(
+                f"must be {d} x {d} to match d={d}, got shape (4, 4)")):
+            call(np.ones((4, 4)))
 
 
 class TestBases:
