@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ToleranceError, bound
+from .errors import bound, hold
 from .hilbert import as_map, as_state, cyclic_diagonals
 from .gabor import _magnitudes, _product_blocks
 from .quantize import Weight, symplectic_dft
@@ -29,11 +29,9 @@ __all__ = [
 ]
 
 
-def realize_real(values: np.ndarray, scale: float = 1.0, what: str = "map") -> np.ndarray:
-    """Drop an imaginary part within ``bound(scale)``, ``scale`` the size of the terms."""
-    worst, tol = float(np.abs(np.imag(values)).max()), bound(scale)
-    if not worst <= tol:
-        raise ToleranceError(f"{what} has imaginary part {worst:.3e} above {tol:.1e}")
+def realize_real(values: np.ndarray, scale: float = 1.0, key: str = "imaginary") -> np.ndarray:
+    """Drop an imaginary part held as ``key`` to ``bound(scale)``, ``scale`` the terms' size."""
+    hold(key, np.abs(np.imag(values)).max(), scale)
     return np.real(values).copy()
 
 
@@ -65,7 +63,7 @@ def wigner(psi) -> np.ndarray:
     shifts = 2 * np.arange(d) % d
     w_map = np.empty((d, d))
     for cols, products in _product_blocks(u, shifts, v, d - shifts, np.fft.ifft):  # [n, j]
-        w_map[:, cols] = realize_real(products, scale, "Wigner map").T
+        w_map[:, cols] = realize_real(products, scale, "wigner_imaginary").T
     return w_map
 
 
@@ -111,9 +109,9 @@ def overlap_distribution(w: Weight) -> np.ndarray:
     dist, peak = symplectic_dft(_paired(w)), np.abs(w.values).max()
     if not w.is_density and w.symmetry_defect() > bound(peak):
         return dist
-    dist = realize_real(dist, scale=peak ** 2, what="overlap distribution")
-    if w.is_density and not dist.min() >= -bound(peak ** 2):
-        raise ToleranceError(f"coherent-state overlap distribution dips to {dist.min():.3e}")
+    dist = realize_real(dist, peak ** 2, "overlap_imaginary")
+    if w.is_density:
+        hold("overlap_distribution_dips", -dist.min(), peak ** 2)
     return dist
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import as_state, fourier_basis, kronecker_basis
-from .errors import InputFormatError, ToleranceError, bound
+from .errors import InputFormatError, ToleranceError, hold
 
 __all__ = ["FiducialSpec", "realize_fiducial"]
 
@@ -142,13 +142,12 @@ def _guard_normalize(v: np.ndarray) -> np.ndarray:
     v = np.ascontiguousarray(v, dtype=np.result_type(v, float))
     peak = np.abs(v).max()
     if not np.isfinite(peak):
-        raise ToleranceError("fiducial realization is not finite")
+        raise ToleranceError("fiducial_peak", peak, math.inf, "fiducial realization is not finite")
     if peak == 0:
         raise InputFormatError("fiducial window is zero")
     v = np.ldexp(v.view(float), 1 - np.frexp(peak)[1]).view(v.dtype)
     v = np.asarray(v, dtype=complex) / np.linalg.norm(v)
-    if not abs(np.linalg.norm(v) - 1.0) <= bound():
-        raise ToleranceError("fiducial normalization failed")
+    hold("fiducial_normalization", abs(np.linalg.norm(v) - 1.0))
     return v
 
 

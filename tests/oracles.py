@@ -326,7 +326,7 @@ def wigner_via_parity(psi) -> np.ndarray:
     for m in range(d):
         for n in range(d):
             out[m, n] = np.vdot(psi, transported(p, m, n) @ psi) / d
-    return realize_real(out, what="Wigner map")
+    return realize_real(out, key="wigner_imaginary")
 
 
 def wigner_half_argument(psi) -> np.ndarray:
@@ -342,7 +342,7 @@ def wigner_half_argument(psi) -> np.ndarray:
     out = np.empty((d, d), dtype=complex)
     for n in range(d):
         out[:, n] = quad @ (np.conj(psi[(n + half) % d]) * psi[(n - half) % d]) / d
-    return realize_real(out, what="Wigner map")
+    return realize_real(out, key="wigner_imaginary")
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from torus_quant import (
 import torus_quant
 from torus_quant import cli
 from torus_quant.cli import main
+from torus_quant.errors import ToleranceError
 from torus_quant.io_formats import (
     format_complex_matrix_csv,
     format_vector_csv,
@@ -38,6 +39,14 @@ from conftest import written_bytes, random_map, random_symmetric_weight
 
 def run(*argv):
     return main(list(argv))
+
+
+def failed_check(*argv):
+    """Key of the ToleranceError the subcommand on ``argv`` raises, run as ``main`` runs it."""
+    args = cli._build_parser().parse_args(list(argv))
+    with np.errstate(over="raise"), pytest.raises(ToleranceError) as info:
+        args.func(args)
+    return info.value.key
 
 
 def write_signal(path, values):
@@ -733,7 +742,8 @@ class TestOverflow:
 
 
 class TestCheckCatchesInjectedErrors:
-    """The two-path checks fail on one wrong entry of the production route."""
+    """The two-path checks fail on one wrong entry of the production route, and the
+    hermiticity check on a wrong phase that both routes share."""
 
     @pytest.mark.parametrize("kind", ["flip", "nan"])
     @pytest.mark.parametrize("command", ["quantize", "portrait"])
@@ -743,9 +753,27 @@ class TestCheckCatchesInjectedErrors:
         sfile = tmp_path / "sym.csv"
         sfile.write_bytes(written_bytes(format_complex_matrix_csv, random_map(rng, d)))
         out = tmp_path / "out.csv"
-        assert run(command, "--d", str(d), "--symbol", f"file:{sfile}",
-                   "--weight", "cs:von_mises:1", "--out", str(out)) == 4
-        assert "tolerance failure" in capsys.readouterr().err
+        argv = (command, "--d", str(d), "--symbol", f"file:{sfile}",
+                "--weight", "cs:von_mises:1", "--out", str(out))
+        assert run(*argv) == 4
+        assert "tolerance failure: two_path_residual " in capsys.readouterr().err
+        assert failed_check(*argv) == "two_path_residual"
+        assert not out.exists()
+
+    def test_conjugated_chi_fails_the_hermiticity_check(self, tmp_path, capsys, monkeypatch):
+        # both quantize routes read chi from the module, so they agree on the wrong operator;
+        # at odd d the parity weight is self-adjoint and the delta symbol real
+        module = sys.modules["torus_quant.quantize"]
+        real = module.sum_phase_roots
+        monkeypatch.setattr(module, "sum_phase_roots", lambda d: np.conj(real(d)))
+        out = tmp_path / "op.csv"
+        argv = ("quantize", "--d", "7", "--symbol", "delta", "--weight", "parity",
+                "--out", str(out))
+        assert run(*argv) == 4
+        err = capsys.readouterr().err
+        assert "hermiticity_residual 1.000e+00" in err
+        assert "tolerance failure: hermiticity_residual " in err
+        assert failed_check(*argv) == "hermiticity_residual"
         assert not out.exists()
 
     @pytest.mark.parametrize("amplitude", [1e-12, 1e-8, 1.0, 1e8])
@@ -768,7 +796,7 @@ class TestCheckCatchesInjectedErrors:
         out = tmp_path / "out.csv"
         assert run(command, "--d", str(d), "--symbol", f"file:{sfile}",
                    "--weight", weight, "--out", str(out)) == 4
-        assert "tolerance failure" in capsys.readouterr().err
+        assert "tolerance failure: two_path_residual " in capsys.readouterr().err
         assert not out.exists()
 
 

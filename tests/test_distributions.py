@@ -20,6 +20,7 @@ from torus_quant import (
 )
 from torus_quant import distributions
 from torus_quant.distributions import realize_real
+from torus_quant.errors import bound
 
 from conftest import random_map, random_state, random_symmetric_weight
 from oracles import (
@@ -202,9 +203,13 @@ class TestOverlapDistribution:
         w = random_symmetric_weight(rng, 5)
         assert not w.is_density
         assert coherent_state_weight(random_state(rng, 5, unit=True)).is_density
-        assert overlap_distribution(w).min() < -1e-3
-        with pytest.raises(ToleranceError, match="dips"):
+        dip = -overlap_distribution(w).min()
+        assert dip > 1e-3
+        with pytest.raises(ToleranceError, match="dips") as info:
             overlap_distribution(Weight(w.values, is_density=True))
+        peak = np.abs(w.values).max()
+        assert (info.value.key, info.value.bound) == ("overlap_distribution_dips", bound(peak ** 2))
+        assert info.value.residual == pytest.approx(dip, rel=1e-12)
 
 
 class TestWignerRealityBound:
@@ -236,8 +241,10 @@ class TestRealize:
         assert out.dtype.kind == "f"
 
     def test_raises_above_tolerance(self):
-        with pytest.raises(ToleranceError, match="imaginary"):
+        with pytest.raises(ToleranceError, match="imaginary") as info:
             realize_real(np.array([1.0 + 1e-3j]))
+        assert (info.value.key, info.value.residual, info.value.bound) == (
+            "imaginary", 1e-3, bound())
 
     def test_raises_on_nan_imaginary_part(self):
         with pytest.raises(ToleranceError, match="imaginary"):

@@ -11,6 +11,7 @@ from torus_quant import (
     norm,
     realize_fiducial,
 )
+from torus_quant.errors import bound
 from torus_quant.fiducials import _guard_normalize
 
 from conftest import default_catalog
@@ -147,8 +148,16 @@ class TestRealizations:
         assert v == pytest.approx(expected / np.linalg.norm(expected), abs=1e-15)
 
     def test_non_finite_recipe_is_a_tolerance_failure(self):
-        with pytest.raises(ToleranceError, match="not finite"):
+        with pytest.raises(ToleranceError, match="not finite") as info:
             _guard_normalize(np.array([np.inf, 1.0]))
+        assert (info.value.key, info.value.residual) == ("fiducial_peak", np.inf)
+
+    def test_normalization_check_carries_its_key(self, monkeypatch):
+        real_norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm", lambda v: real_norm(v) + 1e-6)
+        with pytest.raises(ToleranceError) as info:
+            realize_fiducial(FiducialSpec.constant(), 4)
+        assert (info.value.key, info.value.bound) == ("fiducial_normalization", bound())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
     def test_custom_rejects_non_finite_samples(self, bad):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torus_quant.cli import main
-from torus_quant.errors import bound
+from torus_quant.errors import ToleranceError, bound, hold
 from torus_quant.io_formats import format_complex_matrix_csv, read_complex_matrix_csv
 
 from conftest import written_bytes, random_map, random_symmetric_weight
@@ -32,6 +32,25 @@ class TestBound:
     @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
     def test_non_finite_scale_gets_the_floor(self, scale):
         assert bound(scale) == FLOOR
+
+
+class TestHold:
+    def test_nan_residual_fails(self):
+        with pytest.raises(ToleranceError) as info:
+            hold("check", float("nan"), 1.0)
+        assert np.isnan(info.value.residual)
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-12, 1.0, 1e6, float("nan")])
+    def test_residual_at_the_bound_passes(self, scale):
+        hold("check", bound(scale), scale)
+        with pytest.raises(ToleranceError):
+            hold("check", np.nextafter(bound(scale), 1.0), scale)
+
+    def test_error_carries_key_residual_and_bound(self):
+        with pytest.raises(ToleranceError, match=r"^mass 3\.000e-04 exceeds 1\.000e-04$") as info:
+            hold("mass", 3e-4, 1e6)
+        error = info.value
+        assert (error.key, error.residual, error.bound) == ("mass", 3e-4, bound(1e6))
 
 
 def random_weight(rng, d, peak):
