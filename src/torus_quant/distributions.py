@@ -70,8 +70,8 @@ def wigner(psi) -> np.ndarray:
 def portrait(op: np.ndarray, w: Weight) -> np.ndarray:
     """Phase-space portrait A(m, n) = Tr[op * D(m,n) M_w D(m,n)^dag].
 
-    Through the closed form of the transported operator (see
-    :mod:`torus_quant.quantize`),
+    Through the closed form of the transported operator,
+    D(m,n) M D(m,n)^dag = e^{2 i pi m (a - b) / d} M[a - n, b - n] at (a, b):
     A(m, n) = sum_k e^{2 i pi m k / d} s(n, k) with
     s(n, k) = sum_b op[b-k, b] M_w[b-n, b-n-k], a cyclic correlation over
     b of the cyclic diagonals of op^T and of M_w's kernel: the inverse FFT

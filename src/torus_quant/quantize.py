@@ -26,20 +26,12 @@ index table, :func:`hilbert.cyclic_diagonals` (chi is the phase of D,
 
 - M_w from its integral kernel: entry (l, l - nu) is
   (1/d) sum_mu w(mu, nu) chi(mu, nu) e^{2 i pi mu l / d}, one inverse FFT;
-- weight retrieval, w(m, n) = conj(chi(m, n)) sum_l e^{-2 i pi m l / d}
-  M[l, l - n]: one FFT of the operator's cyclic diagonals; the
+- the coefficients Tr[D(m, n)^dag M] = conj(chi(m, n)) sum_l
+  e^{-2 i pi m l / d} M[l, l - n]: one FFT of the operator's cyclic
+  diagonals.  Weight retrieval is this at unit trace, and the
   coherent-state weight is the weight retrieved from |phi><phi|;
-- the production route of :func:`quantize`, which feeds the conjugate
-  symplectic transform of f into the kernel assembly;
-- the "direct" route of :func:`quantize`, from the closed form of the
-  transported operator, D(m,n) M D(m,n)^dag = exp(2 i pi m (a - b) / d)
-  M[a - n, b - n] at entry (a, b), which gives
-  A[a, b] = (1/d) sum_n g(a - b, n) M_w[a - n, b - n] with
-  g(k, n) = sum_m f(m, n) e^{2 i pi m k / d}: along each cyclic diagonal
-  a - b = k a convolution over n, evaluated by FFT.  Its g transposed is
-  bitwise the conjugate symplectic transform of f, inlined, and its FFT
-  undoes the inverse FFT of ``_kernel_diagonals(w)``: both routes run one
-  pipeline, so only a fault in ``symplectic_dft``'s own code parts them.
+- :func:`quantize`, which feeds the conjugate symplectic transform of f
+  into the kernel assembly.
 """
 
 from __future__ import annotations
@@ -141,22 +133,28 @@ def quantization_operator(w: Weight) -> np.ndarray:
     return cyclic_diagonals(_kernel_diagonals(w.values))
 
 
+def _coefficients(M: np.ndarray) -> np.ndarray:
+    """Tr[D(m,n)^dag M] at every (m, n), a new array: one FFT of M's cyclic diagonals.
+
+    conj(chi(m, n)) sum_l e^{-2 i pi m l / d} M[l, l - n], O(d^2 log d);
+    for M = (1/d) sum c(q) D(q) it returns c, as the D(q) are orthogonal.
+    """
+    c = cyclic_diagonals(M)  # M[l, l - n]
+    np.fft.fft(c, axis=0, out=c)
+    return multiply_phase(c, np.conj(sum_phase_roots(M.shape[0])))
+
+
 def weight_from_operator(M: np.ndarray) -> Weight:
     """Retrieve the weight of a unit-trace operator: w(m,n) = Tr[D(m,n)^dag M].
 
-    Inverts :func:`quantization_operator` exactly: reads M along its d
-    cyclic diagonals and applies one FFT,
-    w(m, n) = conj(chi(m, n)) sum_l e^{-2 i pi m l / d} M[l, l - n],
-    O(d^2 log d).  w(0, 0) is the trace; it must be 1 to within ``bound``
-    at max(1, sum_l |M[l, l]|), or ``ValueError`` is raised (NaN included),
-    and is then set to exactly 1.
+    Inverts :func:`quantization_operator` exactly, through
+    ``_coefficients``.  w(0, 0) is the trace; it must be 1 to within
+    ``bound`` at max(1, sum_l |M[l, l]|), or ``ValueError`` is raised (NaN
+    included), and is then set to exactly 1.
     """
     M = as_map(M)
-    w = cyclic_diagonals(M)  # M[l, l - n]
-    scale = max(1.0, np.abs(w[:, 0]).sum())
-    np.fft.fft(w, axis=0, out=w)
-    multiply_phase(w, np.conj(sum_phase_roots(M.shape[0])))
-    if not abs(w[0, 0] - 1.0) <= bound(scale):
+    w = _coefficients(M)
+    if not abs(w[0, 0] - 1.0) <= bound(max(1.0, np.abs(M.diagonal()).sum())):
         raise ValueError(f"operator trace must be 1 to define a weight, got {w[0, 0]}")
     w[0, 0] = 1.0
     return Weight(w)
@@ -188,39 +186,21 @@ def position_symbol(h) -> np.ndarray:
     return np.tile(h[None, :], (h.shape[0], 1))
 
 
-def quantize(f: np.ndarray, w: Weight, method: str = "kernel") -> np.ndarray:
+def quantize(f: np.ndarray, w: Weight) -> np.ndarray:
     """Operator assigned to the symbol f by averaging transported M_w.
 
-    With F the conjugate symplectic transform of f, the kernel route uses
+    With F the conjugate symplectic transform of f,
 
         A_f = (1/d) sum_{m,n} w(m,n) F(m,n) D(m,n),
 
-    which fixes how the conjugate transform enters.  The "direct" route
-    evaluates (1/d) sum_{m,n} f(m,n) D(m,n) M_w D(m,n)^dag through the
-    closed form of the transported operators: summing over m first gives
-
-        A[a, b] = (1/d) sum_n g(a - b, n) M_w[a - n, b - n],
-        g(k, n) = sum_m f(m, n) e^{2 i pi m k / d},
-
-    along each cyclic diagonal a - b = k a convolution over n, evaluated
-    by FFT; its 1/d cancels the d of g.  As g is F transposed, bitwise,
-    the routes run one pipeline and are not independent checks.
-    Both rebuild A from its cyclic diagonals with the one involution
-    ``cyclic_diagonals``, which needs no index table.  The unit symbol
-    quantizes to the identity for every valid weight.
+    which fixes how the conjugate transform enters: one kernel assembly,
+    rebuilt from its cyclic diagonals with the one involution
+    ``cyclic_diagonals``, which needs no index table.  So
+    Tr[D(q)^dag A_f] = w(q) F(q).  The unit symbol quantizes to the
+    identity for every valid weight.
     """
     f = as_map(f, w.d)
-    if method == "kernel":
-        return cyclic_diagonals(_kernel_diagonals(w.values * symplectic_dft(f, conjugate=True)))
-    if method == "direct":
-        g = np.fft.fft(np.fft.ifft(f, axis=0), axis=1)  # FFT over n of g[k, n] / d, at [k, b]
-        conv = _kernel_diagonals(w.values)  # M_w[a, a - k]
-        np.fft.fft(conv, axis=0, out=conv)
-        # A[a, a-k] = (1/d) sum_n g[k, n] M_w[a-n, a-n-k], a convolution over n
-        np.multiply(g.T, conv, out=conv)
-        del g  # before the rebuilt operator is allocated
-        return cyclic_diagonals(np.fft.ifft(conv, axis=0, out=conv))
-    raise ValueError(f"unknown method {method!r}")
+    return cyclic_diagonals(_kernel_diagonals(w.values * symplectic_dft(f, conjugate=True)))
 
 
 def quantize_momentum(g, w: Weight) -> np.ndarray:

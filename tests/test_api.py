@@ -157,20 +157,6 @@ class TestBenchmarkContract:
         assert callable(cli._emit)
         assert callable(cli.main)
 
-    def test_check_route_is_selected_by_keyword(self, tmp_path, monkeypatch):
-        # the traced run files a quantize call under quantize.check when it
-        # passes method="direct" as a keyword
-        calls = []
-        real = cli.quantize
-
-        def recording(*args, **kwargs):
-            calls.append(kwargs.get("method"))
-            return real(*args, **kwargs)
-        monkeypatch.setattr(cli, "quantize", recording)
-        assert cli.main(["quantize", "--d", "3", "--symbol", "ones", "--weight", "parity",
-                         "--out", str(tmp_path / "op.csv")]) == 0
-        assert calls == [None, "direct"]
-
     @pytest.mark.parametrize("argv", [["husimi", "--fiducial", "von_mises:2"], ["wigner"]],
                              ids=["husimi", "wigner"])
     def test_traced_run_writes_the_plain_bytes(self, tmp_path, monkeypatch, argv):

@@ -174,8 +174,8 @@ class TestOperatorMemory:
         assert peak <= 2.5 * self.unit
 
     def test_quantize_check_route(self, symbol, weight):
-        _, peak = traced_peak(quantize, symbol, weight, "direct")
-        assert peak <= 3.25 * self.unit
+        _, peak = traced_peak(cli._coefficient_residual, quantize(symbol, weight), symbol, weight)
+        assert peak <= 2.25 * self.unit
 
     def test_quantize_momentum(self, rng, weight):
         _, peak = traced_peak(quantize_momentum, random_state(rng, self.d), weight)
@@ -215,7 +215,7 @@ class TestTransformPasses:
     """
 
     d = 31
-    PASSES = {"quantize": 279, "portrait": 341, "gabor": 32, "husimi": 31, "wigner": 32,
+    PASSES = {"quantize": 217, "portrait": 341, "gabor": 32, "husimi": 31, "wigner": 32,
               "fiducials": 0}
 
     @pytest.fixture

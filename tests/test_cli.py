@@ -652,11 +652,7 @@ def _corrupt_route(monkeypatch, command, kind):
     """Make the production route of ``command`` return one corrupted entry."""
     if command == "quantize":
         real = cli.quantize
-
-        def route(f, w, method="kernel"):
-            result = real(f, w, method=method)
-            return result if method == "direct" else _corrupted(result, kind)
-        monkeypatch.setattr(cli, "quantize", route)
+        monkeypatch.setattr(cli, "quantize", lambda f, w: _corrupted(real(f, w), kind))
     else:
         real = cli.portrait_of_symbol
         monkeypatch.setattr(cli, "portrait_of_symbol",

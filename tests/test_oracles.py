@@ -4,10 +4,14 @@ import pytest
 from torus_quant import (
     Weight,
     coherent_state_weight,
+    momentum_symbol,
     portrait,
     portrait_of_symbol,
     quantization_operator,
+    position_symbol,
     quantize,
+    quantize_momentum,
+    quantize_position,
     symplectic_dft,
     weight_from_operator,
 )
@@ -52,9 +56,19 @@ def _symplectic_dft_conjugate(rng, d):
     return symplectic_dft(f, conjugate=True), oracles.symplectic_dft_sum(f, conjugate=True)
 
 
-def _quantize_direct(rng, d):
+def _quantize(rng, d):
     f, w = random_map(rng, d), _asymmetric_weight(rng, d)
-    return quantize(f, w, method="direct"), oracles.quantize_sum(f, w)
+    return quantize(f, w), oracles.quantize_sum(f, w)
+
+
+def _quantize_momentum(rng, d):
+    g, w = random_state(rng, d), _asymmetric_weight(rng, d)
+    return quantize_momentum(g, w), oracles.quantize_sum(momentum_symbol(g), w)
+
+
+def _quantize_position(rng, d):
+    h, w = random_state(rng, d), _asymmetric_weight(rng, d)
+    return quantize_position(h, w), oracles.quantize_sum(position_symbol(h), w)
 
 
 def _portrait(rng, d):
@@ -68,8 +82,8 @@ def _portrait_of_symbol(rng, d):
 
 
 CASES = [_coherent_state_weight, _weight_from_operator, _quantization_operator,
-         _symplectic_dft, _symplectic_dft_conjugate, _quantize_direct, _portrait,
-         _portrait_of_symbol]
+         _symplectic_dft, _symplectic_dft_conjugate, _quantize, _quantize_momentum,
+         _quantize_position, _portrait, _portrait_of_symbol]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8, 9])

@@ -224,12 +224,6 @@ class TestQuantize:
             ek = fourier_basis(d, k)
             assert np.abs(a @ ek - g[k] * ek).max() < 1e-12
 
-    @pytest.mark.parametrize("d", [3, 4, 5])
-    def test_kernel_and_direct_paths_agree(self, rng, d):
-        w = random_symmetric_weight(rng, d)
-        f = random_map(rng, d)
-        assert np.abs(quantize(f, w) - quantize(f, w, method="direct")).max() < 1e-12
-
     def test_shape_mismatch(self, rng):
         with pytest.raises(ValueError, match="match"):
             quantize(np.ones((3, 3)), random_symmetric_weight(rng, 4))
