@@ -14,11 +14,6 @@ when its 17th significant digit onwards lies within 1e-9 of a rounding tie
 (exact ties need a double with at most a few fraction bits, such as a
 16-digit half-integer), or when its decimal exponent is not settled by the
 product (a few units from a power of ten).
-
-Each table gets one workspace, sized to its first block (see
-:func:`_workspace`).  Every intermediate of every block, its text
-included, lives there, so a block allocates only the compacted text it
-passes on.
 """
 
 from __future__ import annotations
@@ -46,13 +41,6 @@ def _parse_number(token: str | float, where: str) -> float:
     return value
 
 
-def _json_number(value, where: str) -> float:
-    """A JSON number (not a bool, string or container) that is finite."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputFormatError(f"expected a number at {where}, got {value!r}")
-    return _parse_number(value, where)
-
-
 def _read_text(path: str | Path) -> str:
     """The text of ``path``; a file that cannot be read as UTF-8 raises InputFormatError."""
     try:
@@ -61,25 +49,47 @@ def _read_text(path: str | Path) -> str:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
 
 
+def _table(rows: list[tuple[int, str]], first: int, counts: tuple, fault: str) -> np.ndarray:
+    """Fields ``first`` onwards of each (line, text) row, read by ``float()`` a row at a time.
+
+    A row's field count must be in ``counts``, else ``fault.format(line, count)``
+    is raised; a shorter row leaves its last entries 0.  A row float() rejects or
+    reads as non-finite is read again by :func:`_parse_number`, field by field.
+    """
+    table = np.zeros((len(rows), max(counts, default=first) - first))
+    for r, (line, text) in enumerate(rows):
+        fields = text.split(",")
+        if len(fields) not in counts:
+            raise InputFormatError(fault.format(line, len(fields)))
+        try:
+            values = list(map(float, fields[first:]))
+            read = math.isfinite(sum(values))  # false for nan or inf, or an overflowing sum
+        except ValueError:
+            read = False
+        if not read:
+            where = f"row {line}" if len(fields) == 1 else f"row {line}, column {{}}"
+            # stripped first: str.strip removes a few control characters that float() rejects
+            values = [_parse_number(token.strip(), where.format(j))
+                      for j, token in enumerate(fields[first:], start=first + 1)]
+        table[r, :len(values)] = values
+    return table
+
+
 def read_vector_csv(path: str | Path) -> np.ndarray:
-    """Read a complex vector: one sample per line, ``x`` or ``re,im``."""
-    values = []
-    for i, raw in enumerate(_read_text(path).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) == 1:
-            values.append(complex(_parse_number(parts[0], f"row {i}")))
-        elif len(parts) == 2:
-            values.append(complex(_parse_number(parts[0], f"row {i}, column 1"),
-                                  _parse_number(parts[1], f"row {i}, column 2")))
-        else:
-            raise InputFormatError(
-                f"row {i}: expected 1 (real) or 2 (re,im) columns, got {len(parts)}")
-    if not values:
+    """Read a complex vector, one sample per line: ``x`` or ``re,im``; skip blank and ``#`` lines.
+
+    A first line ``l,re,im`` starts the table :func:`format_vector_csv`
+    writes: each line after it holds an index, not read, then ``re,im``.
+    """
+    rows = [(i, s) for i, line in enumerate(_read_text(path).splitlines(), start=1)
+            if (s := line.strip()) and not s.startswith("#")]
+    if rows and rows[0][1] == "l,re,im":
+        table = _table(rows[1:], 1, (3,), "row {}: expected 3 (l,re,im) columns, got {}")
+    else:
+        table = _table(rows, 0, (1, 2), "row {}: expected 1 (real) or 2 (re,im) columns, got {}")
+    if not table.size:
         raise InputFormatError(f"{path}: no samples found")
-    return np.array(values, dtype=complex)
+    return table.view(complex).ravel()
 
 
 def read_signal(path: str | Path) -> np.ndarray:
@@ -98,59 +108,48 @@ def read_signal(path: str | Path) -> np.ndarray:
         payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path}: invalid JSON ({exc})") from exc
-    if isinstance(payload, dict):
-        declared = payload.get("d")
-        entries = payload.get("values")
-        if entries is None:
-            raise InputFormatError(f"{path}: JSON object needs a 'values' field")
-    elif isinstance(payload, list):
-        declared, entries = None, payload
-    else:
+    if not isinstance(payload, (dict, list)):
         raise InputFormatError(f"{path}: JSON must be an array or an object")
+    declared, entries = ((payload.get("d"), payload.get("values")) if isinstance(payload, dict)
+                         else (None, payload))
+    if entries is None:
+        raise InputFormatError(f"{path}: JSON object needs a 'values' field")
     if declared is not None and (isinstance(declared, bool) or not isinstance(declared, int)):
         raise InputFormatError(f"{path}: 'd' must be an integer, got {declared!r}")
     if not isinstance(entries, list):
         raise InputFormatError(f"{path}: 'values' must be an array")
-    values = []
+    table = np.zeros((len(entries), 2))
     for i, entry in enumerate(entries):
-        where = f"{path}: values[{i}]"
-        if not isinstance(entry, list):
-            values.append(complex(_json_number(entry, where)))
-        elif len(entry) == 2:
-            values.append(complex(_json_number(entry[0], where + "[0]"),
-                                  _json_number(entry[1], where + "[1]")))
-        else:
+        where, pair = f"{path}: values[{i}]", isinstance(entry, list)
+        if pair and len(entry) != 2:
             raise InputFormatError(f"{where} must be a number or [re, im]")
-    if not values:
+        for j, value in enumerate(entry if pair else [entry]):
+            at = f"{where}[{j}]" if pair else where
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise InputFormatError(f"expected a number at {at}, got {value!r}")
+            table[i, j] = _parse_number(value, at)
+    if not entries:
         raise InputFormatError(f"{path}: no samples found")
-    signal = np.array(values, dtype=complex)
-    if declared is not None and declared != signal.shape[0]:
+    if declared is not None and declared != len(entries):
         raise InputFormatError(
-            f"{path}: declared d={declared} but {signal.shape[0]} samples present")
-    return signal
+            f"{path}: declared d={declared} but {len(entries)} samples present")
+    return table.view(complex).ravel()
 
 
 def read_complex_matrix_csv(path: str | Path) -> np.ndarray:
     """Read a square complex matrix written by :func:`format_complex_matrix_csv`.
 
-    Layout: header line, then one line per row: row index followed by
-    re,im pairs for each column.
+    Layout: header line, then one line per row: row index (not read)
+    followed by re,im pairs for each column.  Blank lines are skipped.
     """
-    lines = [ln for ln in _read_text(path).splitlines() if ln.strip()]
-    if len(lines) < 2:
+    rows = [(i, s) for i, line in enumerate(_read_text(path).splitlines(), start=1)
+            if (s := line.strip())]
+    if len(rows) < 2:
         raise InputFormatError(f"{path}: expected a header and at least one data row")
-    rows = []
-    for i, raw in enumerate(lines[1:], start=2):
-        parts = [p.strip() for p in raw.split(",")]
-        if len(parts) < 3 or (len(parts) - 1) % 2 or rows and len(parts) != 1 + 2 * len(rows[0]):
-            raise InputFormatError(f"row {i}: expected an index followed by re,im pairs "
-                                   f"(as many as on row 2), got {len(parts)} fields")
-        pairs = parts[1:]
-        row = [complex(_parse_number(pairs[2 * j], f"row {i}, column {2 + 2 * j}"),
-                       _parse_number(pairs[2 * j + 1], f"row {i}, column {3 + 2 * j}"))
-               for j in range(len(pairs) // 2)]
-        rows.append(row)
-    mat = np.array(rows, dtype=complex)
+    count = rows[1][1].count(",") + 1  # the index and re,im pairs: odd, and at least 3
+    mat = _table(rows[1:], 1, (count,) if count >= 3 and count % 2 else (),
+                 "row {}: expected an index followed by re,im pairs "
+                 f"(as many as on row {rows[1][0]}), got {{}} fields").view(complex)
     if mat.shape[0] != mat.shape[1]:
         raise InputFormatError(
             f"{path}: matrix must be square, got {mat.shape[0]} rows x {mat.shape[1]} columns")

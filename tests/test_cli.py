@@ -119,6 +119,14 @@ class TestFiducialsCommand:
         direction = np.array(samples) / max(samples)
         assert values == pytest.approx(direction / np.linalg.norm(direction), abs=1e-15)
 
+    def test_written_window_reads_back_as_a_custom_window(self, tmp_path):
+        window, again = tmp_path / "w.csv", tmp_path / "again.csv"
+        assert run("fiducials", "--d", "7", "--fiducial", "von_mises:3", "--out", str(window)) == 0
+        assert run("fiducials", "--d", "7", "--fiducial", f"custom:{window}",
+                   "--out", str(again)) == 0
+        # the same window, but for the last digits its renormalization may move
+        assert np.abs(read_signal(again) - read_signal(window)).max() < 1e-15
+
     def test_zero_custom_window_is_input_error(self, tmp_path, capsys):
         write_signal(tmp_path / "w.csv", [0.0, 0.0, 0.0])
         assert run("fiducials", "--d", "3", "--fiducial", f"custom:{tmp_path / 'w.csv'}",

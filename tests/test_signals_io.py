@@ -1,4 +1,6 @@
 import json
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +148,37 @@ class TestSignalReaders:
         with pytest.raises(InputFormatError, match="columns"):
             read_signal(path)
 
+    def test_csv_rows_are_physical_lines(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_text("1\n\n# note\n2,x\n")
+        with pytest.raises(InputFormatError) as info:
+            read_vector_csv(path)
+        assert str(info.value) == "could not parse number 'x' at row 4, column 2"
+
+    def test_fiducials_table_is_read_bit_for_bit(self, tmp_path):
+        window = realize_fiducial(FiducialSpec.von_mises(3.0), 7)
+        text = written_bytes(format_vector_csv, window)
+        path = tmp_path / "w.csv"
+        path.write_bytes(text)
+        read = read_vector_csv(path)
+        fields = [line.split(b",") for line in text.splitlines()[1:]]
+        expected = np.array([complex(float(re), float(im)) for _, re, im in fields])
+        assert read.tobytes() == expected.tobytes()
+        # what was read is written back as the same text, and read back bit for bit
+        assert written_bytes(format_vector_csv, read) == text
+        assert read_vector_csv(path).tobytes() == read.tobytes()
+
+    @pytest.mark.parametrize("text, message", [
+        ("l,re,im\n0,1,2\n1,3\n", "row 3: expected 3 (l,re,im) columns, got 2"),
+        ("# window\nl,re,im\n0,1,x\n", "could not parse number 'x' at row 3, column 3"),
+        ("l,re,im\n", "no samples found"),
+    ])
+    def test_fiducials_table_faults(self, tmp_path, text, message):
+        path = tmp_path / "w.csv"
+        path.write_text(text)
+        with pytest.raises(InputFormatError, match=re.escape(message)):
+            read_vector_csv(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputFormatError, match="cannot read"):
             read_vector_csv(tmp_path / "absent.csv")
@@ -192,12 +225,109 @@ class TestMatrixCsv:
         with pytest.raises(InputFormatError, match="row 3: .*as many as on row 2"):
             read_complex_matrix_csv(path)
 
+    def test_rows_are_physical_lines(self, tmp_path):
+        path = tmp_path / "mat.csv"
+        path.write_text("l,lp0_re,lp0_im,lp1_re,lp1_im\n\n0,1,0,0,0\n1,0,0,x,0\n")
+        with pytest.raises(InputFormatError) as info:
+            read_complex_matrix_csv(path)
+        assert str(info.value) == "could not parse number 'x' at row 4, column 4"
+
+    def test_comment_header_and_blank_lines_count_as_rows(self, tmp_path):
+        # the header is the first line that is not blank, whatever it holds
+        path = tmp_path / "mat.csv"
+        path.write_text("# operator\n\n0,1,0,2,0\n\n1,1,0\n")
+        with pytest.raises(InputFormatError) as info:
+            read_complex_matrix_csv(path)
+        assert str(info.value) == ("row 5: expected an index followed by re,im pairs "
+                                   "(as many as on row 3), got 3 fields")
+
     def test_non_square_rejected(self, tmp_path):
         path = tmp_path / "mat.csv"
         mat = np.ones((2, 3), complex)
         path.write_bytes(written_bytes(format_complex_matrix_csv, mat))
         with pytest.raises(InputFormatError, match="square"):
             read_complex_matrix_csv(path)
+
+
+#: any double, subnormals among them, as Python writes it; text float() reads its way, or rejects
+_TINY = 2.2250738585072014e-308
+_DOUBLES = st.floats(allow_nan=False, allow_infinity=False) | st.floats(-_TINY, _TINY)
+_TOKENS = st.one_of(
+    st.builds(lambda x, fmt: fmt(x), _DOUBLES,
+              st.sampled_from([repr, "%.17g".__mod__, "%.15e".__mod__])),
+    st.sampled_from([" 2 ", "1_0", "", "x", " x ", "nan", " nan", "-Infinity", "0x1p3", "1e999"]),
+)
+
+
+def _contract(cells):
+    """What a CSV reader must give for ``cells``, (line, column, token) in reading order.
+
+    Either the values ``float()`` reads, and no message; or no values, and
+    the message naming the first token that float() rejects or reads as
+    non-finite, by its physical line and column.
+    """
+    values = []
+    for line, column, token in cells:
+        try:
+            value = float(token)
+        except ValueError:
+            return None, f"could not parse number {token.strip()!r} at row {line}, column {column}"
+        if not np.isfinite(value):
+            return None, f"non-finite number {token.strip()!r} at row {line}, column {column}"
+        values.append(value)
+    return np.array(values), None
+
+
+def _outcome(reader, lines):
+    """Read ``lines`` (text, or a data row as a list of fields) from a file with ``reader``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.csv"
+        path.write_text("\n".join(ln if isinstance(ln, str) else ",".join(ln) for ln in lines))
+        try:
+            return reader(path), None
+        except InputFormatError as exc:
+            return None, str(exc)
+
+
+def _interleave(data, lines, extra):
+    """``lines`` with a few of the ``extra`` lines drawn into them anywhere."""
+    lines = list(lines)
+    for _ in range(data.draw(st.integers(0, 3))):
+        lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.sampled_from(extra)))
+    return lines
+
+
+class TestReaderContract:
+    """Both CSV readers against ``float()`` itself, field by field."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_vector_reader(self, data):
+        pairs = data.draw(st.lists(st.lists(_TOKENS, min_size=2, max_size=2), min_size=1,
+                                   max_size=6))
+        lines = _interleave(data, pairs, ["", "  ", "# note"])
+        cells = [(n, j + 1, token) for n, row in enumerate(lines, start=1)
+                 if isinstance(row, list) for j, token in enumerate(row)]
+        values, message = _contract(cells)
+        read, error = _outcome(read_vector_csv, lines)
+        assert error == message
+        if message is None:
+            assert read.tobytes() == values.view(complex).tobytes()
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_matrix_reader(self, data):
+        d = data.draw(st.integers(1, 3))
+        rows = [[str(i)] + data.draw(st.lists(_TOKENS, min_size=2 * d, max_size=2 * d))
+                for i in range(d)]
+        lines = _interleave(data, ["l,header"] + rows, ["", "  "])
+        cells = [(n, j + 1, token) for n, row in enumerate(lines, start=1)
+                 if isinstance(row, list) for j, token in enumerate(row) if j]
+        values, message = _contract(cells)
+        read, error = _outcome(read_complex_matrix_csv, lines)
+        assert error == message
+        if message is None:
+            assert read.tobytes() == values.view(complex).tobytes()
 
 
 class TestFormatting:
