@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import bound, hold
 from .hilbert import as_map, as_state, cyclic_diagonals
-from .gabor import _magnitudes, _product_blocks
+from .gabor import _magnitudes, _product_map
 from .quantize import Weight, symplectic_dft
 from .weyl import adjoint_reflection, multiply_phase, sum_phase_roots
 
@@ -48,10 +48,10 @@ def wigner(psi) -> np.ndarray:
     W(m,n) = (1/d) sum_j e^{2 i pi m j / d} conj(psi(n+l)) psi(n-l) with
     l = j (d+1)/2 mod d, the l with 2 l = j.  As n +- l = (2n +- j)/2, the
     products of column n are u(2n + j) v(j - 2n) with u(k) = conj(psi(k/2))
-    and v(k) = psi(-k/2): rows [n, j] of a block of columns, whose inverse
-    FFTs along j give W there.  Asserts reality at the scale ||psi||^2 of
-    the products, and returns a real array whose marginals are |psi(n)|^2
-    (over m) and |dft(psi)(m)|^2 (over n).
+    and v(k) = psi(-k/2), whose inverse FFT over j is column n of W, all
+    built by ``gabor._product_map``.  Asserts reality at the scale
+    ||psi||^2 of the products, and returns a real array whose marginals
+    are |psi(n)|^2 (over m) and |dft(psi)(m)|^2 (over n).
     """
     psi = as_state(psi)
     d = psi.shape[0]
@@ -61,10 +61,8 @@ def wigner(psi) -> np.ndarray:
     u, v = np.tile(np.conj(psi)[halves], 2), np.tile(psi[-halves % d], 2)
     scale = np.linalg.norm(psi) ** 2
     shifts = 2 * np.arange(d) % d
-    w_map = np.empty((d, d))
-    for cols, products in _product_blocks(u, shifts, v, d - shifts, np.fft.ifft):  # [n, j]
-        w_map[:, cols] = realize_real(products, scale, "wigner_imaginary").T
-    return w_map
+    return _product_map(u, shifts, v, d - shifts, np.fft.ifft,
+                        lambda block: realize_real(block, scale, "wigner_imaginary"), float)
 
 
 def portrait(op: np.ndarray, w: Weight) -> np.ndarray:

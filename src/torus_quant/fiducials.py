@@ -132,12 +132,13 @@ def _periodized_gaussian(d: int, t: float) -> np.ndarray:
 
 
 def _guard_normalize(v: np.ndarray) -> np.ndarray:
-    """``v`` scaled to unit norm; only its direction matters.
+    """``v`` scaled to unit norm as complex128; only its direction matters.
 
-    ``v`` is first scaled by the power of two that brings its largest
-    |entry| into [1, 2), so the norm neither overflows nor underflows for
-    any nonzero finite ``v``.  The scaling is exact, so a window already in
-    that range is normalized bit for bit as if it had not been scaled.
+    A ``v`` of peak below 2 and norm 1 to within 2 d eps (at most 2000 eps,
+    so a 12-decimal norm reads 1) is returned as it is: a window normalizes,
+    and reads back from its text, to itself bit for bit.  Any other ``v`` is
+    first scaled, exactly, by the power of two that brings its largest
+    |entry| into [1, 2), so its norm cannot overflow or underflow.
     """
     v = np.ascontiguousarray(v, dtype=np.result_type(v, float))
     peak = np.abs(v).max()
@@ -145,6 +146,8 @@ def _guard_normalize(v: np.ndarray) -> np.ndarray:
         raise ToleranceError("fiducial_peak", peak, math.inf, "fiducial realization is not finite")
     if peak == 0:
         raise InputFormatError("fiducial window is zero")
+    if peak < 2 and abs(np.linalg.norm(v) - 1.0) <= min(2 * len(v), 2000) * np.finfo(float).eps:
+        return np.asarray(v, dtype=complex)
     v = np.ldexp(v.view(float), 1 - np.frexp(peak)[1]).view(v.dtype)
     v = np.asarray(v, dtype=complex) / np.linalg.norm(v)
     hold("fiducial_normalization", abs(np.linalg.norm(v) - 1.0))

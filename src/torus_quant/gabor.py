@@ -4,7 +4,8 @@ The orbit of any unit-norm window under the displacements is a tight
 frame: (1/d) sum_{m,n} |psi_mn><psi_mn| is the identity.  The analysis
 map phi -> Phi(m, n) = <psi_mn, phi> is therefore an isometry (up to the
 1/d counting weight), invertible by the adjoint synthesis sum, and its
-range is a reproducing-kernel space with kernel <psi_p, psi_q>.
+range is a reproducing-kernel space with kernel <psi_p, psi_q>.  Its
+columns, an FFT each, are built by ``_product_map``, as are the Wigner map's.
 """
 
 from __future__ import annotations
@@ -25,39 +26,38 @@ def _warn_if_not_unit(psi: np.ndarray, what: str) -> None:
         warnings.warn(f"{what} is not unit norm; coherent-state identities assume it")
 
 
-def _product_blocks(u: np.ndarray, a: np.ndarray, v: np.ndarray, b: np.ndarray, transform):
-    """Yield (rows, block), block[j] = transform(u[a_n : a_n+d] * v[b_n : b_n+d]), n = rows.start+j.
+def _product_map(u, a, v, b, transform, each, dtype) -> np.ndarray:
+    """The d x d ``dtype`` map with column n each(transform(u[a_n : a_n+d] * v[b_n : b_n+d])).
 
-    ``transform``, an FFT, runs along the rows in place, in one buffer each block overwrites.
+    A block of columns at a time, ``transform``, an FFT, runs in place along the rows of products
+    in one complex buffer, and ``each`` of the block, transposed, fills those columns.
     """
     d = a.shape[0]
+    out = np.empty((d, d), dtype=dtype)
     blocks = row_blocks(d, d)
     buffer = np.empty((blocks[0].stop, d), dtype=complex)
-    for rows in blocks:
-        block = buffer[:rows.stop - rows.start]
-        for row, i, j in zip(block, a[rows], b[rows]):
+    for cols in blocks:
+        block = buffer[:cols.stop - cols.start]
+        for row, i, j in zip(block, a[cols], b[cols]):
             np.multiply(u[i:i + d], v[j:j + d], out=row)
-        yield rows, transform(block, axis=1, out=block)
+        out[:, cols] = each(transform(block, axis=1, out=block)).T
+    return out
 
 
-def _column_blocks(phi: np.ndarray, window: np.ndarray):
-    """Yield (cols, block) with block[j, m] = e^{-i pi m n/d} Phi(m, n), n = cols.start + j.
+def _column_blocks(phi, window, each, dtype) -> np.ndarray:
+    """The d x d ``dtype`` map each(e^{-i pi m n/d} Phi(m, n)) at [m, n].
 
-    Row j is the FFT of conj(window(l-n)) phi(l), read at d - n from conj(window) repeated twice.
+    Column n is the FFT of conj(window(l-n)) phi(l), read at d - n from conj(window) repeated twice.
     """
+    phi = as_state(phi)
     d = phi.shape[0]
-    ns = np.arange(d)
-    return _product_blocks(np.tile(np.conj(window), 2), d - ns, phi, np.zeros_like(ns), np.fft.fft)
+    u = np.tile(np.conj(as_state(window, d=d)), 2)
+    return _product_map(u, d - np.arange(d), phi, np.zeros(d, int), np.fft.fft, each, dtype)
 
 
 def _magnitudes(phi, window) -> np.ndarray:
-    """|Phi| as a real d x d map, built a block of columns at a time without Phi's half phase."""
-    phi = as_state(phi)
-    window = as_state(window, d=len(phi))
-    magnitude = np.empty((len(phi), len(phi)))
-    for cols, block in _column_blocks(phi, window):
-        magnitude[:, cols] = np.abs(block).T
-    return magnitude
+    """|Phi| as a real d x d map, built without Phi's half phase."""
+    return _column_blocks(phi, window, np.abs, float)
 
 
 def gabor_transform(phi, window) -> np.ndarray:
@@ -70,9 +70,7 @@ def gabor_transform(phi, window) -> np.ndarray:
     d = phi.shape[0]
     window = as_state(window, d=d)
     _warn_if_not_unit(window, "fiducial window")
-    coeffs = np.empty((d, d), dtype=complex)
-    for cols, block in _column_blocks(phi, window):
-        coeffs[:, cols] = block.T
+    coeffs = _column_blocks(phi, window, lambda block: block, complex)
     return multiply_phase(coeffs, np.conj(half_phase(d, 1, np.arange(2 * d))))
 
 

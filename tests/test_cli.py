@@ -119,13 +119,15 @@ class TestFiducialsCommand:
         direction = np.array(samples) / max(samples)
         assert values == pytest.approx(direction / np.linalg.norm(direction), abs=1e-15)
 
-    def test_written_window_reads_back_as_a_custom_window(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["von_mises:3", "dirichlet:2", "von_mises:400",
+                                      "gaussian:1"])
+    @pytest.mark.parametrize("d", [7, 64, 95, 1020])
+    def test_written_window_reads_back_as_a_custom_window(self, tmp_path, d, kind):
         window, again = tmp_path / "w.csv", tmp_path / "again.csv"
-        assert run("fiducials", "--d", "7", "--fiducial", "von_mises:3", "--out", str(window)) == 0
-        assert run("fiducials", "--d", "7", "--fiducial", f"custom:{window}",
+        assert run("fiducials", "--d", str(d), "--fiducial", kind, "--out", str(window)) == 0
+        assert run("fiducials", "--d", str(d), "--fiducial", f"custom:{window}",
                    "--out", str(again)) == 0
-        # the same window, but for the last digits its renormalization may move
-        assert np.abs(read_signal(again) - read_signal(window)).max() < 1e-15
+        assert again.read_bytes() == window.read_bytes()  # a unit window is not renormalized
 
     def test_zero_custom_window_is_input_error(self, tmp_path, capsys):
         write_signal(tmp_path / "w.csv", [0.0, 0.0, 0.0])

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from torus_quant import (
     FiducialSpec,
@@ -146,6 +148,16 @@ class TestRealizations:
             v = realize_fiducial(FiducialSpec.custom(values), 3)
         expected = np.array(values) / np.abs(values).max()
         assert v == pytest.approx(expected / np.linalg.norm(expected), abs=1e-15)
+
+    @settings(deadline=None, max_examples=300)
+    @given(hnp.arrays(complex, st.integers(1, 48), elements=st.complex_numbers(
+        max_magnitude=1e308, allow_nan=False, allow_infinity=False)))
+    def test_realized_window_realizes_to_itself(self, v):
+        assume(v.any())
+        w = realize_fiducial(FiducialSpec.custom(v), len(v))
+        again = realize_fiducial(FiducialSpec.custom(w), len(v))
+        assert again.dtype == complex and again.flags.c_contiguous
+        assert again.tobytes() == w.tobytes()  # bitwise
 
     def test_non_finite_recipe_is_a_tolerance_failure(self):
         with pytest.raises(ToleranceError, match="not finite") as info:
