@@ -21,7 +21,7 @@ from .distributions import husimi, overlap_distribution, portrait, portrait_of_s
 from .errors import InputFormatError, ToleranceError, bound, hold
 from .fiducials import FiducialSpec, realize_fiducial
 from .gabor import _magnitudes, gabor_transform, isometry_defect
-from .hilbert import dft, norm, phase_table
+from .hilbert import dft, norm, phase_table, unit_scale
 from .io_formats import (
     format_complex_matrix_csv,
     format_real_map_csv,
@@ -228,7 +228,7 @@ def cmd_portrait(args) -> int:
     peak = np.abs(f).max()
     _check("two_path_residual", np.abs(smoothed - portrait(quantize(f, weight), weight)).max(),
            peak * scale, relative=False)
-    unit = np.ldexp(1.0, min(-np.frexp(peak)[1], 1023))
+    unit = unit_scale(peak)
     f *= unit  # by a power of two near 1 / max|f|: exact, and no sum below overflows
     mass = weight.values[0, 0] ** 2 * f.sum()  # sum smoothed = (tr M_w)^2 sum f, tr M_w = w(0, 0)
     _check("smoothing_mass_residual", abs((smoothed * unit).sum() - mass), np.abs(f).sum() * scale)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import as_state, fourier_basis, kronecker_basis
+from .hilbert import as_state, fourier_basis, kronecker_basis, phase_table
 from .errors import InputFormatError, ToleranceError, hold
 
 __all__ = ["FiducialSpec", "realize_fiducial"]
@@ -128,7 +128,7 @@ def _periodized_gaussian(d: int, t: float) -> np.ndarray:
         # integer offsets l - k d, so l and d - l see the same distance
         return np.exp(-np.pi * t * ((ls - d * np.arange(-kmax, kmax + 1)) / d) ** 2).sum(axis=1)
     ns = np.arange(1, math.ceil(math.sqrt(_GAUSSIAN_CUTOFF * t)) + 1)
-    return 1.0 + 2.0 * (np.exp(-np.pi * ns**2 / t) * np.cos(2 * np.pi * (ls * ns) / d)).sum(axis=1)
+    return 1.0 + 2.0 * (np.exp(-np.pi * ns**2 / t) * phase_table(d, ls * ns).real).sum(axis=1)
 
 
 def _guard_normalize(v: np.ndarray) -> np.ndarray:
@@ -175,12 +175,12 @@ def realize_fiducial(spec: FiducialSpec, d: int) -> np.ndarray:
     elif spec.kind == "dirichlet":
         if 2 * spec.param + 1 > d:
             raise ValueError(f"dirichlet order j={spec.param} needs 2j+1 <= d={d}")
-        ms = np.arange(1, spec.param + 1)
-        v = 1.0 + 2.0 * np.cos(2 * np.pi * np.outer(ls, ms) / d).sum(axis=1)
+        # sum_{|k| <= j} exp(2i pi k l / d) / d: the inverse FFT of the indicator of |k| <= j
+        v = np.fft.ifft(np.minimum(ls, d - ls) <= spec.param).real
     elif spec.kind == "von_mises":
         # peak-relative amplitudes: finite for any concentration (a clamped one
         # still gives 0 off the peak)
-        v = np.exp(min(spec.param, np.finfo(float).max / 2) * (np.cos(2 * np.pi * ls / d) - 1.0))
+        v = np.exp(min(spec.param, np.finfo(float).max / 2) * (phase_table(d, ls).real - 1.0))
     elif spec.kind == "custom":
         v = as_state(np.array(spec.values), d=d)
     else:

@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from .errors import bound
-from .hilbert import as_map, as_state, cyclic_diagonals, row_blocks
+from .hilbert import as_map, as_state, cyclic_diagonals, row_blocks, unit_scale
 from .weyl import half_phase, multiply_phase
 
 __all__ = ["gabor_transform", "gabor_inverse", "isometry_defect"]
@@ -93,7 +93,8 @@ def gabor_inverse(coeffs, window) -> np.ndarray:
 def isometry_defect(phi, coeffs) -> float:
     """|(1/d) sum |Phi|^2 - ||phi||^2| / ||phi||^2 for the d x d map ``coeffs`` = Phi or |Phi|.
 
-    Absolute for phi = 0; the sum runs a block of rows at a time.
+    Absolute for phi = 0.  Both sums run on phi and Phi times the power of two nearest
+    1 / max|phi|, exactly, so neither overflows nor underflows; a block of rows at a time.
     """
     phi = as_state(phi)
     d = phi.shape[0]
@@ -101,6 +102,7 @@ def isometry_defect(phi, coeffs) -> float:
     if np.shape(coeffs) != (d, d):
         raise ValueError(f"coefficient map must be {d} x {d}, got shape {np.shape(coeffs)}")
     coeffs = np.asarray(coeffs)
-    energy = sum(np.square(np.abs(coeffs[rows])).sum() for rows in row_blocks(d, d))
-    expected = np.linalg.norm(phi) ** 2
+    unit = unit_scale(np.abs(phi).max())
+    energy = sum(np.square(np.abs(coeffs[rows]) * unit).sum() for rows in row_blocks(d, d))
+    expected = np.linalg.norm(phi * unit) ** 2
     return float(abs(energy / d - expected) / (expected if expected > 0 else 1.0))

@@ -90,6 +90,11 @@ def phase_table(d: int, numerators) -> np.ndarray:
     return np.exp(2j * np.pi * (np.asarray(numerators) % d) / d)
 
 
+def unit_scale(peak: float) -> float:
+    """2**-e for the frexp exponent e of ``peak`` >= 0, at most 2**1023: exact, near 1 / peak."""
+    return np.ldexp(1.0, min(-np.frexp(peak)[1], 1023))
+
+
 #: values per block when a d x d map is built or written a block of rows at a
 #: time: enough to amortize numpy's per-call cost, few enough that the block's
 #: temporaries stay small next to the map
@@ -135,5 +140,4 @@ def modulate(phi, k0: int) -> np.ndarray:
     """Pointwise phase l -> exp(2i pi k0 l / d) phi(l).  ``k0`` is reduced mod d."""
     phi = as_state(phi)
     d = phi.shape[0]
-    ls = np.arange(d)
-    return phase_table(d, (int(k0) % d) * ls) * phi
+    return phase_table(d, (int(k0) % d) * np.arange(d)) * phi

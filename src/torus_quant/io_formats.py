@@ -42,9 +42,9 @@ def _parse_number(token: str | float, where: str) -> float:
 
 
 def _read_text(path: str | Path) -> str:
-    """The text of ``path``; a file that cannot be read as UTF-8 raises InputFormatError."""
+    """The text of ``path``, less a leading BOM; a non-UTF-8 file raises InputFormatError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
 

@@ -14,25 +14,31 @@ import math
 
 import numpy as np
 
-from .hilbert import dft
+from .hilbert import dft, row_blocks, unit_scale
 
 __all__ = ["column_energy", "envelope_spectrum", "dominant_rows", "period_estimate"]
 
 
 def column_energy(magnitude: np.ndarray) -> np.ndarray:
-    """Per-time-column energy E(n) = sum_m |Phi(m, n)|^2 of |Phi|, with no d x d temporary."""
+    """Per-time-column energy E(n) = sum_m |Phi(m, n)|^2 of |Phi|, times an exact power of two.
+
+    Each block of rows is scaled by the power of two nearest 1 / max|Phi|, so no sum
+    overflows or underflows wherever |Phi| is finite; the map is not changed or copied.
+    """
     magnitude = np.asarray(magnitude)
-    return np.einsum("ij,ij->j", magnitude, magnitude)
+    unit = unit_scale(max(magnitude.max(), -magnitude.min()))
+    blocks = (magnitude[rows] * unit for rows in row_blocks(*magnitude.shape))
+    return sum(np.einsum("ij,ij->j", block, block) for block in blocks)
 
 
 def envelope_spectrum(energy: np.ndarray) -> np.ndarray:
     """Power |dft(E / max|E|)(k)|^2 of the column-energy envelope.
 
-    The envelope is scaled to unit peak first, so the power cannot
-    overflow where E itself is finite; :func:`dominant_rows` does not
-    depend on the scale.
+    The real envelope is scaled to unit peak first, in real arithmetic (a complex division
+    forms 1 / peak), so the power cannot overflow where E itself is finite, not even at a
+    subnormal peak; :func:`dominant_rows` does not depend on the scale.
     """
-    energy = np.asarray(energy, dtype=complex)
+    energy = np.asarray(energy, dtype=float)
     peak = np.abs(energy).max()
     return np.abs(dft(energy / peak if peak > 0 else energy)) ** 2
 
@@ -64,11 +70,5 @@ def dominant_rows(power: np.ndarray) -> list[int]:
 
 def period_estimate(d: int, rows: list[int]) -> int | None:
     """Period implied by harmonic rows: d divided by their gcd (None if empty)."""
-    if not rows:
-        return None
-    g = 0
-    for k in rows:
-        g = math.gcd(g, k)
-    if g == 0 or d % g:
-        return None
-    return d // g
+    g = math.gcd(*rows)  # 0 for no rows
+    return d // g if g and d % g == 0 else None

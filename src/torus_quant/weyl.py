@@ -88,20 +88,13 @@ def displacement_apply(psi, m: int, n: int) -> np.ndarray:
 
 
 def displacement_matrix(d: int, m: int, n: int) -> np.ndarray:
-    """Matrix of U(m, n) in the position basis.
+    """Matrix of U(m, n) in the position basis: column k' is :func:`displacement_apply` of delta_k'.
 
     Support at rows k = k' + n mod d with entries
-    exp(-i pi m n / d) exp(2i pi m k / d); this is the matrix of
-    :func:`displacement_apply` and agrees with the commonly printed form
+    exp(-i pi m n / d) exp(2i pi m k / d); this agrees with the commonly printed form
     exp(i pi m (k + k')/d) except on wrapped entries (k' + n >= d), where
     the canonical-index form of that expression is off by (-1)**m.
     """
     if d < 1:
         raise ValueError("dimension must be positive")
-    m %= d
-    n %= d
-    cols = np.arange(d)
-    rows = (cols + n) % d
-    out = np.zeros((d, d), dtype=complex)
-    out[rows, cols] = half_phase(d, m, n) * phase_table(d, m * rows)
-    return out
+    return np.column_stack([displacement_apply(column, m, n) for column in np.eye(d)])

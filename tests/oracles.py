@@ -21,6 +21,7 @@
   reproducing kernel is built in closed form.
 - The CSV table writer as one Python ``%`` per row, whose bytes the
   package's block-wise writer must reproduce.
+- The fiducial windows as literal cosine sums, one ``math.cos`` per term.
 """
 
 import math
@@ -169,6 +170,36 @@ def jacobi_theta3(x, s_im: float) -> complex:
     ns = np.arange(-nmax, nmax + 1)
     terms = np.exp(2j * np.pi * ns * x - np.pi * s_im * ns**2)
     return complex(terms.sum())
+
+
+def window_sum(kind: str, param, d: int) -> np.ndarray:
+    """The unit-norm fiducial window ``kind:param`` on Z_d, its cosines summed term by term.
+
+    gaussian: sum_n exp(-pi n^2 / t) cos(2 pi n l / d), t = param d, over |n| up to where
+    the terms fall below 1e-17; dirichlet: sum_{|k| <= j} cos(2 pi k l / d);
+    von_mises: exp(param (cos(2 pi l / d) - 1)); plane_wave: cos + i sin of 2 pi k l / d.
+    """
+    def value(l):
+        if kind == "constant":
+            return 1.0
+        if kind == "kronecker":
+            return float(l == param)
+        if kind == "plane_wave":
+            angle = 2 * math.pi * (param * l % d) / d
+            return complex(math.cos(angle), math.sin(angle))
+        if kind == "gaussian":
+            t = param * d
+            nmax = math.ceil(math.sqrt(-math.log(1e-17) * t / math.pi))
+            return sum(math.exp(-math.pi * n * n / t) * math.cos(2 * math.pi * (n * l % d) / d)
+                       for n in range(-nmax, nmax + 1))
+        if kind == "dirichlet":
+            return sum(math.cos(2 * math.pi * (k * l % d) / d) for k in range(-param, param + 1))
+        if kind == "von_mises":
+            return math.exp(param * (math.cos(2 * math.pi * l / d) - 1.0))
+        raise ValueError(f"no literal sum for {kind!r}")
+
+    v = np.array([value(l) for l in range(d)], dtype=complex)
+    return v / np.linalg.norm(v)
 
 
 def table_csv_reference(header: list[str], table: np.ndarray) -> bytes:

@@ -37,6 +37,10 @@ from torus_quant.io_formats import (
 from conftest import written_bytes, random_map, random_symmetric_weight
 
 
+#: the shipped demo signal of period 10 (d = 60)
+DEMO_SIGNAL = read_signal(Path(__file__).resolve().parent.parent / "data" / "signal3.csv")
+
+
 def run(*argv):
     return main(list(argv))
 
@@ -290,6 +294,49 @@ class TestGaborCommand:
         blob = out.read_bytes()
         assert blob.startswith(b"P5\n5 5\n255\n")
         assert max(blob[len(b"P5\n5 5\n255\n"):]) == 255
+
+
+class TestGaborAtAnyAmplitude:
+    """The check and the period detection run on an exact power-of-two rescaling.
+
+    At 2**k with k <= -520 squares of the map underflow, at k >= 505 they overflow.
+    """
+
+    EXPONENTS = [-900, -600, -530, -520, 505, 900]
+
+    @staticmethod
+    def gabor(tmp_path, capsys, monkeypatch, signal, *flags):
+        """Exit code, written map and stderr of ``gabor`` on ``signal``."""
+        maps = []
+        monkeypatch.setattr(cli, "format_real_map_csv", lambda data, write: maps.append(data))
+        sig = tmp_path / "sig.csv"
+        write_signal(sig, signal)
+        code = run("gabor", "--in", str(sig), *flags, "--out", "-")
+        return code, maps[0] if maps else None, capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", EXPONENTS)
+    def test_map_and_diagnostics_scale_exactly(self, tmp_path, capsys, monkeypatch, rng, k):
+        signal = rng.normal(size=60) + 1j * rng.normal(size=60)
+        flags = ("--fiducial", "von_mises:2")
+        _, unscaled, diagnostics = self.gabor(tmp_path, capsys, monkeypatch, signal, *flags)
+        code, scaled, err = self.gabor(tmp_path, capsys, monkeypatch, signal * 2.0 ** k, *flags)
+        assert code == 0, err
+        assert np.array_equal(scaled, np.ldexp(unscaled, k))
+        assert err == diagnostics
+
+    @pytest.mark.parametrize("k", EXPONENTS)
+    def test_demo_period_is_found(self, tmp_path, capsys, monkeypatch, k):
+        code, _, err = self.gabor(tmp_path, capsys, monkeypatch, DEMO_SIGNAL * 2.0 ** k)
+        assert code == 0, err
+        assert "period_estimate 10\n" in err
+
+    @pytest.mark.parametrize("k", [-600, 505])
+    def test_wrong_magnitude_exits_4(self, tmp_path, capsys, monkeypatch, k):
+        real = cli._magnitudes
+        monkeypatch.setattr(cli, "_magnitudes", lambda *args: (1 + 1e-6) * real(*args))
+        code, written, err = self.gabor(tmp_path, capsys, monkeypatch, DEMO_SIGNAL * 2.0 ** k)
+        assert (code, written) == (4, None)
+        assert err.startswith("isometry_residual 2.000e-06\n")
 
 
 class TestWignerCommand:
@@ -605,6 +652,10 @@ class TestInputFiles:
     @pytest.mark.parametrize("path", READER_PATHS)
     def test_right_size_file_runs(self, tmp_path, path):
         assert _run_reader_path(tmp_path, path, b"", 3, 3) == (0, True)
+
+    @pytest.mark.parametrize("path", READER_PATHS)
+    def test_file_with_byte_order_mark_runs(self, tmp_path, path):
+        assert _run_reader_path(tmp_path, path, b"\xef\xbb\xbf", 3, 3) == (0, True)
 
 
 class TestDimensionFlag:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,15 +18,7 @@ from torus_quant.errors import bound
 from torus_quant.fiducials import _guard_normalize
 
 from conftest import default_catalog
-from oracles import jacobi_theta3
-
-
-def gaussian_series_oracle(d, t):
-    """sum_n exp(-pi n^2 / t) exp(2 i pi n l / d), term by term, normalized."""
-    raw = np.zeros(d, dtype=complex)
-    for n in range(-int(np.sqrt(15 * t)) - 10, int(np.sqrt(15 * t)) + 11):
-        raw += np.exp(2j * np.pi * n * np.arange(d) / d) * np.exp(-np.pi * n * n / t)
-    return raw / np.linalg.norm(raw)
+from oracles import jacobi_theta3, window_sum
 
 
 def theta_oracle(x, s_im, nmax=60):
@@ -74,6 +67,32 @@ class TestRealizations:
         v = realize_fiducial(FiducialSpec.dirichlet(2), 5)
         assert np.abs(v - kronecker_basis(5, 0)).max() < 1e-12
 
+    @pytest.mark.parametrize("d", [5, 95, 1023, 4095])
+    def test_dirichlet_at_full_order_is_the_delta_off_its_peak(self, d):
+        v = realize_fiducial(FiducialSpec.dirichlet((d - 1) // 2), d)
+        assert v[0] == pytest.approx(1.0, abs=1e-15)
+        assert np.abs(v[1:]).max() <= 1e-16
+
+    def test_dirichlet_builds_no_d_by_j_table(self):
+        d, j = 4095, 2047  # a d x j table of doubles would take 67 MB
+        tracemalloc.start()
+        try:
+            realize_fiducial(FiducialSpec.dirichlet(j), d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 9, 16])
+    def test_every_window_matches_its_literal_cosine_sum(self, d):
+        specs = [*default_catalog(d), FiducialSpec.plane_wave(d - 1), FiducialSpec.gaussian(0.05),
+                 FiducialSpec.gaussian(2.0), FiducialSpec.von_mises(3.0),
+                 FiducialSpec.von_mises(30.0), FiducialSpec.von_mises(400.0),
+                 *(FiducialSpec.dirichlet(j) for j in range((d + 1) // 2))]
+        for spec in specs:
+            v = realize_fiducial(spec, d)
+            assert np.abs(v - window_sum(spec.kind, spec.param, d)).max() <= 1e-14, spec
+
     def test_dirichlet_zero_order_is_constant(self):
         v = realize_fiducial(FiducialSpec.dirichlet(0), 6)
         assert v == pytest.approx(np.full(6, 1 / np.sqrt(6)))
@@ -85,14 +104,14 @@ class TestRealizations:
     def test_gaussian_matches_truncated_series_oracle(self):
         d, kappa = 5, 1.0
         v = realize_fiducial(FiducialSpec.gaussian(kappa), d)
-        assert np.abs(v - gaussian_series_oracle(d, kappa * d)).max() < 1e-12
+        assert np.abs(v - window_sum("gaussian", kappa, d)).max() < 1e-12
 
     @pytest.mark.parametrize("t", [0.05, 0.99, 1.0, 1.01, 50.0, 1e6])
     @pytest.mark.parametrize("d", [5, 8])
     def test_gaussian_matches_series_oracle_either_side_of_t_one(self, d, t):
         # the window sums Fourier terms for t = kappa d < 1 and images for t >= 1
         v = realize_fiducial(FiducialSpec.gaussian(t / d), d)
-        assert np.abs(v - gaussian_series_oracle(d, t)).max() < 1e-12
+        assert np.abs(v - window_sum("gaussian", t / d, d)).max() < 1e-12
 
     def test_gaussian_extreme_width_is_cheap(self):
         # t = kappa d ~ 1e12: its Fourier series would need ~3.4e6 terms

@@ -124,6 +124,18 @@ class TestPeriodDetection:
         assert dominant_rows(power) == []
         assert period_estimate(d, []) is None
 
+    @pytest.mark.parametrize("k", [-900, -600, 505, 1000])
+    def test_column_energy_scales_the_map_exactly(self, rng, k):
+        magnitude = np.abs(rng.normal(size=(12, 12)))
+        with np.errstate(over="raise", under="raise"):
+            assert np.array_equal(column_energy(np.ldexp(magnitude, k)), column_energy(magnitude))
+
+    def test_envelope_of_a_subnormal_energy_does_not_overflow(self):
+        energy = np.tile([1.0, 2.0], 6)
+        with np.errstate(over="raise"):
+            power = envelope_spectrum(np.ldexp(energy, -1073))
+        assert np.array_equal(power, envelope_spectrum(energy))
+
     def test_fraction_base_bounds(self):
         with pytest.raises(ValueError, match="range"):
             harmonic_energy_fraction(np.ones(6), 6)
@@ -204,6 +216,22 @@ class TestSignalReaders:
         path.write_text('{"values": [{"re": 1}]}')
         with pytest.raises(InputFormatError, match="values\\[0\\]"):
             read_signal(path)
+
+    @pytest.mark.parametrize("kind", ["vector", "window_table", "json", "matrix"])
+    def test_leading_byte_order_mark_is_skipped(self, rng, tmp_path, kind):
+        reader, text = {
+            "vector": (read_vector_csv, b"1.5\n2,-3\n"),
+            "window_table": (read_vector_csv, written_bytes(
+                format_vector_csv, realize_fiducial(FiducialSpec.von_mises(3.0), 5))),
+            "json": (read_signal, json.dumps({"d": 2, "values": [[1, -1], 2]}).encode()),
+            "matrix": (read_complex_matrix_csv, written_bytes(
+                format_complex_matrix_csv, rng.normal(size=(3, 3)))),
+        }[kind]
+        suffix = ".json" if kind == "json" else ".csv"
+        plain, marked = tmp_path / f"plain{suffix}", tmp_path / f"marked{suffix}"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        assert reader(marked).tobytes() == reader(plain).tobytes()
 
 
 class TestMatrixCsv:
