@@ -21,7 +21,7 @@ from .distributions import husimi, overlap_distribution, portrait, portrait_of_s
 from .errors import InputFormatError, ToleranceError, bound, hold
 from .fiducials import FiducialSpec, realize_fiducial
 from .gabor import _magnitudes, gabor_transform, isometry_defect
-from .hilbert import dft, norm, phase_table, unit_scale
+from .hilbert import dft, norm, phase_table, scaled_sums, unit_scale
 from .io_formats import (
     format_complex_matrix_csv,
     format_real_map_csv,
@@ -165,11 +165,13 @@ def cmd_gabor(args) -> int:
 def cmd_wigner(args) -> int:
     signal = _load_signal(args)
     w_map = wigner(signal)
-    pos = np.abs(signal) ** 2
-    mom = np.abs(dft(signal)) ** 2
+    peak = np.abs(signal).max()
+    scaled = signal * unit_scale(peak)  # W, quadratic, is scaled twice
+    pos = np.abs(scaled) ** 2
     energy = float(pos.sum())
-    _check("marginal_residual_position", np.abs(w_map.sum(axis=0) - pos).max(), energy)
-    _check("marginal_residual_momentum", np.abs(w_map.sum(axis=1) - mom).max(), energy)
+    over_m, over_n = scaled_sums(w_map, peak, 2)
+    _check("marginal_residual_position", np.abs(over_m - pos).max(), energy)
+    _check("marginal_residual_momentum", np.abs(over_n - np.abs(dft(scaled)) ** 2).max(), energy)
     _write(args.out, format_real_map_csv, w_map)
     return EXIT_OK
 
@@ -178,8 +180,9 @@ def cmd_husimi(args) -> int:
     signal = _load_signal(args)
     window = _resolve_fiducial(args.fiducial, signal.shape[0])
     h_map = husimi(signal, window)
-    energy = float((np.abs(signal) ** 2).sum())  # numpy, so an overflow exits 3
-    _check("normalization_residual", abs(h_map.sum() - energy), energy)
+    peak = np.abs(signal).max()
+    energy = np.linalg.norm(signal * unit_scale(peak)) ** 2  # H, quadratic, is scaled twice
+    _check("normalization_residual", abs(scaled_sums(h_map, peak, 2)[0].sum() - energy), energy)
     _write(args.out, format_real_map_csv, h_map)
     return EXIT_OK
 
@@ -228,10 +231,10 @@ def cmd_portrait(args) -> int:
     peak = np.abs(f).max()
     _check("two_path_residual", np.abs(smoothed - portrait(quantize(f, weight), weight)).max(),
            peak * scale, relative=False)
-    unit = unit_scale(peak)
-    f *= unit  # by a power of two near 1 / max|f|: exact, and no sum below overflows
+    f *= unit_scale(peak)  # by a power of two near 1 / max|f|, as scaled_sums scales S: exact
     mass = weight.values[0, 0] ** 2 * f.sum()  # sum smoothed = (tr M_w)^2 sum f, tr M_w = w(0, 0)
-    _check("smoothing_mass_residual", abs((smoothed * unit).sum() - mass), np.abs(f).sum() * scale)
+    _check("smoothing_mass_residual", abs(scaled_sums(smoothed, peak)[0].sum() - mass),
+           np.abs(f).sum() * scale)
     _write(args.out, format_complex_matrix_csv, smoothed, row_label="m", col_label="n")
     return EXIT_OK
 

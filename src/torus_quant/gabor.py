@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from .errors import bound
-from .hilbert import as_map, as_state, cyclic_diagonals, row_blocks, unit_scale
+from .hilbert import as_map, as_state, cyclic_diagonals, row_blocks, scaled_sums, unit_scale
 from .weyl import half_phase, multiply_phase
 
 __all__ = ["gabor_transform", "gabor_inverse", "isometry_defect"]
@@ -94,15 +94,14 @@ def isometry_defect(phi, coeffs) -> float:
     """|(1/d) sum |Phi|^2 - ||phi||^2| / ||phi||^2 for the d x d map ``coeffs`` = Phi or |Phi|.
 
     Absolute for phi = 0.  Both sums run on phi and Phi times the power of two nearest
-    1 / max|phi|, exactly, so neither overflows nor underflows; a block of rows at a time.
+    1 / max|phi|, exactly (``scaled_sums``), so neither overflows nor underflows.
     """
     phi = as_state(phi)
     d = phi.shape[0]
     # not as_map: casting the real |Phi| the gabor command passes to complex would copy the map
     if np.shape(coeffs) != (d, d):
         raise ValueError(f"coefficient map must be {d} x {d}, got shape {np.shape(coeffs)}")
-    coeffs = np.asarray(coeffs)
-    unit = unit_scale(np.abs(phi).max())
-    energy = sum(np.square(np.abs(coeffs[rows]) * unit).sum() for rows in row_blocks(d, d))
-    expected = np.linalg.norm(phi * unit) ** 2
+    peak = np.abs(phi).max()
+    energy = scaled_sums(np.asarray(coeffs), peak, squared=True)[0].sum()
+    expected = np.linalg.norm(phi * unit_scale(peak)) ** 2
     return float(abs(energy / d - expected) / (expected if expected > 0 else 1.0))

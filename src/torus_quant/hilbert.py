@@ -107,6 +107,21 @@ def row_blocks(rows: int, width: int) -> list[slice]:
     return [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
 
 
+def scaled_sums(m: np.ndarray, peak: float, power: int = 1, squared: bool = False):
+    """Column and row sums of the d x d ``m`` times 2**(-power e), or of the squared moduli of that.
+
+    e is :func:`unit_scale`'s exponent of ``peak``; m is scaled by ``power`` (its degree, 1 or 2)
+    exact products, a block of rows at a time, so no sum over- or underflows where m is normal.
+    """
+    unit, column_sums, row_sums = unit_scale(peak), 0, []
+    for rows in row_blocks(*m.shape):
+        block = m[rows] * unit if power == 1 else m[rows] * unit * unit
+        block = np.square(np.abs(block)) if squared else block
+        column_sums = column_sums + block.sum(axis=0)
+        row_sums.append(block.sum(axis=1))
+    return column_sums, np.concatenate(row_sums)
+
+
 def cyclic_diagonals(M: np.ndarray) -> np.ndarray:
     """The d cyclic diagonals of the d x d ``M`` as columns: [l, k] -> M[l, l - k mod d].
 

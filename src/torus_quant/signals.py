@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .hilbert import dft, row_blocks, unit_scale
+from .hilbert import dft, scaled_sums
 
 __all__ = ["column_energy", "envelope_spectrum", "dominant_rows", "period_estimate"]
 
@@ -22,13 +22,11 @@ __all__ = ["column_energy", "envelope_spectrum", "dominant_rows", "period_estima
 def column_energy(magnitude: np.ndarray) -> np.ndarray:
     """Per-time-column energy E(n) = sum_m |Phi(m, n)|^2 of |Phi|, times an exact power of two.
 
-    Each block of rows is scaled by the power of two nearest 1 / max|Phi|, so no sum
+    ``scaled_sums`` scales the map by the power of two nearest 1 / max|Phi|, so no sum
     overflows or underflows wherever |Phi| is finite; the map is not changed or copied.
     """
     magnitude = np.asarray(magnitude)
-    unit = unit_scale(max(magnitude.max(), -magnitude.min()))
-    blocks = (magnitude[rows] * unit for rows in row_blocks(*magnitude.shape))
-    return sum(np.einsum("ij,ij->j", block, block) for block in blocks)
+    return scaled_sums(magnitude, max(magnitude.max(), -magnitude.min()), squared=True)[0]
 
 
 def envelope_spectrum(energy: np.ndarray) -> np.ndarray:

@@ -364,17 +364,41 @@ class TestWignerCommand:
         assert "odd" in capsys.readouterr().err
 
 
+def _map_run(tmp_path, capsys, signal, *argv):
+    """Exit code, stderr residuals and the map written to map.csv (None if none) on ``signal``."""
+    sig, out = tmp_path / "sig.csv", tmp_path / "map.csv"
+    out.unlink(missing_ok=True)
+    write_signal(sig, signal)
+    code = run(*argv, "--in", str(sig), "--out", str(out))
+    fields = [line.split() for line in capsys.readouterr().err.splitlines()]
+    residuals = {key: float(value) for key, value, *_ in fields if "_residual" in key}
+    return code, residuals, load_real_map(out) if out.exists() else None
+
+
 def _huge_signal_residuals(tmp_path, capsys, rng, *argv):
     """Exit code and stderr residuals of a run on a random d=31 signal of amplitude 1e78."""
-    sig = tmp_path / "sig.csv"
-    write_signal(sig, 1e78 * (rng.normal(size=31) + 1j * rng.normal(size=31)))
-    code = run(*argv, "--in", str(sig), "--out", str(tmp_path / "map.csv"))
-    fields = [line.split() for line in capsys.readouterr().err.splitlines()]
-    return code, {key: float(value) for key, value, *_ in fields if "_residual" in key}
+    signal = 1e78 * (rng.normal(size=31) + 1j * rng.normal(size=31))
+    return _map_run(tmp_path, capsys, signal, *argv)[:2]
+
+
+#: the two commands whose checks sum a quadratic map
+MAP_COMMANDS = {"husimi": ["husimi", "--fiducial", "von_mises:3"], "wigner": ["wigner"]}
+
+
+def _demo_run(tmp_path, capsys, k, command):
+    """``_map_run`` of ``command`` on the demo signal cut to d = 59 (odd, for wigner) times 2**k."""
+    return _map_run(tmp_path, capsys, DEMO_SIGNAL[:59] * 2.0 ** k, *MAP_COMMANDS[command])
+
+
+NEGATED, DOUBLED = (lambda w_map: -w_map), (lambda h_map: 2 * h_map)
 
 
 class TestMassChecks:
-    """The Wigner marginals and the Husimi mass are relative to ||psi||^2 and held to a bound."""
+    """The Wigner marginals and the Husimi mass are relative to ||psi||^2 and held to a bound.
+
+    Both sides run on the map and the signal times the power of two of max|psi|^2; the
+    squares of the demo times 2**k turn subnormal below k = -511 and overflow near k = 512.
+    """
 
     @pytest.mark.parametrize("argv, keys", [
         (["wigner"], ["marginal_residual_position", "marginal_residual_momentum"]),
@@ -387,17 +411,39 @@ class TestMassChecks:
         assert list(residuals) == keys
         assert all(value < 1e-10 for value in residuals.values()), residuals
 
-    @pytest.mark.parametrize("argv, route, wrong", [
-        (["wigner"], "wigner", lambda w_map: -w_map),
-        (["husimi", "--fiducial", "von_mises:2"], "husimi", lambda h_map: 2 * h_map),
-    ], ids=["wigner-negated", "husimi-doubled"])
+    @pytest.mark.parametrize("k", [None, -500, 500])
+    @pytest.mark.parametrize("route, wrong", [("wigner", NEGATED), ("husimi", DOUBLED)],
+                             ids=["wigner-negated", "husimi-doubled"])
     def test_wrong_map_exits_4_without_output(self, tmp_path, capsys, monkeypatch, rng,
-                                              argv, route, wrong):
+                                              route, wrong, k):
+        """On the random signal of amplitude 1e78 (k None), and on the demo times 2**k."""
         real = getattr(cli, route)
         monkeypatch.setattr(cli, route, lambda *args: wrong(real(*args)))
-        code, _ = _huge_signal_residuals(tmp_path, capsys, rng, *argv)
+        if k is None:
+            code, _ = _huge_signal_residuals(tmp_path, capsys, rng, *MAP_COMMANDS[route])
+        else:
+            code, _, _ = _demo_run(tmp_path, capsys, k, route)
         assert code == 4
         assert not (tmp_path / "map.csv").exists()
+
+    @pytest.mark.parametrize("k, expected", [(-600, 4), (-540, 4), (-520, 0), (-510, 0), (500, 0),
+                                             (505, 0), (515, 3)])
+    @pytest.mark.parametrize("command", list(MAP_COMMANDS))
+    def test_demo_at_any_amplitude(self, tmp_path, capsys, command, k, expected):
+        # below k = -520 the map's entries underflow, so its sums cannot match ||psi||^2
+        code, residuals, written = _demo_run(tmp_path, capsys, k, command)
+        assert code == expected
+        if code:
+            assert written is None
+        else:
+            assert residuals and all(value < 1e-12 for value in residuals.values()), residuals
+
+    @pytest.mark.parametrize("k", [-510, 500, 505])
+    @pytest.mark.parametrize("command", list(MAP_COMMANDS))
+    def test_map_scales_by_two_to_the_2k(self, tmp_path, capsys, command, k):
+        _, _, unscaled = _demo_run(tmp_path, capsys, 0, command)
+        _, _, scaled = _demo_run(tmp_path, capsys, k, command)
+        assert np.abs(np.ldexp(scaled, -2 * k) - unscaled).max() <= 1e-12 * np.abs(unscaled).max()
 
     @pytest.mark.parametrize("argv", [["wigner"], ["husimi", "--fiducial", "constant"]])
     def test_zero_signal_passes_with_absolute_residuals(self, tmp_path, capsys, argv):

@@ -20,7 +20,7 @@ from torus_quant import (
     weight_from_operator,
 )
 
-from torus_quant.hilbert import cyclic_diagonals
+from torus_quant.hilbert import cyclic_diagonals, scaled_sums
 
 from conftest import random_map, random_state
 from oracles import cyclic_diagonals_entrywise, dft_matrix, inner
@@ -197,3 +197,51 @@ class TestCyclicDiagonals:
     def test_reads_a_transposed_view(self, rng, d):
         op = random_map(rng, d)
         assert np.array_equal(cyclic_diagonals(op.T), cyclic_diagonals_entrywise(op.T))
+
+
+def peak_three_quarters(rng, d, kind):
+    """A real or complex d x d map of peak modulus 0.75, whose frexp exponent is 0."""
+    m = rng.normal(size=(d, d)) + (1j * rng.normal(size=(d, d)) if kind == "complex" else 0)
+    return 0.75 * m / np.abs(m).max()
+
+
+class TestScaledSums:
+    """Every check sum on a phase-space map; 257 gives several row blocks."""
+
+    @pytest.mark.parametrize("squared", [False, True])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_at_exponent_zero_are_the_plain_sums(self, rng, kind, squared):
+        m = peak_three_quarters(rng, 37, kind)
+        plain = np.abs(m) ** 2 if squared else m
+        for axis, sums in enumerate(scaled_sums(m, np.abs(m).max(), squared=squared)):
+            expected = plain.sum(axis=axis)
+            assert np.abs(sums - expected).max() <= 1e-15 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("d", [37, 257])
+    @pytest.mark.parametrize("j", [-900, 900])
+    @pytest.mark.parametrize("squared", [False, True])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_scaling_map_and_peak_leaves_the_sums_bitwise(self, rng, kind, squared, j, d):
+        m = peak_three_quarters(rng, d, kind)
+        peak = np.abs(m).max()
+        with np.errstate(over="raise", under="raise"):
+            scaled = scaled_sums(m * 2.0 ** j, peak * 2.0 ** j, squared=squared)
+        for got, expected in zip(scaled, scaled_sums(m, peak, squared=squared)):
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("j", [-450, 450])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_a_quadratic_map_is_scaled_twice(self, rng, kind, j):
+        m = peak_three_quarters(rng, 37, kind)
+        peak = np.abs(m).max()
+        with np.errstate(over="raise", under="raise"):
+            scaled = scaled_sums(m * 2.0 ** (2 * j), peak * 2.0 ** j, power=2)
+        for got, expected in zip(scaled, scaled_sums(m, peak, power=2)):
+            assert np.array_equal(got, expected)
+
+    def test_quadratic_scale_does_not_overflow_below_two_to_the_minus_511(self):
+        # the peak's frexp exponent is -520: unit_scale ** 2 = 2**1040 would overflow, two
+        # products by 2**520 do not
+        with np.errstate(over="raise"):
+            columns, rows = scaled_sums(np.full((3, 3), 2.0 ** -1040), 0.75 * 2.0 ** -520, power=2)
+        assert np.array_equal(columns, [3.0] * 3) and np.array_equal(rows, [3.0] * 3)
