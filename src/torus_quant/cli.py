@@ -211,9 +211,10 @@ def cmd_quantize(args) -> int:
         op = quantize_position(vec, weight)
     else:
         op = quantize(f, weight)
-    w_peak = np.abs(weight.values).max()
-    scale = np.abs(f).max() * w_peak
-    _check("two_path_residual", _coefficient_residual(op, f, weight), scale, relative=False)
+    peak, w_peak = np.abs(f).max(), np.abs(weight.values).max()
+    scale, unit, residual = peak * w_peak, unit_scale(peak), _coefficient_residual(op, f, weight)
+    _diag(f"two_path_residual {residual:.3e}")  # held times unit (exact), clear of bound()'s floor
+    hold("two_path_residual", residual * unit, scale * unit)
     # A_f is self-adjoint for a real f and a self-adjoint M_w (as overlap_distribution tests it)
     _check("hermiticity_residual", np.abs(op - op.conj().T).max(), scale, relative=False,
            held=not np.any(f.imag) and weight.symmetry_defect() <= bound(w_peak))

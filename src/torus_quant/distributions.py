@@ -15,10 +15,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import bound, hold
-from .hilbert import as_map, as_state, cyclic_diagonals
+from .hilbert import as_map, as_state
 from .gabor import _magnitudes, _product_map
-from .quantize import Weight, symplectic_dft
-from .weyl import adjoint_reflection, multiply_phase, sum_phase_roots
+from .quantize import Weight, _coefficients, symplectic_dft
+from .weyl import adjoint_reflection
 
 __all__ = [
     "husimi",
@@ -70,19 +70,18 @@ def portrait(op: np.ndarray, w: Weight) -> np.ndarray:
 
     Through the closed form of the transported operator,
     D(m,n) M D(m,n)^dag = e^{2 i pi m (a - b) / d} M[a - n, b - n] at (a, b):
-    A(m, n) = sum_k e^{2 i pi m k / d} s(n, k) with
-    s(n, k) = sum_b op[b-k, b] M_w[b-n, b-n-k], a cyclic correlation over
-    b of the cyclic diagonals of op^T and of M_w's kernel: the inverse FFT
-    over b of the FFT of the first times that of the second at -b.  As
-    M_w[b, b - k] is the inverse FFT over mu of w(mu, k) chi(mu, k), its
-    FFT over b is that product, and no transform of the kernel is run.
-    O(d^2 log d).
+    A(m, n) = sum_k e^{2 i pi m k / d} s(n, k), where the cyclic correlation
+    s(n, k) = sum_b op[b-k, b] M_w[b-n, b-n-k] is the inverse FFT over b of
+    c(b, k) w(-b, k) chi(b, k) chi(-b, k): c(b, k) = Tr[D(b,k)^dag op^T]
+    (``_coefficients`` of op^T) is conj(chi(b, k)) times the FFT over b of
+    op[b - k, b], and w(mu, k) chi(mu, k) is that of M_w[b, b - k].  The sign
+    chi(b, k) chi(-b, k) is (-1)^k for b != 0 at even d, else 1.  O(d^2 log d).
     """
-    d = w.d
-    s = np.fft.fft(cyclic_diagonals(as_map(op, d).T), axis=0)  # over b of op[b - k, b], at [b, k]
-    kernel = multiply_phase(w.values.copy(), sum_phase_roots(d))  # over b of M_w[b, b - k]
-    s[0] *= kernel[0]  # at -b
-    s[1:] *= kernel[:0:-1]
+    s = _coefficients(as_map(op, w.d).T)  # c(b, k)
+    s[0] *= w.values[0]  # at -b
+    s[1:] *= w.values[:0:-1]
+    if w.d % 2 == 0:
+        s[1:, 1::2] *= -1  # chi(b, k) chi(-b, k)
     np.fft.ifft(s, axis=0, out=s)  # s(n, k)
     return np.fft.ifft(s, axis=1, norm="forward", out=s).T
 

@@ -20,16 +20,16 @@ operators,
 
 No function here loops over the d^2 phase-space points; each sum is
 evaluated in closed form with FFTs on the d cyclic diagonals [l, k] ->
-M[l, l - k] of each operator, read and rebuilt by one involution with no
-index table, :func:`hilbert.cyclic_diagonals` (chi is the phase of D,
-:func:`weyl.sum_phase_roots`):
+M[l, l - k] of each operator, read and rebuilt by the involution
+:func:`hilbert.cyclic_diagonals` (chi, the phase of D, is :func:`weyl.sum_phase_roots`):
 
 - M_w from its integral kernel: entry (l, l - nu) is
   (1/d) sum_mu w(mu, nu) chi(mu, nu) e^{2 i pi mu l / d}, one inverse FFT;
 - the coefficients Tr[D(m, n)^dag M] = conj(chi(m, n)) sum_l
-  e^{-2 i pi m l / d} M[l, l - n]: one FFT of the operator's cyclic
-  diagonals.  Weight retrieval is this at unit trace, and the
-  coherent-state weight is the weight retrieved from |phi><phi|;
+  e^{-2 i pi m l / d} M[l, l - n], one FFT of M's cyclic diagonals, are
+  read only by ``_coefficients``: for weight retrieval (at unit trace),
+  for the CLI's trace-formula check of :func:`quantize`, and by
+  ``distributions.portrait``;
 - :func:`quantize`, which feeds the conjugate symplectic transform of f
   into the kernel assembly.
 """

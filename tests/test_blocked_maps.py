@@ -9,10 +9,11 @@ reports its arrays to it): a map costs its own size and a few blocks,
 and the writer a few blocks, whatever the size of its text.  The operator
 routes (weight retrieval, quantization and its check route, the momentum
 fast path, Gabor synthesis, portrait, the smoothed symbol, the overlap
-distribution, the symplectic transform, the weight's symmetry defect) are
-bounded the same way, in units of one d x d complex array.  The
-transform-pass counts pin how many 1-D FFTs each subcommand runs, a cost
-measure that does not depend on the machine.
+distribution, the symplectic transform, the weight's symmetry defect) and
+the ``quantize`` and ``portrait`` commands are bounded the same way, in
+units of one d x d complex array.  The transform-pass counts pin how
+many 1-D FFTs each subcommand runs, a cost measure that does not depend
+on the machine.
 """
 
 import tracemalloc
@@ -186,8 +187,9 @@ class TestOperatorMemory:
         assert peak <= 3.25 * self.unit
 
     def test_portrait(self, symbol, weight):
+        # the operator's coefficients, then two inverse FFTs in place
         _, peak = traced_peak(portrait, quantize(symbol, weight), weight)
-        assert peak <= 3.25 * self.unit
+        assert peak <= 1.25 * self.unit
 
     def test_portrait_of_symbol(self, symbol, weight):
         _, peak = traced_peak(portrait_of_symbol, symbol, weight)
@@ -204,6 +206,15 @@ class TestOperatorMemory:
     def test_symmetry_defect(self, weight):
         _, peak = traced_peak(weight.symmetry_defect)
         assert peak <= 2.25 * self.unit
+
+    @pytest.mark.parametrize("command", ["quantize", "portrait"])
+    def test_command(self, tmp_path, command):
+        # weight, symbol, operator and check route, and the CSV writer's blocks
+        code, peak = traced_peak(cli.main, [command, "--d", str(self.d), "--weight",
+                                            "cs:von_mises:3", "--symbol", "momentum:index",
+                                            "--out", str(tmp_path / "out.csv")])
+        assert code == 0
+        assert peak <= 5.25 * self.unit
 
 
 class TestTransformPasses:

@@ -902,6 +902,25 @@ class TestCheckCatchesInjectedErrors:
         assert "tolerance failure: two_path_residual " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("amplitude, doubled, code", [
+        (1e-320, True, 4), (2.0 ** -1000, True, 4), (2.0 ** -1000, False, 0),
+        # a subnormal symbol's operator carries rounding far above the bound: exit 4, as for maps
+        (1e-320, False, 4)])
+    def test_doubled_operator_of_a_tiny_symbol_exits_4(self, tmp_path, capsys, monkeypatch, rng,
+                                                      amplitude, doubled, code):
+        # the residual and its scale are held times the power of two of 1 / max|f|, so a
+        # residual below bound()'s floor of 1e-10 times the smallest normal double still fails
+        if doubled:
+            real = cli.quantize
+            monkeypatch.setattr(cli, "quantize", lambda f, w: 2 * real(f, w))
+        sfile, out = tmp_path / "sym.csv", tmp_path / "op.csv"
+        sfile.write_bytes(written_bytes(format_complex_matrix_csv, amplitude * random_map(rng, 7)))
+        assert run("quantize", "--d", "7", "--symbol", f"file:{sfile}",
+                   "--weight", "cs:von_mises:2", "--out", str(out)) == code
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("two_path_residual ")
+        assert out.exists() == (code == 0)
+
 
 class TestLargeInputsPass:
     """Correct results whose rounding grows with large inputs pass the two-path checks."""

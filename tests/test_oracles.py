@@ -86,7 +86,7 @@ CASES = [_coherent_state_weight, _weight_from_operator, _quantization_operator,
          _quantize_position, _portrait, _portrait_of_symbol]
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8, 9])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 8, 9, 12])
 @pytest.mark.parametrize("case", CASES, ids=lambda case: case.__name__.lstrip("_"))
 def test_closed_form_matches_literal_sum(rng, case, d):
     """Each closed form equals its defining O(d^4) sum, with asymmetric
