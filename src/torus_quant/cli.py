@@ -19,7 +19,7 @@ from . import __version__
 # gabor_transform and overlap_distribution are unused here: perfbench/traced_cli.py wraps them
 from .distributions import husimi, overlap_distribution, portrait, portrait_of_symbol, wigner
 from .errors import InputFormatError, ToleranceError, bound, hold
-from .fiducials import FiducialSpec, realize_fiducial
+from .fiducials import _KINDS, FiducialSpec, realize_fiducial
 from .gabor import _magnitudes, gabor_transform, isometry_defect
 from .hilbert import dft, norm, phase_table, scaled_sums, unit_scale
 from .io_formats import (
@@ -263,6 +263,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    windows = " | ".join([*(kind if row[0] is None else f"{kind}:{row[0].__name__}"
+                            for kind, row in _KINDS.items()), "custom:PATH"])
 
     def add_signal_flags(p):
         p.add_argument("--in", dest="infile", required=True, help="signal file (CSV or JSON)")
@@ -276,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gabor", help="magnitude spectrogram of a signal")
     add_signal_flags(p)
     p.add_argument("--fiducial", default="von_mises:400",
-                   help="analysis window spec (default von_mises:400)")
+                   help=f"analysis window: {windows} (default von_mises:400)")
     p.add_argument("--format", choices=("csv", "pgm"), default="csv")
     add_out_flag(p)
     p.set_defaults(func=cmd_gabor)
@@ -288,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("husimi", help="Husimi distribution of a signal")
     add_signal_flags(p)
-    p.add_argument("--fiducial", required=True, help="window spec, e.g. constant")
+    p.add_argument("--fiducial", required=True, help=f"window: {windows}")
     add_out_flag(p)
     p.set_defaults(func=cmd_husimi)
 
@@ -310,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fiducials", help="realize a fiducial window vector")
     p.add_argument("--d", type=_dimension, required=True)
-    p.add_argument("--fiducial", required=True, help="spec, e.g. dirichlet:2 or custom:PATH")
+    p.add_argument("--fiducial", required=True, help=f"window: {windows}")
     add_out_flag(p)
     p.set_defaults(func=cmd_fiducials)
 

@@ -1,13 +1,15 @@
 """Catalog of unit-norm fiducial (window) vectors on Z_d.
 
-Each recipe is realized at a requested dimension up to a positive factor;
-``_guard_normalize`` is the one step that scales it to unit norm, so no
-kind carries a closed-form normalization constant of its own.
+Each named kind is one row of ``_KINDS``: its parameter's type, range test and
+realizer (the window up to a positive factor); a spec is checked against its row
+when it is built.  ``_guard_normalize`` alone scales a window to unit norm.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,23 +22,32 @@ __all__ = ["FiducialSpec", "realize_fiducial"]
 #: -log of the smallest retained relative magnitude, over pi, in the gaussian sums
 _GAUSSIAN_CUTOFF = -math.log(1e-16) / math.pi
 
-#: type of the one parameter of each kind that :meth:`FiducialSpec.parse` reads
-_PARAMETER_TYPES = {"kronecker": int, "plane_wave": int, "gaussian": float,
-                    "dirichlet": int, "von_mises": float}
-
 
 @dataclass(frozen=True)
 class FiducialSpec:
-    """Symbolic recipe for a fiducial vector.
+    """Symbolic recipe for a fiducial vector, checked when it is built.
 
-    Use the classmethod constructors; parameters are validated there and
-    again (for d-dependent bounds) at realization time.  ``param`` has the
-    type ``_PARAMETER_TYPES`` gives the kind; ``custom`` uses ``values``.
+    ``param`` is a real number (not a bool) in its range that the ``_KINDS``
+    type holds exactly, stored as that type, or None for ``constant`` and
+    ``custom`` (which uses ``values``); anything else raises ``ValueError``.
     """
 
     kind: str
     param: int | float | None = None
     values: tuple = ()
+
+    def __post_init__(self):
+        if self.kind != "custom" and self.kind not in _KINDS:
+            raise ValueError(f"unknown fiducial kind {self.kind!r}")
+        parameter_type, in_range, _ = _KINDS.get(self.kind, (None, None, None))
+        value, valid = self.param, parameter_type is None and self.param is None
+        if parameter_type and isinstance(value, numbers.Real) and not isinstance(value, bool):
+            with contextlib.suppress(ValueError, OverflowError):  # int(nan), int(inf), float(10**400)
+                value = parameter_type(self.param)
+                valid = value == self.param and in_range(value)
+        if not valid:
+            raise ValueError(f"fiducial {self.kind!r} cannot take parameter {self.param!r}")
+        object.__setattr__(self, "param", value)
 
     @classmethod
     def constant(cls) -> "FiducialSpec":
@@ -44,33 +55,23 @@ class FiducialSpec:
 
     @classmethod
     def kronecker(cls, k0: int) -> "FiducialSpec":
-        if k0 < 0:
-            raise ValueError("kronecker label must be nonnegative")
-        return cls("kronecker", int(k0))
+        return cls("kronecker", k0)
 
     @classmethod
     def plane_wave(cls, k0: int) -> "FiducialSpec":
-        if k0 < 0:
-            raise ValueError("plane-wave label must be nonnegative")
-        return cls("plane_wave", int(k0))
+        return cls("plane_wave", k0)
 
     @classmethod
     def gaussian(cls, kappa: float) -> "FiducialSpec":
-        if not 0 < kappa < math.inf:
-            raise ValueError("gaussian width parameter must be positive and finite")
-        return cls("gaussian", float(kappa))
+        return cls("gaussian", kappa)
 
     @classmethod
     def dirichlet(cls, j: int) -> "FiducialSpec":
-        if j < 0:
-            raise ValueError("dirichlet order must be nonnegative")
-        return cls("dirichlet", int(j))
+        return cls("dirichlet", j)
 
     @classmethod
     def von_mises(cls, lam: float) -> "FiducialSpec":
-        if not 0 <= lam < math.inf:
-            raise ValueError("von Mises concentration must be nonnegative and finite")
-        return cls("von_mises", float(lam))
+        return cls("von_mises", lam)
 
     @classmethod
     def custom(cls, values) -> "FiducialSpec":
@@ -83,26 +84,27 @@ class FiducialSpec:
     def parse(cls, text: str) -> "FiducialSpec":
         """Parse a CLI spec string such as ``von_mises:400`` or ``constant``.
 
-        An unknown kind, or a parameter that is not a finite number of the
-        kind's type, raises :class:`InputFormatError`; a parsed parameter
-        out of its range raises ``ValueError`` from the constructor.
+        An unknown kind, an argument to a kind that takes none, or one that
+        is not a finite number of the kind's type raises
+        :class:`InputFormatError`; one out of range raises ``ValueError``.
         """
         name, _, arg = text.partition(":")
         name = name.strip()
-        if name == "constant":
-            return cls.constant()
-        parameter_type = _PARAMETER_TYPES.get(name)
-        if parameter_type is None:
+        if name not in _KINDS:
             raise InputFormatError(f"unknown fiducial kind {name!r}")
+        parameter_type = _KINDS[name][0]
+        if parameter_type is None:
+            if arg:
+                raise InputFormatError(f"fiducial {name!r} takes no parameter, got {arg!r}")
+            return cls(name)
         try:
             value = parameter_type(arg)
         except ValueError:
-            raise InputFormatError(
-                f"fiducial {name!r} needs a {parameter_type.__name__} parameter, "
-                f"got {arg!r}") from None
-        if not math.isfinite(value):
-            raise InputFormatError(f"fiducial {name!r} parameter {arg!r} is not finite")
-        return getattr(cls, name)(value)
+            value = None
+        if value is None or parameter_type is float and not math.isfinite(value):
+            raise InputFormatError(f"fiducial {name!r} needs a finite {parameter_type.__name__} "
+                                   f"parameter, got {arg!r}")
+        return cls(name, value)
 
     def label(self) -> str:
         """The spec string :meth:`parse` reads back to this spec."""
@@ -129,6 +131,22 @@ def _periodized_gaussian(d: int, t: float) -> np.ndarray:
         return np.exp(-np.pi * t * ((ls - d * np.arange(-kmax, kmax + 1)) / d) ** 2).sum(axis=1)
     ns = np.arange(1, math.ceil(math.sqrt(_GAUSSIAN_CUTOFF * t)) + 1)
     return 1.0 + 2.0 * (np.exp(-np.pi * ns**2 / t) * phase_table(d, ls * ns).real).sum(axis=1)
+
+
+#: kind -> (parameter type or None, range test, realizer (d, param) -> window up to a positive factor)
+_KINDS = {
+    "constant": (None, None, lambda d, _: np.ones(d)),
+    "kronecker": (int, lambda k: k >= 0, kronecker_basis),
+    "plane_wave": (int, lambda k: k >= 0, fourier_basis),
+    "gaussian": (float, lambda kappa: 0 < kappa < math.inf,
+                 lambda d, kappa: _periodized_gaussian(d, kappa * d)),
+    # sum_{|k| <= j} exp(2i pi k l / d) / d: the inverse FFT of the indicator of |k| <= j
+    "dirichlet": (int, lambda j: j >= 0,
+                  lambda d, j: np.fft.ifft(np.minimum(np.arange(d), d - np.arange(d)) <= j).real),
+    # peak-relative amplitudes: finite for any concentration (a clamped one gives 0 off the peak)
+    "von_mises": (float, lambda lam: 0 <= lam < math.inf, lambda d, lam: np.exp(
+        min(lam, np.finfo(float).max / 2) * (phase_table(d, np.arange(d)).real - 1.0))),
+}
 
 
 def _guard_normalize(v: np.ndarray) -> np.ndarray:
@@ -162,29 +180,8 @@ def realize_fiducial(spec: FiducialSpec, d: int) -> np.ndarray:
     """
     if d < 1:
         raise ValueError("dimension must be positive")
-    ls = np.arange(d)
-
-    if spec.kind == "constant":
-        v = np.ones(d)
-    elif spec.kind == "kronecker":
-        v = kronecker_basis(d, spec.param)
-    elif spec.kind == "plane_wave":
-        v = fourier_basis(d, spec.param)
-    elif spec.kind == "gaussian":
-        v = _periodized_gaussian(d, spec.param * d)
-    elif spec.kind == "dirichlet":
-        if 2 * spec.param + 1 > d:
-            raise ValueError(f"dirichlet order j={spec.param} needs 2j+1 <= d={d}")
-        # sum_{|k| <= j} exp(2i pi k l / d) / d: the inverse FFT of the indicator of |k| <= j
-        v = np.fft.ifft(np.minimum(ls, d - ls) <= spec.param).real
-    elif spec.kind == "von_mises":
-        # peak-relative amplitudes: finite for any concentration (a clamped one
-        # still gives 0 off the peak)
-        v = np.exp(min(spec.param, np.finfo(float).max / 2) * (phase_table(d, ls).real - 1.0))
-    elif spec.kind == "custom":
-        v = as_state(np.array(spec.values), d=d)
-    else:
-        raise ValueError(f"unknown fiducial kind {spec.kind!r}")
-
-    return _guard_normalize(v)
-
+    if spec.kind == "custom":
+        return _guard_normalize(as_state(np.array(spec.values), d=d))
+    if spec.kind == "dirichlet" and 2 * spec.param + 1 > d:
+        raise ValueError(f"dirichlet order j={spec.param} needs 2j+1 <= d={d}")
+    return _guard_normalize(_KINDS[spec.kind][2](d, spec.param))

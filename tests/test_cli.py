@@ -104,11 +104,13 @@ class TestFiducialsCommand:
                    "--out", str(tmp_path / "f.csv")) == 0
         assert "norm 1.000000000000" in capsys.readouterr().err
 
-    def test_invalid_parameters_precondition_exit(self, tmp_path, capsys):
-        code = run("fiducials", "--d", "4", "--fiducial", "dirichlet:2",
-                   "--out", str(tmp_path / "f.csv"))
+    @pytest.mark.parametrize("spec", ["dirichlet:2", "von_mises:-1", "gaussian:0",
+                                      pytest.param("kronecker:" + "9" * 400, id="kronecker:9x400")])
+    def test_invalid_parameters_precondition_exit(self, tmp_path, capsys, spec):
+        code = run("fiducials", "--d", "4", "--fiducial", spec, "--out", str(tmp_path / "f.csv"))
         assert code == 3
         assert "precondition" in capsys.readouterr().err
+        assert not (tmp_path / "f.csv").exists()
 
     @pytest.mark.parametrize("samples", [(1e-13, 2e-13, 1e-13), (1e300, 1e300, 0.0)])
     def test_custom_window_of_any_scale_is_normalized(self, tmp_path, samples):
@@ -148,12 +150,20 @@ class TestFiducialsCommand:
 
 class TestMalformedFiducialSpec:
     @pytest.mark.parametrize("spec", ["bogus", "von_mises:abc", "kronecker:", "von_mises:nan",
-                                      "gaussian:inf"])
+                                      "gaussian:inf", "constant:400"])
     def test_input_error_exit(self, tmp_path, capsys, spec):
         assert run("fiducials", "--d", "5", "--fiducial", spec,
                    "--out", str(tmp_path / "f.csv")) == 2
         assert "input error" in capsys.readouterr().err
         assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("command", ["gabor", "husimi", "fiducials"])
+    def test_help_lists_every_window_kind(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        listed = " ".join(capsys.readouterr().out.split())
+        assert ("constant | kronecker:int | plane_wave:int | gaussian:float | dirichlet:int | "
+                "von_mises:float | custom:PATH") in listed
 
 
 class TestGaborCommand:

@@ -3,9 +3,10 @@
 Each fault replaces one name for the length of a run.  An output mutant
 replaces the routes ``cli`` binds for ``quantize`` (``quantize``,
 ``quantize_momentum``, ``quantize_position``) with the route followed by a
-corruption of its result.  An internal fault replaces a kernel in every
-package module that binds it, reached through ``sys.modules`` because the
-package attribute ``torus_quant.quantize`` is the function, not the module.
+corruption of its result.  An internal fault is built from the kernel the
+module that defines it holds, and replaces it in every package module that
+binds it; modules are reached through ``sys.modules`` because the package
+attribute ``torus_quant.quantize`` is the function, not the module.
 
 A (fault, case) pair passes when the run exits 4 and writes nothing, or
 writes output within 1e-10 of the correct output's peak.  An internal
@@ -29,7 +30,7 @@ from conftest import written_bytes
 
 COMMANDS = ("quantize", "portrait")
 DIMENSIONS = (5, 7, 8, 9)
-WEIGHTS = ("parity", "cs:von_mises:3", "cs:dirichlet:2")
+WEIGHTS = ("parity", "cs:von_mises:3", "cs:dirichlet:2", "file")
 SYMBOLS = ("ones", "delta", "momentum:index", "position:index2", "file")
 CASES = list(product(COMMANDS, DIMENSIONS, WEIGHTS, SYMBOLS))
 
@@ -76,16 +77,24 @@ INTERNAL_FAULTS = {
                                real(f, not conjugate)),
     "symplectic_dft_transposed": ("symplectic_dft", lambda real: lambda f, conjugate=False:
                                   real(f, conjugate).T),
+    "adjoint_reflection_unsigned": ("adjoint_reflection", lambda real: lambda values:
+                                    np.roll(values[::-1, ::-1], 1, axis=(0, 1))),
+    "adjoint_reflection_conjugated": ("adjoint_reflection",
+                                      lambda real: lambda values: np.conj(real(values))),
+    "paired_conjugated": ("_paired", lambda real: lambda w: np.conj(real(w))),
+    "paired_transposed": ("_paired", lambda real: lambda w: np.ascontiguousarray(real(w).T)),
 }
 
 #: a conjugated chi cancels between the kernel assembly and the coefficients the
 #: check reads back, so the operator passes the trace-formula check; it is wrong
 #: but passes the hermiticity check only where that check is not held: at even d
-#: (``parity`` is not self-adjoint there) or for a complex symbol
+#: (``parity`` is not self-adjoint there), for a complex symbol, or for the
+#: ``file`` weight, whose M_w is not self-adjoint
 _SHARED_CHI = ("chi cancels between the route and the check; hermiticity is not held for a "
-               "complex symbol or at even d",
+               "complex symbol, at even d or for a weight whose M_w is not self-adjoint",
                {("quantize", 8, "parity", "delta")} |
-               {("quantize", d, "parity", "file") for d in DIMENSIONS})
+               {("quantize", d, "parity", "file") for d in DIMENSIONS} |
+               {("quantize", d, "file", symbol) for d in DIMENSIONS for symbol in ("delta", "file")})
 
 #: fault -> (reason, the cases it lets through)
 EXEMPT = {"sum_phase_roots_conjugated": _SHARED_CHI, "multiply_phase_conjugated": _SHARED_CHI}
@@ -93,10 +102,11 @@ EXEMPT = {"sum_phase_roots_conjugated": _SHARED_CHI, "multiply_phase_conjugated"
 
 def _faulty_kernel(name, make):
     """(module, name, faulty version) for every package module that binds the kernel ``name``."""
-    real = getattr(sys.modules["torus_quant.quantize"], name)  # it binds every kernel faulted here
+    package = [module for key, module in list(sys.modules.items()) if key.startswith("torus_quant.")]
+    real = next(getattr(module, name) for module in package
+                if getattr(getattr(module, name, None), "__module__", None) == module.__name__)
     fault = make(real)
-    return [(module, name, fault) for key, module in list(sys.modules.items())
-            if key.startswith("torus_quant.") and getattr(module, name, None) is real]
+    return [(module, name, fault) for module in package if getattr(module, name, None) is real]
 
 
 def _output_mutant(mutate):
@@ -121,7 +131,7 @@ def _run(argv, patches=()):
 def cases(tmp_path_factory):
     """argv and the correct output of each case."""
     directory = tmp_path_factory.mktemp("symbols")
-    rng = np.random.default_rng(24)
+    rng, weight_rng = np.random.default_rng(24), np.random.default_rng(30)
     runs = {}
     for case in CASES:
         command, d, weight, symbol = case
@@ -131,6 +141,13 @@ def cases(tmp_path_factory):
                 values = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
                 path.write_bytes(written_bytes(format_complex_matrix_csv, values))
             symbol = f"file:{path}"
+        if weight == "file":  # complex, with no symmetry: M_w is not self-adjoint
+            path = directory / f"w{d}.csv"
+            if not path.exists():
+                values = weight_rng.normal(size=(d, d)) + 1j * weight_rng.normal(size=(d, d))
+                values[0, 0] = 1.0
+                path.write_bytes(written_bytes(format_complex_matrix_csv, values))
+            weight = f"file:{path}"
         argv = [command, "--d", str(d), "--weight", weight, "--symbol", symbol, "--out", "-"]
         code, out = _run(argv)
         assert code == 0, case

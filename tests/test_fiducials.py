@@ -218,7 +218,8 @@ class TestParsing:
             FiducialSpec.parse("hermite:3")
 
     @pytest.mark.parametrize("text", ["hermite:3", "bogus", "von_mises:abc", "kronecker:",
-                                      "kronecker:1.5", "von_mises:nan", "gaussian:inf"])
+                                      "kronecker:1.5", "von_mises:nan", "gaussian:inf",
+                                      "constant:400", "custom:w.csv"])
     def test_malformed_spec_is_input_error(self, text):
         with pytest.raises(InputFormatError):
             FiducialSpec.parse(text)
@@ -227,6 +228,42 @@ class TestParsing:
         with pytest.raises(ValueError) as info:
             FiducialSpec.parse("von_mises:-1")
         assert not isinstance(info.value, InputFormatError)
+
+    def test_constant_takes_no_parameter(self):
+        assert FiducialSpec.parse("constant") == FiducialSpec.constant()
+        with pytest.raises(InputFormatError, match="takes no parameter"):
+            FiducialSpec.parse("constant:400")  # a typo for von_mises:400 is not a flat window
+
+    @pytest.mark.parametrize("build,param", [
+        (lambda: FiducialSpec("gaussian", -1.0), None),
+        (lambda: FiducialSpec("von_mises", -5.0), None),
+        (lambda: FiducialSpec("kronecker", 1.5), None),
+        (lambda: FiducialSpec.kronecker(1.5), None),
+        (lambda: FiducialSpec.dirichlet(2.7), None),
+        (lambda: FiducialSpec.kronecker(True), None),
+        (lambda: FiducialSpec("nope"), None),
+        (lambda: FiducialSpec("constant", 400), None),
+        (lambda: FiducialSpec("kronecker"), None),
+        (lambda: FiducialSpec.kronecker(float("inf")), None),
+        (lambda: FiducialSpec.gaussian(10**400), None),
+        (lambda: FiducialSpec.kronecker(np.int64(2)), 2),
+        (lambda: FiducialSpec.dirichlet(2.0), 2),
+        (lambda: FiducialSpec.von_mises(np.float32(3)), 3.0),
+        (lambda: FiducialSpec.gaussian(2), 2.0),
+    ], ids=["gaussian-negative", "von_mises-negative", "kronecker-fraction",
+            "kronecker-fraction-classmethod", "dirichlet-fraction", "kronecker-bool", "unknown-kind",
+            "constant-with-parameter", "kronecker-without-parameter", "kronecker-inf",
+            "gaussian-overflowing-int", "kronecker-numpy-int", "dirichlet-integral-float",
+            "von_mises-float32", "gaussian-int"])
+    def test_spec_is_checked_when_built(self, build, param):
+        # param None: the spec is rejected; else it is stored as the kind's type
+        if param is None:
+            with pytest.raises(ValueError):
+                build()
+        else:
+            spec = build()
+            assert spec.param == param and type(spec.param) is type(param)
+            assert FiducialSpec.parse(spec.label()) == spec
 
     def test_labels_round_trip(self):
         for text in ("kronecker:2", "gaussian:1.5", "von_mises:400", "dirichlet:3"):
