@@ -13,7 +13,7 @@ from . import distributions, errors, fiducials, gabor, hilbert, quantize, signal
 
 # built before the star imports below rebind ``quantize`` to the function
 __all__ = [*errors.__all__, *hilbert.__all__, *weyl.__all__, *fiducials.__all__, *gabor.__all__,
-           *quantize.__all__, *distributions.__all__, *signals.__all__]
+           *quantize.__all__, *distributions.__all__]
 
 from .errors import *
 from .hilbert import *
@@ -22,4 +22,3 @@ from .fiducials import *
 from .gabor import *
 from .quantize import *
 from .distributions import *
-from .signals import *

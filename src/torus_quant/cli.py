@@ -4,7 +4,8 @@ Subcommands: gabor, wigner, husimi, quantize, portrait, fiducials.  Data
 goes to --out (or stdout with "-"); residual diagnostics go to stderr.
 
 Exit codes: 0 success, 2 input error, 3 precondition violation (finite
-inputs whose results overflow included), 4 internal tolerance failure.
+inputs whose results overflow, and runs that do not fit in memory,
+included), 4 internal tolerance failure.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .distributions import husimi, overlap_distribution, portrait, portrait_of_s
 from .errors import InputFormatError, ToleranceError, bound, hold
 from .fiducials import _KINDS, FiducialSpec, realize_fiducial
 from .gabor import _magnitudes, gabor_transform, isometry_defect
-from .hilbert import dft, norm, phase_table, scaled_sums, unit_scale
+from .hilbert import dft, phase_table, scaled_sums, unit_scale
 from .io_formats import (
     format_complex_matrix_csv,
     format_real_map_csv,
@@ -35,9 +36,7 @@ from .quantize import (
     Weight,
     _coefficients,
     coherent_state_weight,
-    momentum_symbol,
     parity_weight,
-    position_symbol,
     quantize,
     quantize_momentum,
     quantize_position,
@@ -123,7 +122,7 @@ def _resolve_symbol(text: str, d: int):
         return f, "general", None
     if text.startswith("file:"):
         return _read_sized(read_complex_matrix_csv, text, d), "general", None
-    for prefix, symbol in (("momentum", momentum_symbol), ("position", position_symbol)):
+    for prefix in ("momentum", "position"):
         if text.startswith(prefix + ":"):
             arg = text[len(prefix) + 1:]
             if arg == "index":
@@ -136,7 +135,8 @@ def _resolve_symbol(text: str, d: int):
                 vec = _read_sized(read_vector_csv, arg, d)
             else:
                 raise InputFormatError(f"unknown {prefix} symbol {arg!r}")
-            return symbol(vec), prefix, vec
+            f = np.tile(vec[:, None], (1, d)) if prefix == "momentum" else np.tile(vec, (d, 1))
+            return f, prefix, vec
     raise InputFormatError(f"unknown symbol selector {text!r}")
 
 
@@ -243,7 +243,7 @@ def cmd_portrait(args) -> int:
 def cmd_fiducials(args) -> int:
     vec = _resolve_fiducial(args.fiducial, args.d)
     _write(args.out, format_vector_csv, vec)
-    _diag(f"norm {norm(vec):.12f}")
+    _diag(f"norm {np.linalg.norm(vec):.12f}")
     return EXIT_OK
 
 
@@ -331,7 +331,7 @@ def main(argv=None) -> int:
     except ToleranceError as exc:
         _diag(f"tolerance failure: {exc}")
         return EXIT_TOLERANCE
-    except (ValueError, FloatingPointError) as exc:
+    except (ValueError, FloatingPointError, MemoryError) as exc:
         _diag(f"precondition violated: {exc}")
         return EXIT_PRECONDITION
 

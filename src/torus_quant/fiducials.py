@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import as_state, fourier_basis, kronecker_basis, phase_table
+from .hilbert import as_state, phase_table
 from .errors import InputFormatError, ToleranceError, hold
 
 __all__ = ["FiducialSpec", "realize_fiducial"]
@@ -136,8 +136,9 @@ def _periodized_gaussian(d: int, t: float) -> np.ndarray:
 #: kind -> (parameter type or None, range test, realizer (d, param) -> window up to a positive factor)
 _KINDS = {
     "constant": (None, None, lambda d, _: np.ones(d)),
-    "kronecker": (int, lambda k: k >= 0, kronecker_basis),
-    "plane_wave": (int, lambda k: k >= 0, fourier_basis),
+    "kronecker": (int, lambda k: k >= 0, lambda d, k: np.arange(d) == k),
+    "plane_wave": (int, lambda k: k >= 0,
+                   lambda d, k: phase_table(d, k * np.arange(d)) / np.sqrt(d)),
     "gaussian": (float, lambda kappa: 0 < kappa < math.inf,
                  lambda d, kappa: _periodized_gaussian(d, kappa * d)),
     # sum_{|k| <= j} exp(2i pi k l / d) / d: the inverse FFT of the indicator of |k| <= j
@@ -182,6 +183,8 @@ def realize_fiducial(spec: FiducialSpec, d: int) -> np.ndarray:
         raise ValueError("dimension must be positive")
     if spec.kind == "custom":
         return _guard_normalize(as_state(np.array(spec.values), d=d))
+    if spec.kind in ("kronecker", "plane_wave") and spec.param >= d:
+        raise ValueError(f"basis label k={spec.param} out of range [0, {d})")
     if spec.kind == "dirichlet" and 2 * spec.param + 1 > d:
         raise ValueError(f"dirichlet order j={spec.param} needs 2j+1 <= d={d}")
     return _guard_normalize(_KINDS[spec.kind][2](d, spec.param))

@@ -9,23 +9,17 @@ where an integer phase is exponentiated: exponents are reduced in integer
 arithmetic first, which keeps identities exact to machine precision even
 for large indices.  :func:`as_map` checks a d x d map as :func:`as_state`
 a state.  :func:`cyclic_diagonals`, an involution, reads and rebuilds
-every operator along its cyclic diagonals, with no index table.
+every operator along its cyclic diagonals, with no index table.  Shifts
+and modulations are applied only as displacements
+(:func:`weyl.displacement_apply`); the position and Fourier basis vectors
+are the ``kronecker`` and ``plane_wave`` fiducial windows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "as_state",
-    "norm",
-    "kronecker_basis",
-    "fourier_basis",
-    "dft",
-    "idft",
-    "translate",
-    "modulate",
-]
+__all__ = ["as_state", "dft", "idft"]
 
 
 def as_state(values, d: int | None = None) -> np.ndarray:
@@ -56,33 +50,6 @@ def as_map(values, d: int | None = None) -> np.ndarray:
     if m.shape != (d, d):
         raise ValueError(f"phase-space map must be {d} x {d} to match d={d}, got shape {m.shape}")
     return m
-
-
-def norm(a) -> float:
-    """Euclidean norm of a state."""
-    return float(np.linalg.norm(as_state(a)))
-
-
-def kronecker_basis(d: int, k: int) -> np.ndarray:
-    """Position basis vector delta_k on Z_d.
-
-    ``k`` outside [0, d) is rejected rather than silently reduced.
-    """
-    if not 0 <= k < d:
-        raise ValueError(f"basis label k={k} out of range [0, {d})")
-    v = np.zeros(d, dtype=complex)
-    v[k] = 1.0
-    return v
-
-
-def fourier_basis(d: int, k: int) -> np.ndarray:
-    """Fourier exponential l -> exp(2i pi k l / d) / sqrt(d).
-
-    ``k`` outside [0, d) is rejected rather than silently reduced.
-    """
-    if not 0 <= k < d:
-        raise ValueError(f"basis label k={k} out of range [0, {d})")
-    return phase_table(d, k * np.arange(d)) / np.sqrt(d)
 
 
 def phase_table(d: int, numerators) -> np.ndarray:
@@ -143,16 +110,3 @@ def dft(phi) -> np.ndarray:
 def idft(phi_hat) -> np.ndarray:
     """Inverse of :func:`dft`; kernel exp(+2i pi k l / d) / sqrt(d)."""
     return np.fft.ifft(as_state(phi_hat), norm="ortho")
-
-
-def translate(phi, n0: int) -> np.ndarray:
-    """Cyclic shift, l -> phi(l - n0 mod d).  ``n0`` is reduced mod d."""
-    phi = as_state(phi)
-    return np.roll(phi, int(n0) % phi.shape[0])
-
-
-def modulate(phi, k0: int) -> np.ndarray:
-    """Pointwise phase l -> exp(2i pi k0 l / d) phi(l).  ``k0`` is reduced mod d."""
-    phi = as_state(phi)
-    d = phi.shape[0]
-    return phase_table(d, (int(k0) % d) * np.arange(d)) * phi

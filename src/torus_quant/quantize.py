@@ -52,8 +52,6 @@ __all__ = [
     "quantization_operator",
     "weight_from_operator",
     "symplectic_dft",
-    "momentum_symbol",
-    "position_symbol",
     "quantize",
     "quantize_momentum",
     "quantize_position",
@@ -69,7 +67,7 @@ class Weight:
     Parameters
     ----------
     values : ndarray
-        d x d complex array indexed [m, n].
+        d x d complex array indexed [m, n]; a non-finite entry raises ``ValueError``.
     is_density : bool
         True when M_w is known to be a density operator (set by
         :func:`coherent_state_weight`); ``overlap_distribution`` then
@@ -83,6 +81,8 @@ class Weight:
         v = as_map(self.values)
         if not abs(v[0, 0] - 1.0) <= bound():
             raise ValueError(f"weight origin value must be 1 (unit trace), got {v[0, 0]}")
+        if not np.isfinite(v).all():
+            raise ValueError("weight has a non-finite entry")
         self.values = v
 
     @property
@@ -172,18 +172,6 @@ def symplectic_dft(f: np.ndarray, conjugate: bool = False) -> np.ndarray:
     first, second = (np.fft.ifft, np.fft.fft) if conjugate else (np.fft.fft, np.fft.ifft)
     g = first(f, axis=0)
     return second(g, axis=1, out=g).T
-
-
-def momentum_symbol(g) -> np.ndarray:
-    """Phase-space symbol f(m, n) = g(m) from a length-d vector g."""
-    g = as_state(g)
-    return np.tile(g[:, None], (1, g.shape[0]))
-
-
-def position_symbol(h) -> np.ndarray:
-    """Phase-space symbol f(m, n) = h(n) from a length-d vector h."""
-    h = as_state(h)
-    return np.tile(h[None, :], (h.shape[0], 1))
 
 
 def quantize(f: np.ndarray, w: Weight) -> np.ndarray:

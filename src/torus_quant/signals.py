@@ -6,6 +6,9 @@ magnitudes within each time column gives the windowed-energy envelope,
 which inherits the signal's period exactly (it is a cyclic convolution of
 the squared signal with the squared window), so the envelope's spectrum
 is supported on frequency rows that are multiples of d / period.
+
+These are the ``gabor`` command's diagnostics; the package does not
+re-export them, so they are imported from ``torus_quant.signals``.
 """
 
 from __future__ import annotations
@@ -15,9 +18,6 @@ import math
 import numpy as np
 
 from .hilbert import dft, scaled_sums
-
-__all__ = ["column_energy", "envelope_spectrum", "dominant_rows", "period_estimate"]
-
 
 def column_energy(magnitude: np.ndarray) -> np.ndarray:
     """Per-time-column energy E(n) = sum_m |Phi(m, n)|^2 of |Phi|, times an exact power of two.

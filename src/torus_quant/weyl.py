@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hilbert import as_state, modulate, phase_table, row_blocks, translate
+from .hilbert import as_state, phase_table, row_blocks
 
-__all__ = ["displacement_apply", "displacement_matrix"]
+__all__ = ["displacement_apply"]
 
 
 def half_phase(d: int, m, n) -> np.ndarray:
@@ -78,23 +78,12 @@ def adjoint_reflection(values: np.ndarray) -> np.ndarray:
 def displacement_apply(psi, m: int, n: int) -> np.ndarray:
     """Apply the displacement U(m, n) to a state.
 
-    Indices are reduced to canonical representatives first.
+    Indices are reduced to canonical representatives first; the state is
+    shifted by n, multiplied by exp(2i pi m l / d), then by the half phase.
     """
     psi = as_state(psi)
     d = psi.shape[0]
     m %= d
     n %= d
-    return half_phase(d, m, n) * modulate(translate(psi, n), m)
+    return half_phase(d, m, n) * (phase_table(d, m * np.arange(d)) * np.roll(psi, n))
 
-
-def displacement_matrix(d: int, m: int, n: int) -> np.ndarray:
-    """Matrix of U(m, n) in the position basis: column k' is :func:`displacement_apply` of delta_k'.
-
-    Support at rows k = k' + n mod d with entries
-    exp(-i pi m n / d) exp(2i pi m k / d); this agrees with the commonly printed form
-    exp(i pi m (k + k')/d) except on wrapped entries (k' + n >= d), where
-    the canonical-index form of that expression is off by (-1)**m.
-    """
-    if d < 1:
-        raise ValueError("dimension must be positive")
-    return np.column_stack([displacement_apply(column, m, n) for column in np.eye(d)])

@@ -44,6 +44,16 @@ def random_symmetric_weight(rng, d):
     return weight_from_operator(hermitian_unit_trace(rng, d))
 
 
+def kronecker(d, k):
+    """The position basis vector delta_k on Z_d: the ``kronecker`` window."""
+    return realize_fiducial(FiducialSpec.kronecker(k), d)
+
+
+def plane_wave(d, k):
+    """The Fourier exponential l -> exp(2i pi k l / d) / sqrt(d): the ``plane_wave`` window."""
+    return realize_fiducial(FiducialSpec.plane_wave(k), d)
+
+
 def default_catalog(d):
     """One representative recipe of each named kind, valid at dimension d."""
     k0 = 1 % d

@@ -8,7 +8,7 @@
   phase space: the d-periodic displacement D(m, n), the transported
   operator D M D^dag, single coherent states and kernel values, the
   adjoint's sign, one entry and as a d x d table, the trace of one
-  U(m, n), U(m, n) in the Fourier
+  U(m, n), U(m, n) in the position and in the Fourier
   basis, the reversal matrix, the covariance residual of ``quantize``, the
   cyclic diagonals of a matrix read entry by entry.
 - The dense DFT matrix, the pin of the kernel W[k, l] of ``dft``, and
@@ -32,7 +32,6 @@ import numpy as np
 from torus_quant import (
     as_state,
     displacement_apply,
-    displacement_matrix,
     gabor_transform,
     quantization_operator,
     quantize,
@@ -76,6 +75,19 @@ def adjoint_sign_table(d: int) -> np.ndarray:
     m = np.arange(d)[:, None]
     n = np.arange(d)[None, :]
     return np.where((m == 0) | (n == 0), 1.0, (-1.0) ** ((m + n) % 2))
+
+
+def displacement_matrix(d: int, m: int, n: int) -> np.ndarray:
+    """Matrix of U(m, n) in the position basis: column k' is ``displacement_apply`` of delta_k'.
+
+    Support at rows k = k' + n mod d with entries
+    exp(-i pi m n / d) exp(2i pi m k / d); this agrees with the commonly printed form
+    exp(i pi m (k + k')/d) except on wrapped entries (k' + n >= d), where
+    the canonical-index form of that expression is off by (-1)**m.
+    """
+    if d < 1:
+        raise ValueError("dimension must be positive")
+    return np.column_stack([displacement_apply(column, m, n) for column in np.eye(d)])
 
 
 def trace_displacement(d: int, m: int, n: int) -> complex:

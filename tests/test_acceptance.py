@@ -18,8 +18,6 @@ from torus_quant import (
     FiducialSpec,
     coherent_state_weight,
     displacement_apply,
-    displacement_matrix,
-    fourier_basis,
     gabor_inverse,
     gabor_transform,
     isometry_defect,
@@ -37,10 +35,11 @@ from torus_quant import (
 )
 from torus_quant.cli import main as cli_main
 
-from conftest import catalog_windows, random_map, random_state, random_symmetric_weight
+from conftest import catalog_windows, plane_wave, random_map, random_state, random_symmetric_weight
 from oracles import (
     covariance_defect,
     dft_matrix,
+    displacement_matrix,
     displacement_matrix_fourier,
     frame_resolution_defect,
     parity_matrix,
@@ -150,7 +149,7 @@ def test_criterion_06_parity_weight_special_cases(rng):
     # Fourier exponential, i.e. A = F^dag diag(g) F for the unitary DFT F
     assert np.abs(a - f.conj().T @ np.diag(g) @ f).max() < 1e-12
     for k in range(d):
-        ek = fourier_basis(d, k)
+        ek = plane_wave(d, k)
         assert np.abs(a @ ek - g[k] * ek).max() < 1e-12
     _report(6, "unit weight at d=5: position symbols quantize to diag(h), "
                "momentum symbols to DFT-conjugated multiplication")

@@ -854,6 +854,35 @@ class TestOverflow:
                           "--out", str(tmp_path / "f.csv"))
 
 
+#: address space of a child that must run out of memory: the package starts in about
+#: 100 MB of it with one BLAS thread, and each run below fails on an array larger than
+#: the rest, before it has touched much real memory
+CHILD_ADDRESS_SPACE = 512 << 20
+
+
+class TestOutOfMemory:
+    """A run whose arrays do not fit is a precondition failure, and writes nothing."""
+
+    @pytest.mark.parametrize("argv", [
+        ["quantize", "--d", "1000000", "--weight", "parity", "--symbol", "ones"],
+        ["quantize", "--d", "6000", "--weight", "parity", "--symbol", "ones"],
+        ["fiducials", "--d", "100000000", "--fiducial", "von_mises:3"],
+    ], ids=["quantize-1000000", "quantize-6000", "fiducials-100000000"])
+    def test_exits_3_under_an_address_space_limit(self, tmp_path, argv):
+        resource = pytest.importorskip("resource")
+        out = tmp_path / "out.csv"
+        src = Path(torus_quant.__file__).resolve().parent.parent
+        # the limit acts on the child alone; never start such a child without one
+        result = subprocess.run(
+            [sys.executable, "-m", "torus_quant", *argv, "--out", str(out)],
+            capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE,) * 2),
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"})
+        assert result.returncode == 3, result.stderr
+        assert re.fullmatch(r"precondition violated: Unable to allocate [^\n]+\n", result.stderr)
+        assert not out.exists()
+
+
 class TestCheckCatchesInjectedErrors:
     """The two-path checks fail on one wrong entry of the production route, and the
     hermiticity check on a wrong phase that both routes share."""
@@ -975,15 +1004,14 @@ class TestNoPerPointLoops:
             raise AssertionError("per-point helper called on a CLI path")
 
         # every module that defines or imports a helper gets the raising
-        # stand-in; weyl, which defines them, is the only module binding any
+        # stand-in; weyl, which defines displacement_apply, is the only module binding any
         patched = set()
         for module in _package_modules():
             for name in PER_POINT_HELPERS:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)
                     patched.add((module.__name__, name))
-        assert patched == {("torus_quant.weyl", "displacement_matrix"),
-                           ("torus_quant.weyl", "displacement_apply")}
+        assert patched == {("torus_quant.weyl", "displacement_apply")}
         d = 6
         if weight == "file":
             wfile = tmp_path / "w.csv"

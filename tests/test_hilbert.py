@@ -6,33 +6,30 @@ import re
 from torus_quant import (
     Weight,
     dft,
-    fourier_basis,
+    displacement_apply,
     gabor_inverse,
     idft,
-    kronecker_basis,
-    modulate,
     parity_weight,
     portrait,
     portrait_of_symbol,
     quantize,
     symplectic_dft,
-    translate,
     weight_from_operator,
 )
 
 from torus_quant.hilbert import cyclic_diagonals, scaled_sums
 
-from conftest import random_map, random_state
+from conftest import kronecker, plane_wave, random_map, random_state
 from oracles import cyclic_diagonals_entrywise, dft_matrix, inner
 
 
 class TestInner:
     def test_orthonormal_delta(self):
-        d0 = kronecker_basis(4, 0)
+        d0 = kronecker(4, 0)
         assert inner(d0, d0) == pytest.approx(1.0)
 
     def test_fourier_exponentials_orthogonal(self):
-        assert inner(fourier_basis(5, 1), fourier_basis(5, 3)) == pytest.approx(0.0, abs=1e-14)
+        assert inner(plane_wave(5, 1), plane_wave(5, 3)) == pytest.approx(0.0, abs=1e-14)
 
     def test_hand_expanded_sums(self):
         # conj(1)*i + conj(i)*1 = i - i = 0: conjugation of the first
@@ -80,45 +77,45 @@ class TestMapGate:
 
 class TestBases:
     def test_single_point_space(self):
-        assert fourier_basis(1, 0) == pytest.approx([1.0])
+        assert plane_wave(1, 0) == pytest.approx([1.0])
 
     def test_flat_row(self):
-        assert fourier_basis(4, 0) == pytest.approx(np.full(4, 0.5))
+        assert plane_wave(4, 0) == pytest.approx(np.full(4, 0.5))
 
     def test_quarter_turns(self):
-        assert fourier_basis(4, 1) == pytest.approx([0.5, 0.5j, -0.5, -0.5j])
+        assert plane_wave(4, 1) == pytest.approx([0.5, 0.5j, -0.5, -0.5j])
 
     @pytest.mark.parametrize("k", [-1, 4, 7])
     def test_labels_rejected_not_reduced(self, k):
         with pytest.raises(ValueError):
-            fourier_basis(4, k)
+            plane_wave(4, k)
         with pytest.raises(ValueError):
-            kronecker_basis(4, k)
+            kronecker(4, k)
 
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
     def test_fourier_completeness(self, d):
-        acc = sum(np.outer(fourier_basis(d, k), fourier_basis(d, k).conj()) for k in range(d))
+        acc = sum(np.outer(plane_wave(d, k), plane_wave(d, k).conj()) for k in range(d))
         assert np.abs(acc - np.eye(d)).max() < 1e-12
 
 
 class TestDft:
     def test_flat_to_delta(self):
         flat = np.full(5, 1 / np.sqrt(5), dtype=complex)
-        assert dft(flat) == pytest.approx(kronecker_basis(5, 0))
+        assert dft(flat) == pytest.approx(kronecker(5, 0))
 
     def test_delta_to_flat(self):
-        assert dft(kronecker_basis(5, 0)) == pytest.approx(np.full(5, 1 / np.sqrt(5)))
+        assert dft(kronecker(5, 0)) == pytest.approx(np.full(5, 1 / np.sqrt(5)))
 
     @pytest.mark.parametrize("d,k", [(5, 2), (8, 7), (3, 0)])
     def test_fourier_exponential_to_delta(self, d, k):
-        assert dft(fourier_basis(d, k)) == pytest.approx(kronecker_basis(d, k), abs=1e-13)
+        assert dft(plane_wave(d, k)) == pytest.approx(kronecker(d, k), abs=1e-13)
 
     def test_idft_inverts(self, rng):
         phi = random_state(rng, 7)
         assert np.abs(idft(dft(phi)) - phi).max() < 1e-12
 
     def test_idft_of_delta_is_exponential(self):
-        assert idft(kronecker_basis(5, 2)) == pytest.approx(fourier_basis(5, 2))
+        assert idft(kronecker(5, 2)) == pytest.approx(plane_wave(5, 2))
 
     def test_idft_flat_output(self):
         assert idft(np.array([1.0, 0, 0, 0])) == pytest.approx(np.full(4, 0.5))
@@ -144,40 +141,42 @@ class TestDft:
 
 class TestShifts:
     def test_delta_shift(self):
-        assert translate(kronecker_basis(3, 0), 1) == pytest.approx(kronecker_basis(3, 1))
+        assert displacement_apply(kronecker(3, 0), 0, 1) == pytest.approx(kronecker(3, 1))
 
     def test_full_period_is_identity(self, rng):
         phi = random_state(rng, 6)
-        assert translate(phi, 6) == pytest.approx(phi)
+        assert displacement_apply(phi, 0, 6) == pytest.approx(phi)
 
     def test_index_chase(self):
-        assert translate(np.array([1.0, 2.0, 3.0]), 2) == pytest.approx([2.0, 3.0, 1.0])
+        assert displacement_apply(np.array([1.0, 2.0, 3.0]), 0, 2) == pytest.approx([2.0, 3.0, 1.0])
 
     def test_translation_additivity_exact(self, rng):
         phi = random_state(rng, 7)
-        assert np.array_equal(translate(translate(phi, 3), 5), translate(phi, 8))
+        assert np.array_equal(displacement_apply(displacement_apply(phi, 0, 3), 0, 5),
+                              displacement_apply(phi, 0, 8))
 
     def test_zero_modulation_is_identity(self, rng):
         phi = random_state(rng, 5)
-        assert modulate(phi, 0) == pytest.approx(phi)
+        assert displacement_apply(phi, 0, 0) == pytest.approx(phi)
 
     def test_modulated_delta_is_pointwise_phase(self):
         d, l0, k0 = 6, 2, 5
         expected = np.zeros(d, complex)
         expected[l0] = np.exp(2j * np.pi * k0 * l0 / d)
-        assert modulate(kronecker_basis(d, l0), k0) == pytest.approx(expected)
+        assert displacement_apply(kronecker(d, l0), k0, 0) == pytest.approx(expected)
 
     def test_shift_modulation_commutation(self, rng):
         # T_l0 E_k0 = exp(-2 i pi k0 l0 / d) E_k0 T_l0
         d, k0, l0 = 5, 3, 2
         phi = random_state(rng, d)
-        lhs = translate(modulate(phi, k0), l0)
-        rhs = np.exp(-2j * np.pi * k0 * l0 / d) * modulate(translate(phi, l0), k0)
-        assert np.abs(lhs - rhs).max() < 1e-12
+        lhs = displacement_apply(displacement_apply(phi, k0, 0), 0, l0)
+        rhs = displacement_apply(displacement_apply(phi, 0, l0), k0, 0)
+        assert np.abs(lhs - np.exp(-2j * np.pi * k0 * l0 / d) * rhs).max() < 1e-12
 
     def test_modulation_is_translation_after_dft(self, rng):
         phi = random_state(rng, 6)
-        assert np.abs(dft(modulate(phi, 2)) - translate(dft(phi), 2)).max() < 1e-12
+        modulated, translated = displacement_apply(phi, 2, 0), displacement_apply(dft(phi), 0, 2)
+        assert np.abs(dft(modulated) - translated).max() < 1e-12
 
 
 class TestCyclicDiagonals:

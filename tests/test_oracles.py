@@ -4,11 +4,9 @@ import pytest
 from torus_quant import (
     Weight,
     coherent_state_weight,
-    momentum_symbol,
     portrait,
     portrait_of_symbol,
     quantization_operator,
-    position_symbol,
     quantize,
     quantize_momentum,
     quantize_position,
@@ -63,12 +61,12 @@ def _quantize(rng, d):
 
 def _quantize_momentum(rng, d):
     g, w = random_state(rng, d), _asymmetric_weight(rng, d)
-    return quantize_momentum(g, w), oracles.quantize_sum(momentum_symbol(g), w)
+    return quantize_momentum(g, w), oracles.quantize_sum(np.tile(g[:, None], (1, d)), w)
 
 
 def _quantize_position(rng, d):
     h, w = random_state(rng, d), _asymmetric_weight(rng, d)
-    return quantize_position(h, w), oracles.quantize_sum(position_symbol(h), w)
+    return quantize_position(h, w), oracles.quantize_sum(np.tile(h, (d, 1)), w)
 
 
 def _portrait(rng, d):

@@ -7,11 +7,8 @@ from torus_quant import (
     Weight,
     coherent_state_weight,
     dft,
-    fourier_basis,
     idft,
-    momentum_symbol,
     parity_weight,
-    position_symbol,
     portrait_of_symbol,
     positivity_report,
     quantization_operator,
@@ -24,7 +21,13 @@ from torus_quant import (
 )
 from torus_quant.errors import bound
 
-from conftest import hermitian_unit_trace, random_map, random_state, random_symmetric_weight
+from conftest import (
+    hermitian_unit_trace,
+    plane_wave,
+    random_map,
+    random_state,
+    random_symmetric_weight,
+)
 from oracles import (
     covariance_defect,
     dft_matrix,
@@ -47,6 +50,14 @@ class TestWeight:
         values = np.ones((3, 3), complex)
         values[0, 0] = origin
         with pytest.raises(ValueError, match="origin"):
+            Weight(values)
+
+    @pytest.mark.parametrize("entry, value", [((1, 2), np.nan), ((1, 1), np.inf)])
+    def test_rejects_non_finite_entry(self, rng, entry, value):
+        # a non-finite weight would quantize to a non-finite operator
+        values = random_symmetric_weight(rng, 4).values
+        values[entry] = value
+        with pytest.raises(ValueError, match="non-finite"):
             Weight(values)
 
     @pytest.mark.parametrize("d", [3, 4, 5])
@@ -210,18 +221,18 @@ class TestQuantize:
     def test_parity_weight_position_symbol_is_diagonal(self):
         d = 5
         h = np.arange(d, dtype=complex)
-        assert np.abs(quantize(position_symbol(h), parity_weight(d)) - np.diag(h)).max() < 1e-12
+        assert np.abs(quantize(np.tile(h, (d, 1)), parity_weight(d)) - np.diag(h)).max() < 1e-12
 
     def test_parity_weight_momentum_symbol_is_fourier_multiplier(self):
         # multiplication by g in the Fourier eigenbasis: A e_k = g(k) e_k,
         # i.e. the conjugation of diag(g) by the inverse DFT matrix
         d = 5
         g = np.arange(d, dtype=complex)
-        a = quantize(momentum_symbol(g), parity_weight(d))
+        a = quantize(np.tile(g[:, None], (1, d)), parity_weight(d))
         f = dft_matrix(d)
         assert np.abs(a - f.conj().T @ np.diag(g) @ f).max() < 1e-12
         for k in range(d):
-            ek = fourier_basis(d, k)
+            ek = plane_wave(d, k)
             assert np.abs(a @ ek - g[k] * ek).max() < 1e-12
 
     def test_shape_mismatch(self, rng):
@@ -234,7 +245,8 @@ class TestFastPaths:
     def test_momentum_fast_path_matches_general(self, rng, d):
         w = random_symmetric_weight(rng, d)
         g = random_state(rng, d)
-        assert np.abs(quantize_momentum(g, w) - quantize(momentum_symbol(g), w)).max() < 1e-12
+        f = np.tile(g[:, None], (1, d))
+        assert np.abs(quantize_momentum(g, w) - quantize(f, w)).max() < 1e-12
 
     @pytest.mark.parametrize("d", [4, 5, 129])
     def test_momentum_fast_path_is_the_difference_gather_bitwise(self, rng, d):
@@ -249,7 +261,7 @@ class TestFastPaths:
     def test_position_fast_path_matches_general(self, rng, d):
         w = random_symmetric_weight(rng, d)
         h = random_state(rng, d)
-        assert np.abs(quantize_position(h, w) - quantize(position_symbol(h), w)).max() < 1e-12
+        assert np.abs(quantize_position(h, w) - quantize(np.tile(h, (d, 1)), w)).max() < 1e-12
 
     def test_unit_momentum_symbol_is_identity(self, rng):
         w = random_symmetric_weight(rng, 5)

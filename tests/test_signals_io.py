@@ -11,15 +11,12 @@ from hypothesis.extra import numpy as hnp
 from torus_quant import (
     FiducialSpec,
     InputFormatError,
-    column_energy,
-    dominant_rows,
-    envelope_spectrum,
     gabor_transform,
-    period_estimate,
     realize_fiducial,
 )
 from torus_quant import io_formats
 from torus_quant.hilbert import BLOCK_VALUES
+from torus_quant.signals import column_energy, dominant_rows, envelope_spectrum, period_estimate
 from torus_quant.io_formats import (
     _table_csv,
     format_complex_matrix_csv,

@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
-from torus_quant import displacement_apply, displacement_matrix, kronecker_basis
+from torus_quant import displacement_apply
 
 from torus_quant.hilbert import phase_table
 from torus_quant.weyl import adjoint_reflection, multiply_phase, sum_phase_roots
 
-from conftest import random_state
+from conftest import kronecker, random_state
 from oracles import (
     GroupElement,
     adjoint_sign_table,
     compose_displacements,
     conjugate_sign,
     conjugation_phase,
+    displacement_matrix,
     displacement_matrix_fourier,
     fourier_conjugated,
     group_inv,
@@ -97,11 +98,11 @@ class TestDisplacement:
         assert displacement_apply(psi, 0, 0) == pytest.approx(psi)
 
     def test_pure_translation_of_delta(self):
-        assert displacement_apply(kronecker_basis(3, 0), 0, 1) == pytest.approx(kronecker_basis(3, 1))
+        assert displacement_apply(kronecker(3, 0), 0, 1) == pytest.approx(kronecker(3, 1))
 
     def test_half_phase_on_shifted_delta(self):
         # d=2: phase exp(-i pi/2) * exp(i pi l) at l = 1 gives (0, i)
-        out = displacement_apply(kronecker_basis(2, 0), 1, 1)
+        out = displacement_apply(kronecker(2, 0), 1, 1)
         assert out == pytest.approx([0.0, 1j])
 
     def test_apply_is_linear(self, rng):
