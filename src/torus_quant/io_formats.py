@@ -7,13 +7,13 @@ Every number in CSV output is exactly what Python's ``"%.15e" % x`` writes
 inputs produce byte-identical files.  Complex entries occupy two adjacent
 columns (re, im); the header row names the indices.
 
-The writer formats blocks of rows with numpy: each value's 16 significant
-digits come from one exact double-double product (see :func:`_decimal`).
-A value is formatted by Python's own ``%`` instead when it is not finite,
-when its 17th significant digit onwards lies within 1e-9 of a rounding tie
-(exact ties need a double with at most a few fraction bits, such as a
-16-digit half-integer), or when its decimal exponent is not settled by the
-product (a few units from a power of ten).
+The writer formats blocks of rows with numpy: a table gives each value's
+exact decimal exponent, and its 16 significant digits come from one exact
+double-double product (see :func:`_decimal`).  A value is formatted by
+Python's own ``%`` instead only when it is not finite or when its 17th
+significant digit onwards lies within 1e-9 of a rounding tie (exact ties
+need a double with at most a few fraction bits, such as a 16-digit
+half-integer).
 """
 
 from __future__ import annotations
@@ -182,10 +182,13 @@ def _tables() -> SimpleNamespace:
 
     ``k0[i]`` is the decimal exponent of 2**(e - 1), the smallest double
     with frexp exponent e = i + _FREXP_MIN; (e - 1) log10(2) stays at least
-    4e-4 from every integer but 0, so the floor below is exact.  ``hi``,
-    ``lo`` (and ``hi`` split in ``head`` + ``tail`` for Dekker's product)
-    hold 2**e 10**(15 - k0[i] - j) as a double-double at index 2 i + j,
-    j = 0, 1; they are computed by :func:`_fill_scales` as exponents appear.
+    4e-4 from every integer but 0, so the floor below is exact.  ``up[i]``
+    is the smallest double >= 10**(k0[i] + 1) / 2**e, so f 2**e with f in
+    [0.5, 1) has the exact decimal exponent k0[i] + j, j = (f >= up[i]).
+    ``hi``, ``lo`` (and ``hi`` split in ``head`` + ``tail`` for Dekker's
+    product) hold 2**e 10**(15 - k0[i] - j) as a double-double at index
+    2 i + j.  :func:`_fill_scales` computes ``up`` and the scales as
+    exponents appear.
     """
     pairs, quads, exps = np.arange(100), np.arange(10000), np.arange(_EXP_MIN, 310)
     mag = np.abs(exps)
@@ -200,20 +203,26 @@ def _tables() -> SimpleNamespace:
         exp_digits=_word(np.where(mag >= 100, _ZERO + mag // 100, 0),
                          _ZERO + mag // 10 % 10, _ZERO + mag % 10, 0),
         k0=np.floor((np.arange(n_frexp) + _FREXP_MIN - 1) * np.log10(2.0)).astype(np.int64),
-        hi=hi, lo=lo, head=head, tail=tail, ready=np.zeros(n_frexp, dtype=bool))
+        up=np.zeros(n_frexp), hi=hi, lo=lo, head=head, tail=tail,
+        ready=np.zeros(n_frexp, dtype=bool))
 
 
 def _fill_scales(t: SimpleNamespace, ei: np.ndarray) -> None:
-    """Compute the scales of the frexp exponent indices ``ei`` not yet known."""
+    """Compute ``up`` and the scales of the frexp exponent indices ``ei`` not yet known."""
     needed = np.zeros_like(t.ready)
     needed[ei] = True
     for i in np.flatnonzero(needed & ~t.ready).tolist():
-        e = i + _FREXP_MIN
+        e, k0 = i + _FREXP_MIN, int(t.k0[i])
+        num = 10 ** max(k0 + 1, 0) * 2 ** max(-e, 0)
+        den = 10 ** max(-k0 - 1, 0) * 2 ** max(e, 0)
+        up = num / den  # int / int is correctly rounded: up is raised if it fell below
+        a, b = up.as_integer_ratio()
+        t.up[i] = up if a * den >= num * b else math.nextafter(up, math.inf)
         for j in (0, 1):
-            s = 15 - int(t.k0[i]) - j
+            s = 15 - k0 - j
             num = 2 ** max(e, 0) * 10 ** max(s, 0)
             den = 2 ** max(-e, 0) * 10 ** max(-s, 0)
-            hi = num / den  # int / int is correctly rounded
+            hi = num / den
             a, b = hi.as_integer_ratio()
             c = _SPLIT * hi
             at = 2 * i + j
@@ -230,27 +239,29 @@ def _workspace(rows: int, width: int) -> SimpleNamespace:
     nothing but its compacted text.  ``real`` has nine rows of one float64
     per value; ``ints`` and ``u32`` view the same memory as int64 and
     uint32, so a row holds an integer intermediate once its float one is
-    no longer needed.  ``flags`` has four bool rows.  ``text`` holds a
+    no longer needed.  ``flags`` has three bool rows.  ``text`` holds a
     block's text, viewed as ``slots`` of six words, so that one
     ``bytearray.translate`` drops its NUL bytes.
     """
     real = np.empty((9, rows * width))
     text = bytearray(rows * (width + 1) * 4 * _SLOT_WORDS)
     return SimpleNamespace(real=real, ints=real.view(np.int64), u32=real.view("<u4"),
-                           flags=np.empty((4, rows * width), dtype=bool), text=text,
+                           flags=np.empty((3, rows * width), dtype=bool), text=text,
                            slots=np.frombuffer(text, "<u4").reshape(rows, width + 1, _SLOT_WORDS))
 
 
 def _decimal(block: np.ndarray, ws: SimpleNamespace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """16 significant digits N, decimal exponent k and fallback mask of each entry, flattened.
 
-    |x| = f 2**e is scaled to V = f C with C = 2**e 10**(15 - k), so that the
-    16 significant digits are N = round(V).  C is a double-double and f C is
-    formed exactly by Dekker's product, so the fraction of V is known to
-    ~1e-15.  A value is left to Python's ``%`` when it is not finite, when V
-    lies within _TIE_MARGIN of a half-integer, or when its decade is not
-    settled; everything else is exactly what ``"%.15e" % x`` writes.
-    N and k of a fallback entry are in range of the tables but meaningless.
+    |x| = f 2**e has decimal exponent k = k0 + (f >= up), exactly (see
+    :func:`_tables`), and is scaled to V = f C with C = 2**e 10**(15 - k)
+    in [1e15, 1e16), so that the 16 significant digits are N = round(V);
+    a V that rounds to 1e16 gives N = 1e15 and k + 1.  C is a double-double
+    and f C is formed exactly by Dekker's product, so the fraction of V is
+    known to ~1e-15.  A value is left to Python's ``%`` only when it is not
+    finite or when V lies within _TIE_MARGIN of a half-integer; everything
+    else is exactly what ``"%.15e" % x`` writes.  N and k of a fallback
+    entry are in range of the tables but meaningless.
 
     Every intermediate lives in the workspace ``ws`` (see :func:`_workspace`);
     N, k and the mask are returned in its rows ``ints[0]``, ``ints[1]`` and
@@ -258,9 +269,9 @@ def _decimal(block: np.ndarray, ws: SimpleNamespace) -> tuple[np.ndarray, np.nda
     """
     t = _tables()
     size = block.size
-    f, _, _, v, f_head, f_tail, head, tail, pl = (row[:size] for row in ws.real)
+    f, _, _, ph, f_head, f_tail, head, tail, pl = (row[:size] for row in ws.real)
     n, k, at, _, _, _, _, _, spare = (row[:size] for row in ws.ints)
-    bad, nonzero, fallback, flag = (row[:size] for row in ws.flags)
+    bad, flag, fallback = (row[:size] for row in ws.flags)
     np.abs(block, out=f.reshape(block.shape))
     np.isfinite(f, out=bad)
     np.logical_not(bad, out=bad)
@@ -268,20 +279,15 @@ def _decimal(block: np.ndarray, ws: SimpleNamespace) -> tuple[np.ndarray, np.nda
         np.copyto(f, 0.0, where=bad)
     e = k.view(np.int32)[:size]  # frexp's int32 exponents, in k's row until k is formed
     np.frexp(f, out=(f, e))
-    np.not_equal(f, 0.0, out=nonzero)
-    ei = at
-    np.copyto(ei, e)
-    ei -= _FREXP_MIN
+    np.subtract(e, _FREXP_MIN, out=at)
     # every index is in range; only mode="clip" lets np.take fill ``out`` without a copy
-    if not np.take(t.ready, ei, out=flag, mode="clip").all():
-        _fill_scales(t, ei)
-    np.take(t.k0, ei, out=k, mode="clip")
+    if not np.take(t.ready, at, out=flag, mode="clip").all():
+        _fill_scales(t, at)
+    np.take(t.k0, at, out=k, mode="clip")
+    np.greater_equal(f, np.take(t.up, at, out=ph, mode="clip"), out=flag)
+    k += flag
     at *= 2
-    # scale j = 0 puts V in [1e15, 2e16); from 1e16 on, the next decade (j = 1) is used
-    np.multiply(f, np.take(t.hi, at, out=v, mode="clip"), out=v)
-    np.copyto(spare, np.greater_equal(v, 1e16, out=flag))
-    at += spare
-    ph = v
+    at += flag
     np.multiply(f, np.take(t.hi, at, out=ph, mode="clip"), out=ph)
     # f = f_head + f_tail in 26-bit halves: c = _SPLIT f, f_head = c - (c - f)
     np.multiply(f, _SPLIT, out=f_head)
@@ -299,40 +305,28 @@ def _decimal(block: np.ndarray, ws: SimpleNamespace) -> tuple[np.ndarray, np.nda
     pl += head
     tail *= f_tail
     pl += tail
+    # N = ih + rint(u): ih = rint(ph), u = (ph - ih) + pl + f lo in ph's row
     ih = head
     np.rint(ph, out=ih)
-    # u = (ph - ih) + pl + f lo + 0.5, kept in ph's row, then its fraction
     u = ph
     u -= ih
     u += pl
     np.multiply(f, np.take(t.lo, at, out=tail, mode="clip"), out=tail)
     u += tail
-    u += 0.5
     q = tail
-    np.floor(u, out=q)
-    frac = u
-    frac -= q
+    np.rint(u, out=q)
+    u -= q  # V - N, to ~1e-15
     # N = ih + q in int64: N exceeds 2**53, where a float sum would round
     np.copyto(n, ih, casting="unsafe")
     np.copyto(spare, q, casting="unsafe")
     n += spare
-    at &= 1
-    k += at
-    np.equal(n, 10**16, out=flag)
+    np.equal(n, 10**16, out=flag)  # 10**15 of the next decade
     np.copyto(n, 10**15, where=flag)
-    np.add(k, 1, out=k, where=flag)
-    np.logical_not(nonzero, out=flag)
+    k += flag
+    np.equal(n, 0, out=flag)  # zero, whose k0 is -1, is written with exponent 0
     np.copyto(k, 0, where=flag)
-    # V < 1e15 means j = 1 went a decade too far; N > 1e16, that j = 0 fell short
-    np.equal(n, 10**15, out=fallback)
-    fallback &= np.less(frac, 0.5, out=flag)
-    fallback |= np.less(n, 10**15, out=flag)
-    fallback |= np.greater(n, 10**16, out=flag)
-    fallback &= nonzero
-    frac -= 0.5
-    fallback |= np.greater(np.abs(frac, out=frac), 0.5 - _TIE_MARGIN, out=flag)
+    np.greater(np.abs(u, out=u), 0.5 - _TIE_MARGIN, out=fallback)
     fallback |= bad
-    np.copyto(n, 0, where=fallback)
     return n, k, fallback
 
 
@@ -365,7 +359,7 @@ def _format_block(block: np.ndarray, first_row: int, ws: SimpleNamespace) -> byt
     sign_word = ws.u32[4, :size].reshape(block.shape)  # mid's row, free from here on
     slots = ws.slots[:rows]
     words = slots[:, 1:]
-    np.copyto(sign_word, np.signbit(block, out=ws.flags[3, :size].reshape(block.shape)))
+    np.copyto(sign_word, np.signbit(block, out=ws.flags[0, :size].reshape(block.shape)))
     sign_word *= _MINUS
     words[..., 0] = np.bitwise_or(np.take(t.lead, top, out=word, mode="clip"), sign_word,
                                   out=word)

@@ -119,7 +119,9 @@ def coherent_state_weight(phi) -> Weight:
     if abs(nrm - 1.0) > bound():
         warnings.warn("coherent-state weight from a non-unit vector; normalizing")
         phi = phi / nrm
-    return Weight(weight_from_operator(np.outer(phi, phi.conj())).values, is_density=True)
+    w = weight_from_operator(np.outer(phi, phi.conj()))
+    w.is_density = True
+    return w
 
 
 def _kernel_diagonals(c: np.ndarray) -> np.ndarray:

@@ -82,6 +82,15 @@ class TestWeight:
             phi = realize_fiducial(FiducialSpec.von_mises(1.0), d)
             assert coherent_state_weight(phi).symmetry_defect() <= 1e-10
 
+    def test_coherent_state_weight_is_validated_once(self, monkeypatch):
+        checks = []
+        validate = Weight.__post_init__
+        monkeypatch.setattr(Weight, "__post_init__", lambda w: checks.append(validate(w)))
+        phi = realize_fiducial(FiducialSpec.von_mises(1.0), 8)
+        w = coherent_state_weight(phi)
+        assert len(checks) == 1 and w.is_density
+        assert np.array_equal(w.values, weight_from_operator(np.outer(phi, phi.conj())).values)
+
     def test_parity_weight_symmetry_tracks_hermiticity(self):
         # the unit weight gives a hermitian operator at odd d (the parity
         # operator) and at d = 2, but not at larger even d; the predicate

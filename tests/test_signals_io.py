@@ -1,6 +1,8 @@
 import json
+import math
 import re
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -417,16 +419,52 @@ class _CountingFormat(str):
         return str.__mod__(self, value)
 
 
+def _neighbours(x: np.ndarray, ulps: int) -> np.ndarray:
+    """``x`` and the doubles up to ``ulps`` steps below and above each entry."""
+    out = [x]
+    for toward in (0.0, np.inf):
+        y = x
+        for _ in range(ulps):
+            out.append(y := np.nextafter(y, toward))
+    return np.concatenate(out)
+
+
 def _crafted_values() -> np.ndarray:
-    """Ties, powers of ten and their neighbours, rounding carries, extremes."""
+    """Ties, powers of ten and rounding carries with their 2-ulp neighbourhoods, extremes."""
     powers = np.array([10.0**k for k in range(-323, 309)])
     carries = np.array([float(f"9.9999999999999995e{k}") for k in range(-324, 308)])
     ties = np.array([1234567890123456.5, 9007199254740990.5, 1000000000000000.5])
     extremes = np.array([5e-324, 2.2250738585072014e-308, np.finfo(float).max, 0.0,
                          np.nan, np.inf, 1.5e-150, 2.5e250, 1.0000000000000002e100])
-    values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
-                             carries, np.nextafter(carries, 0.0), ties, extremes])
+    values = np.concatenate([_neighbours(powers, 2), _neighbours(carries, 2), ties, extremes])
     return np.concatenate([values, -values])
+
+
+def _decade(x: float) -> int:
+    """The k with 10**k <= |x| < 10**(k + 1), for a finite nonzero double, exactly."""
+    a = abs(Fraction(x))
+    k = len(str(a.numerator)) - len(str(a.denominator))
+    while a < Fraction(10) ** k:
+        k -= 1
+    while a >= Fraction(10) ** (k + 1):
+        k += 1
+    return k
+
+
+def _distance_to_tie(x: float) -> Fraction:
+    """How far |x| 10**(15 - k), k the decade of x, lies from a half-integer, exactly."""
+    v = abs(Fraction(x)) * Fraction(10) ** (15 - _decade(x))
+    return abs(v - math.floor(v) - Fraction(1, 2))
+
+
+def _formatted_by_python(table: np.ndarray, monkeypatch) -> list:
+    """The finite values of ``table`` that the writer hands to Python's ``%``."""
+    calls = []
+    monkeypatch.setattr(io_formats, "_FMT", _CountingFormat(calls))
+    header = ["m"] + [f"n{j}" for j in range(table.shape[1])]
+    text = written_bytes(_table_csv, header, table)
+    assert _first_difference(text, table_csv_reference(header, table)) is None
+    return [x for x in calls if np.isfinite(x)]
 
 
 class TestTableCsvMatchesPercentFormat:
@@ -443,16 +481,34 @@ class TestTableCsvMatchesPercentFormat:
         bits = np.random.default_rng(20261018).integers(0, 2**64, size=2**20, dtype=np.uint64)
         values = np.concatenate([bits.view(np.float64), _crafted_values()])
         table = np.resize(values, (values.size // 1024 + 1, 1024))
-        header = ["m"] + [f"n{j}" for j in range(1024)]
-        calls = []
-        monkeypatch.setattr(io_formats, "_FMT", _CountingFormat(calls))
-        text = written_bytes(_table_csv, header, table)
-        assert _first_difference(text, table_csv_reference(header, table)) is None
-        # besides nan and inf, Python gets only the exact ties (common among
-        # the doubles of 2**44..2**54, which have few fraction bits) and values
-        # a few units from a power of ten; a wrong decade would send it ~1 in 5
-        finite = [x for x in calls if np.isfinite(x)]
-        assert len(finite) < values.size // 100, len(finite)
+        # besides nan and inf, Python gets only values within 1e-9 of a rounding
+        # tie (common among the doubles of 2**44..2**54, which have few fraction bits)
+        finite = _formatted_by_python(table, monkeypatch)
+        assert [x for x in finite if _distance_to_tie(x) > Fraction(1, 10**9)] == []
+
+    def test_crafted_values_reach_python_only_at_exact_ties(self, monkeypatch):
+        values = _crafted_values()
+        finite = _formatted_by_python(np.resize(values, (values.size // 1024 + 1, 1024)),
+                                      monkeypatch)
+        assert finite and all(_distance_to_tie(x) == 0 for x in finite), finite
+
+    def test_decade_at_every_boundary(self):
+        # the largest double below each power of ten and the smallest at or
+        # above it; the first and last double of each binade (subnormal ones too)
+        powers = []
+        for p in range(-323, 309):
+            x = float(Fraction(10) ** p)  # correctly rounded
+            x = x if Fraction(x) >= Fraction(10) ** p else math.nextafter(x, math.inf)
+            powers += [math.nextafter(x, 0.0), x]
+        exponents = range(io_formats._FREXP_MIN, io_formats._FREXP_MAX + 1)
+        firsts = [math.ldexp(0.5, e) for e in exponents]
+        lasts = [math.nextafter(x, 0.0) for x in firsts[1:] + [math.inf]]
+        values = np.array(powers + firsts + lasts)
+        t = io_formats._tables.__wrapped__()  # a fresh copy, every exponent filled
+        io_formats._fill_scales(t, np.arange(t.ready.size))
+        f, e = np.frexp(values)  # a hand-built (f, e) is not a double in the subnormal range
+        i = e - io_formats._FREXP_MIN
+        assert (t.k0[i] + (f >= t.up[i])).tolist() == [_decade(x) for x in values]
 
     def test_several_blocks_and_a_partial_last_one(self, rng):
         width = 100
