@@ -69,6 +69,8 @@ def _diag(message: str) -> None:
 
 
 def _load_signal(args) -> np.ndarray:
+    if not args.infile:
+        raise InputFormatError("--in names no path")
     signal = read_signal(args.infile)
     if args.d is not None and args.d != signal.shape[0]:
         if args.truncate and args.d < signal.shape[0]:
@@ -84,7 +86,9 @@ def _load_signal(args) -> np.ndarray:
 
 def _read_sized(reader, text: str, d: int) -> np.ndarray:
     """Read the path after ``text``'s ":" with ``reader``, a global traced runs wrap; size d."""
-    values = reader(text.partition(":")[2])
+    if not (path := text.partition(":")[2]):
+        raise InputFormatError(f"{text} names no path")
+    values = reader(path)
     if values.shape[0] != d:
         raise InputFormatError(f"{text} has size {values.shape[0]}, expected d={d}")
     return values
@@ -108,36 +112,41 @@ def _resolve_weight(text: str, d: int) -> Weight:
     raise InputFormatError(f"unknown weight selector {text!r}")
 
 
-def _resolve_symbol(text: str, d: int):
-    """Return (f, kind, vec) with the d x d symbol f.
+#: the vector each momentum:NAME or position:NAME symbol is built from, at dimension d
+_VECTORS = {
+    "index": lambda d: np.arange(d, dtype=complex),
+    "index2": lambda d: np.arange(d, dtype=complex) ** 2,
+    "fourier": lambda d: phase_table(d, np.arange(d)),
+}
 
-    kind is general / momentum / position; for the last two, vec is the
-    vector f is built from (the fast-path input), otherwise None.
+
+def _resolve_symbol(text: str, d: int):
+    """Return (f, route) with the d x d symbol f and route(weight), its operator.
+
+    A momentum or position symbol routes through its vector's fast path.  A route
+    looks its function up when called, so a traced run times the wrapper.
     """
     if text == "ones":
-        return np.ones((d, d), dtype=complex), "general", None
-    if text == "delta":
+        f = np.ones((d, d), dtype=complex)
+    elif text == "delta":
         f = np.zeros((d, d), dtype=complex)
         f[0, 0] = d  # unit mass under the 1/d-weighted counting measure
-        return f, "general", None
-    if text.startswith("file:"):
-        return _read_sized(read_complex_matrix_csv, text, d), "general", None
-    for prefix in ("momentum", "position"):
-        if text.startswith(prefix + ":"):
-            arg = text[len(prefix) + 1:]
-            if arg == "index":
-                vec = np.arange(d, dtype=complex)
-            elif arg == "index2":
-                vec = np.arange(d, dtype=complex) ** 2
-            elif arg == "fourier":
-                vec = phase_table(d, np.arange(d))
-            elif arg.startswith("file:"):
-                vec = _read_sized(read_vector_csv, arg, d)
-            else:
-                raise InputFormatError(f"unknown {prefix} symbol {arg!r}")
-            f = np.tile(vec[:, None], (1, d)) if prefix == "momentum" else np.tile(vec, (d, 1))
-            return f, prefix, vec
-    raise InputFormatError(f"unknown symbol selector {text!r}")
+    elif text.startswith("file:"):
+        f = _read_sized(read_complex_matrix_csv, text, d)
+    elif text.startswith(("momentum:", "position:")):
+        prefix, _, arg = text.partition(":")
+        if arg in _VECTORS:
+            vec = _VECTORS[arg](d)
+        elif arg.startswith("file:"):
+            vec = _read_sized(read_vector_csv, arg, d)
+        else:
+            raise InputFormatError(f"unknown {prefix} symbol {arg!r}")
+        if prefix == "momentum":
+            return np.tile(vec[:, None], (1, d)), lambda weight: quantize_momentum(vec, weight)
+        return np.tile(vec, (d, 1)), lambda weight: quantize_position(vec, weight)
+    else:
+        raise InputFormatError(f"unknown symbol selector {text!r}")
+    return f, lambda weight: quantize(f, weight)
 
 
 def _check(key: str, residual: float, scale: float, relative=True, held=True) -> None:
@@ -202,15 +211,9 @@ def _coefficient_residual(op: np.ndarray, f: np.ndarray, weight: Weight) -> floa
 
 
 def cmd_quantize(args) -> int:
-    d = args.d
-    weight = _resolve_weight(args.weight, d)
-    f, kind, vec = _resolve_symbol(args.symbol, d)
-    if kind == "momentum":
-        op = quantize_momentum(vec, weight)
-    elif kind == "position":
-        op = quantize_position(vec, weight)
-    else:
-        op = quantize(f, weight)
+    weight = _resolve_weight(args.weight, args.d)
+    f, route = _resolve_symbol(args.symbol, args.d)
+    op = route(weight)
     peak, w_peak = np.abs(f).max(), np.abs(weight.values).max()
     scale, unit, residual = peak * w_peak, unit_scale(peak), _coefficient_residual(op, f, weight)
     _diag(f"two_path_residual {residual:.3e}")  # held times unit (exact), clear of bound()'s floor
@@ -224,9 +227,8 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_portrait(args) -> int:
-    d = args.d
-    weight = _resolve_weight(args.weight, d)
-    f, _, _ = _resolve_symbol(args.symbol, d)
+    weight = _resolve_weight(args.weight, args.d)
+    f, _ = _resolve_symbol(args.symbol, args.d)
     smoothed = portrait_of_symbol(f, weight)
     scale = np.abs(weight.values).max() ** 2  # a portrait is quadratic in the weight
     peak = np.abs(f).max()
@@ -294,21 +296,16 @@ def _build_parser() -> argparse.ArgumentParser:
     add_out_flag(p)
     p.set_defaults(func=cmd_husimi)
 
-    p = sub.add_parser("quantize", help="operator assigned to a phase-space symbol")
-    p.add_argument("--d", type=_dimension, required=True)
-    p.add_argument("--symbol", required=True,
-                   help="ones | delta | file:PATH | momentum:index|index2|fourier|file:PATH "
-                        "| position:index|index2|fourier|file:PATH")
-    p.add_argument("--weight", required=True, help="parity | cs:<fiducial> | file:PATH")
-    add_out_flag(p)
-    p.set_defaults(func=cmd_quantize)
-
-    p = sub.add_parser("portrait", help="smoothed phase-space portrait of a symbol")
-    p.add_argument("--d", type=_dimension, required=True)
-    p.add_argument("--symbol", required=True, help="as for quantize")
-    p.add_argument("--weight", required=True, help="parity | cs:<fiducial> | file:PATH")
-    add_out_flag(p)
-    p.set_defaults(func=cmd_portrait)
+    vectors = "|".join([*_VECTORS, "file:PATH"])
+    for name, cmd, doc in [("quantize", cmd_quantize, "operator assigned to a phase-space symbol"),
+                           ("portrait", cmd_portrait, "smoothed phase-space portrait of a symbol")]:
+        p = sub.add_parser(name, help=doc)
+        p.add_argument("--d", type=_dimension, required=True)
+        p.add_argument("--symbol", required=True,
+                       help=f"ones | delta | file:PATH | momentum:{vectors} | position:{vectors}")
+        p.add_argument("--weight", required=True, help="parity | cs:<fiducial> | file:PATH")
+        add_out_flag(p)
+        p.set_defaults(func=cmd)
 
     p = sub.add_parser("fiducials", help="realize a fiducial window vector")
     p.add_argument("--d", type=_dimension, required=True)

@@ -25,7 +25,7 @@ _GAUSSIAN_CUTOFF = -math.log(1e-16) / math.pi
 
 @dataclass(frozen=True)
 class FiducialSpec:
-    """Symbolic recipe for a fiducial vector, checked when it is built.
+    """Recipe ``FiducialSpec(kind, param)`` for a fiducial vector, checked when it is built.
 
     ``param`` is a real number (not a bool) in its range that the ``_KINDS``
     type holds exactly, stored as that type, or None for ``constant`` and
@@ -48,30 +48,6 @@ class FiducialSpec:
         if not valid:
             raise ValueError(f"fiducial {self.kind!r} cannot take parameter {self.param!r}")
         object.__setattr__(self, "param", value)
-
-    @classmethod
-    def constant(cls) -> "FiducialSpec":
-        return cls("constant")
-
-    @classmethod
-    def kronecker(cls, k0: int) -> "FiducialSpec":
-        return cls("kronecker", k0)
-
-    @classmethod
-    def plane_wave(cls, k0: int) -> "FiducialSpec":
-        return cls("plane_wave", k0)
-
-    @classmethod
-    def gaussian(cls, kappa: float) -> "FiducialSpec":
-        return cls("gaussian", kappa)
-
-    @classmethod
-    def dirichlet(cls, j: int) -> "FiducialSpec":
-        return cls("dirichlet", j)
-
-    @classmethod
-    def von_mises(cls, lam: float) -> "FiducialSpec":
-        return cls("von_mises", lam)
 
     @classmethod
     def custom(cls, values) -> "FiducialSpec":
@@ -97,21 +73,13 @@ class FiducialSpec:
             if arg:
                 raise InputFormatError(f"fiducial {name!r} takes no parameter, got {arg!r}")
             return cls(name)
-        try:
+        value = None
+        with contextlib.suppress(ValueError):
             value = parameter_type(arg)
-        except ValueError:
-            value = None
         if value is None or parameter_type is float and not math.isfinite(value):
             raise InputFormatError(f"fiducial {name!r} needs a finite {parameter_type.__name__} "
                                    f"parameter, got {arg!r}")
         return cls(name, value)
-
-    def label(self) -> str:
-        """The spec string :meth:`parse` reads back to this spec."""
-        if self.param is None:
-            return self.kind
-        value = f"{self.param:g}" if isinstance(self.param, float) else str(self.param)
-        return f"{self.kind}:{value}"
 
 
 def _periodized_gaussian(d: int, t: float) -> np.ndarray:

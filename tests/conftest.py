@@ -46,26 +46,27 @@ def random_symmetric_weight(rng, d):
 
 def kronecker(d, k):
     """The position basis vector delta_k on Z_d: the ``kronecker`` window."""
-    return realize_fiducial(FiducialSpec.kronecker(k), d)
+    return realize_fiducial(FiducialSpec("kronecker", k), d)
 
 
 def plane_wave(d, k):
     """The Fourier exponential l -> exp(2i pi k l / d) / sqrt(d): the ``plane_wave`` window."""
-    return realize_fiducial(FiducialSpec.plane_wave(k), d)
+    return realize_fiducial(FiducialSpec("plane_wave", k), d)
 
 
 def default_catalog(d):
     """One representative recipe of each named kind, valid at dimension d."""
     k0 = 1 % d
     return [
-        FiducialSpec.constant(),
-        FiducialSpec.kronecker(k0),
-        FiducialSpec.plane_wave(k0),
-        FiducialSpec.gaussian(1.0),
-        FiducialSpec.dirichlet((d - 1) // 2),
-        FiducialSpec.von_mises(1.0),
+        FiducialSpec("constant"),
+        FiducialSpec("kronecker", k0),
+        FiducialSpec("plane_wave", k0),
+        FiducialSpec("gaussian", 1.0),
+        FiducialSpec("dirichlet", (d - 1) // 2),
+        FiducialSpec("von_mises", 1.0),
     ]
 
 
 def catalog_windows(d):
-    return [(spec.label(), realize_fiducial(spec, d)) for spec in default_catalog(d)]
+    return [(spec.kind if spec.param is None else f"{spec.kind}:{spec.param}",
+             realize_fiducial(spec, d)) for spec in default_catalog(d)]

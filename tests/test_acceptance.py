@@ -171,7 +171,7 @@ def test_criterion_08_covariance(rng):
     worst = 0.0
     for d in (3, 4, 5):
         shift = (int(rng.integers(0, d)), int(rng.integers(0, d)))
-        phi = realize_fiducial(FiducialSpec.von_mises(1.0), d)
+        phi = realize_fiducial(FiducialSpec("von_mises", 1.0), d)
         for w in (parity_weight(d), coherent_state_weight(phi)):
             defect = covariance_defect(random_map(rng, d), w, shift)
             assert defect < 1e-10
@@ -192,16 +192,16 @@ def test_criterion_09_gabor_round_trip(rng):
         # closed-form kernels for the exactly solvable windows
         points = [(m, n) for m in range(d) for n in range(d)]
         probes = [(0, 0), (1, d - 1), (d - 1, 2 % d)]
-        wc = realize_fiducial(FiducialSpec.constant(), d)
-        wk = realize_fiducial(FiducialSpec.kronecker(1), d)
-        wp = realize_fiducial(FiducialSpec.plane_wave(1), d)
+        wc = realize_fiducial(FiducialSpec("constant"), d)
+        wk = realize_fiducial(FiducialSpec("kronecker", 1), d)
+        wp = realize_fiducial(FiducialSpec("plane_wave", 1), d)
         for p in points:
             for q in probes:
                 assert abs(reproducing_kernel(wc, p, q) - constant_kernel(d, p, q)) < 1e-10
                 assert abs(reproducing_kernel(wk, p, q) - kronecker_kernel(d, 1, p, q)) < 1e-10
                 assert abs(reproducing_kernel(wp, p, q) - plane_wave_kernel(d, 1, p, q)) < 1e-10
     for d in (3, 5):  # full-order Dirichlet window collapses to the delta at 0
-        wd = realize_fiducial(FiducialSpec.dirichlet((d - 1) // 2), d)
+        wd = realize_fiducial(FiducialSpec("dirichlet", (d - 1) // 2), d)
         for p in [(m, n) for m in range(d) for n in range(d)]:
             for q in [(0, 0), (1, 1)]:
                 assert abs(reproducing_kernel(wd, p, q) - kronecker_kernel(d, 0, p, q)) < 1e-10

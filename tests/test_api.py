@@ -152,6 +152,16 @@ def _load_traced_cli():
     return module
 
 
+def _instrumented(monkeypatch):
+    """A tracer whose spans ``cli`` records until the test ends, when its names are restored."""
+    traced = _load_traced_cli()
+    for name in [*traced.LAYER_OF, "FiducialSpec", "_emit"]:
+        monkeypatch.setattr(cli, name, getattr(cli, name))
+    tracer = traced.Tracer("contract")
+    traced.instrument(tracer, cli)
+    return tracer
+
+
 class TestBenchmarkContract:
     """``perfbench/traced_cli.py`` wraps these attributes of ``torus_quant.cli``."""
 
@@ -172,11 +182,7 @@ class TestBenchmarkContract:
         signal, plain, traced_out = tmp_path / "in.csv", tmp_path / "plain", tmp_path / "traced"
         signal.write_text("".join(f"{x.real:.17g},{x.imag:.17g}\n" for x in z))
         assert cli.main([*argv, "--in", str(signal), "--out", str(plain)]) == 0
-        traced = _load_traced_cli()
-        for name in [*traced.LAYER_OF, "FiducialSpec", "_emit"]:
-            monkeypatch.setattr(cli, name, getattr(cli, name))  # restored after the test
-        tracer = traced.Tracer("contract")
-        traced.instrument(tracer, cli)
+        tracer = _instrumented(monkeypatch)
         assert cli.main([*argv, "--in", str(signal), "--out", str(traced_out)]) == 0
         assert traced_out.read_bytes() == plain.read_bytes()
         written = [span.get("bytes", 0) for span in tracer.spans
@@ -184,3 +190,11 @@ class TestBenchmarkContract:
         assert sum(written) == plain.stat().st_size
         assert sum(1 for size in written if size) > 2
         assert all(span["end"] is not None for span in tracer.spans)
+
+    @pytest.mark.parametrize("symbol", ["ones", "momentum:index", "position:fourier"])
+    def test_each_symbol_route_is_traced(self, monkeypatch, capsys, symbol):
+        # a route that bound its function at import would call it unwrapped: no span
+        tracer = _instrumented(monkeypatch)
+        assert cli.main(["quantize", "--d", "5", "--symbol", symbol, "--weight", "parity",
+                         "--out", os.devnull]) == 0
+        assert [span["name"] for span in tracer.spans].count("quantize.route") == 1

@@ -60,7 +60,7 @@ class TestSeveralBlocks:
 
     def test_husimi(self, rng, d):
         psi = random_state(rng, d, unit=True)
-        window = realize_fiducial(FiducialSpec.von_mises(2.0), d)
+        window = realize_fiducial(FiducialSpec("von_mises", 2.0), d)
         expected = np.abs(gabor_dense(psi, window)) ** 2 / d
         assert np.abs(husimi(psi, window) - expected).max() < 1e-12
 
@@ -105,7 +105,7 @@ class TestMemory:
 
     @pytest.fixture
     def window(self):
-        return realize_fiducial(FiducialSpec.von_mises(2.0), self.d)
+        return realize_fiducial(FiducialSpec("von_mises", 2.0), self.d)
 
     def test_gabor_transform(self, state, window):
         coeffs, peak = traced_peak(gabor_transform, state, window)
@@ -129,7 +129,7 @@ class TestMemory:
     def test_real_map_csv_workspace_does_not_grow_with_d(self, rng):
         d = 1023
         h_map = husimi(random_state(rng, d, unit=True),
-                       realize_fiducial(FiducialSpec.von_mises(2.0), d))
+                       realize_fiducial(FiducialSpec("von_mises", 2.0), d))
         _, peak = traced_peak(format_real_map_csv, h_map, lambda chunk: None)
         assert peak <= WRITER_BYTES
 
@@ -156,7 +156,7 @@ class TestOperatorMemory:
 
     @pytest.fixture
     def weight(self):
-        return coherent_state_weight(realize_fiducial(FiducialSpec.von_mises(2.0), self.d))
+        return coherent_state_weight(realize_fiducial(FiducialSpec("von_mises", 2.0), self.d))
 
     @pytest.fixture
     def symbol(self, rng):

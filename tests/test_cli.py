@@ -282,7 +282,7 @@ class TestGaborCommand:
         sig = tmp_path / "sig.csv"
         write_signal(sig, rng.normal(size=d) + 1j * rng.normal(size=d))
         assert run("gabor", "--in", str(sig), "--fiducial", "gaussian:1", "--out", "-") == 0
-        window = realize_fiducial(FiducialSpec.gaussian(1.0), d)
+        window = realize_fiducial(FiducialSpec("gaussian", 1.0), d)
         expected = husimi(read_signal(str(sig)), window)
         assert np.array_equal(maps[0] ** 2 / d, expected)  # bitwise
 
@@ -502,7 +502,7 @@ class TestQuantizeCommand:
         out = tmp_path / "op.csv"
         assert run("quantize", "--d", str(d), "--symbol", "momentum:index",
                    "--weight", "cs:von_mises:1", "--out", str(out)) == 0
-        phi = realize_fiducial(FiducialSpec.von_mises(1.0), d)
+        phi = realize_fiducial(FiducialSpec("von_mises", 1.0), d)
         expected = quantize_momentum(np.arange(d, dtype=complex), coherent_state_weight(phi))
         assert np.abs(read_complex_matrix_csv(out) - expected).max() < 1e-12
 
@@ -530,7 +530,7 @@ class TestQuantizeCommand:
 
     def test_weight_file_round_trip(self, tmp_path, rng):
         d = 3
-        phi = realize_fiducial(FiducialSpec.von_mises(1.0), d)
+        phi = realize_fiducial(FiducialSpec("von_mises", 1.0), d)
         w = coherent_state_weight(phi)
         wfile = tmp_path / "w.csv"
         wfile.write_bytes(written_bytes(format_complex_matrix_csv, w.values))
@@ -572,7 +572,7 @@ class TestPortraitCommand:
         out = tmp_path / "p.csv"
         assert run("portrait", "--d", str(d), "--symbol", f"file:{sfile}",
                    "--weight", "cs:von_mises:1", "--out", str(out)) == 0
-        phi = realize_fiducial(FiducialSpec.von_mises(1.0), d)
+        phi = realize_fiducial(FiducialSpec("von_mises", 1.0), d)
         w = coherent_state_weight(phi)
         expected = portrait(quantize(f, w), w)
         assert np.abs(read_complex_matrix_csv(out) - expected).max() < 1e-12
@@ -660,6 +660,19 @@ class TestSelectorErrors:
         assert run("quantize", "--d", "3", "--symbol", "ones",
                    "--weight", "thermal", "--out", str(tmp_path / "x.csv")) == 2
         assert "weight" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,named", [
+        (["quantize", "--d", "3", "--symbol", "file:", "--weight", "parity"], "file:"),
+        (["quantize", "--d", "3", "--symbol", "ones", "--weight", "file:"], "file:"),
+        (["quantize", "--d", "3", "--symbol", "momentum:file:", "--weight", "parity"], "file:"),
+        (["fiducials", "--d", "3", "--fiducial", "custom:"], "custom:"),
+        (["gabor", "--in", ""], "--in"),
+    ], ids=["symbol-file", "weight-file", "momentum-file", "custom-window", "signal"])
+    def test_empty_path_is_named(self, tmp_path, capsys, argv, named):
+        # what file:$UNSET or --in "$UNSET" expands to; reading "" would open the directory "."
+        assert run(*argv, "--out", str(tmp_path / "x.csv")) == 2
+        assert capsys.readouterr().err == f"input error: {named} names no path\n"
+        assert not (tmp_path / "x.csv").exists()
 
 
 #: each reader path of the command line: its arguments, with {file} for the input file and
@@ -824,7 +837,7 @@ class TestOverflow:
         keys = [line.split()[0] for line in capsys.readouterr().err.splitlines()]
         assert keys == ["two_path_residual", "smoothing_mass_residual"]
         expected = portrait_of_symbol(symbol, coherent_state_weight(
-            realize_fiducial(FiducialSpec.von_mises(3.0), d)))
+            realize_fiducial(FiducialSpec("von_mises", 3.0), d)))
         assert np.abs(read_complex_matrix_csv(out) - expected).max() <= \
             1e-12 * np.abs(expected).max()
 

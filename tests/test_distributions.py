@@ -118,7 +118,7 @@ class TestPortrait:
 
     def test_cs_weight_portrait_of_projector_is_scaled_husimi(self, rng):
         d = 4
-        phi = realize_fiducial(FiducialSpec.von_mises(1.0), d)
+        phi = realize_fiducial(FiducialSpec("von_mises", 1.0), d)
         w = coherent_state_weight(phi)
         psi = random_state(rng, d, unit=True)
         port = portrait(np.outer(psi, psi.conj()), w)
@@ -186,7 +186,7 @@ class TestOverlapDistribution:
 
     def test_constant_window_brute_force(self):
         d = 3
-        phi = realize_fiducial(FiducialSpec.constant(), d)
+        phi = realize_fiducial(FiducialSpec("constant"), d)
         w = coherent_state_weight(phi)
         oracle = np.array([[abs(inner(coherent_state(phi, m, n), phi)) ** 2 for n in range(d)]
                            for m in range(d)])

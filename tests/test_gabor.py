@@ -68,7 +68,7 @@ class TestTransform:
 
     def test_matches_bruteforce_constant_window(self):
         d = 3
-        w = realize_fiducial(FiducialSpec.constant(), d)
+        w = realize_fiducial(FiducialSpec("constant"), d)
         phi = plane_wave(d, 2)
         assert np.abs(gabor_transform(phi, w) - gabor_oracle(phi, w)).max() < 1e-12
 
@@ -86,13 +86,13 @@ class TestTransform:
 class TestInversion:
     def test_round_trip_von_mises(self, rng):
         d = 8
-        w = realize_fiducial(FiducialSpec.von_mises(2.0), d)
+        w = realize_fiducial(FiducialSpec("von_mises", 2.0), d)
         phi = random_state(rng, d)
         assert np.abs(gabor_inverse(gabor_transform(phi, w), w) - phi).max() < 1e-12
 
     def test_round_trip_gaussian(self, rng):
         d = 5
-        w = realize_fiducial(FiducialSpec.gaussian(1.0), d)
+        w = realize_fiducial(FiducialSpec("gaussian", 1.0), d)
         phi = random_state(rng, d)
         assert np.abs(gabor_inverse(gabor_transform(phi, w), w) - phi).max() < 1e-10
 
@@ -159,7 +159,7 @@ class TestReproducingKernel:
 
     @pytest.mark.parametrize("d", [3, 5, 8])
     def test_constant_window_closed_form(self, d):
-        w = realize_fiducial(FiducialSpec.constant(), d)
+        w = realize_fiducial(FiducialSpec("constant"), d)
         for p in [(m, n) for m in range(d) for n in range(d)]:
             for q in [(0, 0), (1, 1), (d - 1, 2 % d)]:
                 assert reproducing_kernel(w, p, q) == pytest.approx(
@@ -168,7 +168,7 @@ class TestReproducingKernel:
     @pytest.mark.parametrize("d", [3, 5, 8])
     def test_kronecker_window_closed_form(self, d):
         k0 = 1
-        w = realize_fiducial(FiducialSpec.kronecker(k0), d)
+        w = realize_fiducial(FiducialSpec("kronecker", k0), d)
         for p in [(m, n) for m in range(d) for n in range(d)]:
             for q in [(0, 0), (2 % d, 1), (d - 1, d - 1)]:
                 assert reproducing_kernel(w, p, q) == pytest.approx(
@@ -177,7 +177,7 @@ class TestReproducingKernel:
     @pytest.mark.parametrize("d", [3, 5, 8])
     def test_plane_wave_window_closed_form(self, d):
         k0 = 1
-        w = realize_fiducial(FiducialSpec.plane_wave(k0), d)
+        w = realize_fiducial(FiducialSpec("plane_wave", k0), d)
         for p in [(m, n) for m in range(d) for n in range(d)]:
             for q in [(0, 0), (1, 2 % d), (d - 1, 1)]:
                 assert reproducing_kernel(w, p, q) == pytest.approx(
@@ -188,7 +188,7 @@ class TestReproducingKernel:
         # at 2j+1 = d the window collapses to the delta at 0, so the kernel
         # takes the position-localized closed form with k0 = 0
         j = (d - 1) // 2
-        w = realize_fiducial(FiducialSpec.dirichlet(j), d)
+        w = realize_fiducial(FiducialSpec("dirichlet", j), d)
         for p in [(m, n) for m in range(d) for n in range(d)]:
             for q in [(0, 0), (1, 1), (2 % d, d - 1)]:
                 assert reproducing_kernel(w, p, q) == pytest.approx(
@@ -196,7 +196,7 @@ class TestReproducingKernel:
 
     def test_gaussian_window_theta_form(self):
         d, kappa = 5, 1.0
-        w = realize_fiducial(FiducialSpec.gaussian(kappa), d)
+        w = realize_fiducial(FiducialSpec("gaussian", kappa), d)
         for p in [(m, n) for m in range(d) for n in range(d)]:
             for q in [(0, 0), (1, 3), (4, 2)]:
                 assert reproducing_kernel(w, p, q) == pytest.approx(
@@ -206,17 +206,17 @@ class TestReproducingKernel:
 class TestReproducingProperty:
     def test_von_mises_window(self, rng):
         d = 5
-        w = realize_fiducial(FiducialSpec.von_mises(1.0), d)
+        w = realize_fiducial(FiducialSpec("von_mises", 1.0), d)
         assert reproducing_defect(w, random_state(rng, d)) < 1e-12
 
     def test_plane_wave_window(self, rng):
         d = 3
-        w = realize_fiducial(FiducialSpec.plane_wave(1), d)
+        w = realize_fiducial(FiducialSpec("plane_wave", 1), d)
         assert reproducing_defect(w, random_state(rng, d)) < 1e-12
 
     def test_dirichlet_window(self, rng):
         d = 5
-        w = realize_fiducial(FiducialSpec.dirichlet(1), d)
+        w = realize_fiducial(FiducialSpec("dirichlet", 1), d)
         assert reproducing_defect(w, random_state(rng, d)) < 1e-12
 
 

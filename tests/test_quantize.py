@@ -79,14 +79,14 @@ class TestWeight:
 
     def test_coherent_state_weight_is_symmetric(self):
         for d in (4, 5):
-            phi = realize_fiducial(FiducialSpec.von_mises(1.0), d)
+            phi = realize_fiducial(FiducialSpec("von_mises", 1.0), d)
             assert coherent_state_weight(phi).symmetry_defect() <= 1e-10
 
     def test_coherent_state_weight_is_validated_once(self, monkeypatch):
         checks = []
         validate = Weight.__post_init__
         monkeypatch.setattr(Weight, "__post_init__", lambda w: checks.append(validate(w)))
-        phi = realize_fiducial(FiducialSpec.von_mises(1.0), 8)
+        phi = realize_fiducial(FiducialSpec("von_mises", 1.0), 8)
         w = coherent_state_weight(phi)
         assert len(checks) == 1 and w.is_density
         assert np.array_equal(w.values, weight_from_operator(np.outer(phi, phi.conj())).values)
@@ -111,7 +111,7 @@ class TestQuantizationOperator:
 
     @pytest.mark.parametrize("d", [4, 5])
     def test_coherent_state_weight_gives_projector(self, d):
-        phi = realize_fiducial(FiducialSpec.von_mises(1.0), d)
+        phi = realize_fiducial(FiducialSpec("von_mises", 1.0), d)
         m = quantization_operator(coherent_state_weight(phi))
         assert np.abs(m - np.outer(phi, phi.conj())).max() < 1e-12
 
@@ -292,7 +292,7 @@ class TestFastPaths:
         # with Omega(n) the zero-frequency row of the weight and
         # e_k(u) = exp(2 i pi k u / d)/sqrt(d)
         d = 5
-        phi = realize_fiducial(FiducialSpec.von_mises(1.0), d)
+        phi = realize_fiducial(FiducialSpec("von_mises", 1.0), d)
         w = coherent_state_weight(phi)
         g = np.arange(d, dtype=complex)
         a = quantize_momentum(g, w)
@@ -307,7 +307,7 @@ class TestFastPaths:
 
     def test_position_fourier_cs_weight_is_contracting_diagonal(self, rng):
         d = 5
-        phi = realize_fiducial(FiducialSpec.von_mises(1.0), d)
+        phi = realize_fiducial(FiducialSpec("von_mises", 1.0), d)
         w = coherent_state_weight(phi)
         h = np.exp(2j * np.pi * np.arange(d) / d)
         a = quantize_position(h, w)
@@ -332,7 +332,7 @@ class TestCovariance:
         assert covariance_defect(random_map(rng, 5), parity_weight(5), (2, 3)) < 1e-12
 
     def test_cs_weight_random_symbol(self, rng):
-        phi = realize_fiducial(FiducialSpec.von_mises(1.0), 4)
+        phi = realize_fiducial(FiducialSpec("von_mises", 1.0), 4)
         w = coherent_state_weight(phi)
         assert covariance_defect(random_map(rng, 4), w, (1, 2)) < 1e-12
 
@@ -340,7 +340,7 @@ class TestCovariance:
 class TestPositivity:
     def test_uniform_distribution_is_density(self):
         d = 4
-        phi = realize_fiducial(FiducialSpec.von_mises(1.0), d)
+        phi = realize_fiducial(FiducialSpec("von_mises", 1.0), d)
         w = coherent_state_weight(phi)
         f = np.full((d, d), 1.0 / d)  # (1/d) sum f = 1
         report = positivity_report(f, w)
@@ -352,7 +352,7 @@ class TestPositivity:
     def test_trace_is_held_to_the_unit_bound(self, excess, expected):
         # eigenvalues are 1/d, yet the trace is compared with 1 at scale 1
         d = 5
-        w = coherent_state_weight(realize_fiducial(FiducialSpec.von_mises(1.0), d))
+        w = coherent_state_weight(realize_fiducial(FiducialSpec("von_mises", 1.0), d))
         report = positivity_report(np.full((d, d), (1.0 + excess) / d), w)
         assert report.is_density == expected
 
@@ -365,7 +365,7 @@ class TestPositivity:
 
     def test_signed_symbol_reports_without_raising(self):
         d = 3
-        phi = realize_fiducial(FiducialSpec.constant(), d)
+        phi = realize_fiducial(FiducialSpec("constant"), d)
         w = coherent_state_weight(phi)
         f = np.full((d, d), 1.0 / d)
         f[0, 0] += 5.0

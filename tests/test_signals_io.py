@@ -99,7 +99,7 @@ class TestPeriodDetection:
     def test_toy_periodic_signal(self):
         d, period = 12, 3
         signal = np.tile([1.0, 4.0, 2.0], d // period)
-        window = realize_fiducial(FiducialSpec.von_mises(50.0), d)
+        window = realize_fiducial(FiducialSpec("von_mises", 50.0), d)
         power = envelope_spectrum(column_energy(np.abs(gabor_transform(signal, window))))
         base = d // period
         assert harmonic_energy_fraction(power, base) > 0.99
@@ -118,7 +118,7 @@ class TestPeriodDetection:
 
     def test_constant_signal_has_no_dominant_rows(self):
         d = 8
-        window = realize_fiducial(FiducialSpec.von_mises(5.0), d)
+        window = realize_fiducial(FiducialSpec("von_mises", 5.0), d)
         power = envelope_spectrum(column_energy(np.abs(gabor_transform(np.ones(d), window))))
         assert dominant_rows(power) == []
         assert period_estimate(d, []) is None
@@ -167,7 +167,7 @@ class TestSignalReaders:
         assert str(info.value) == "could not parse number 'x' at row 4, column 2"
 
     def test_fiducials_table_is_read_bit_for_bit(self, tmp_path):
-        window = realize_fiducial(FiducialSpec.von_mises(3.0), 7)
+        window = realize_fiducial(FiducialSpec("von_mises", 3.0), 7)
         text = written_bytes(format_vector_csv, window)
         path = tmp_path / "w.csv"
         path.write_bytes(text)
@@ -221,7 +221,7 @@ class TestSignalReaders:
         reader, text = {
             "vector": (read_vector_csv, b"1.5\n2,-3\n"),
             "window_table": (read_vector_csv, written_bytes(
-                format_vector_csv, realize_fiducial(FiducialSpec.von_mises(3.0), 5))),
+                format_vector_csv, realize_fiducial(FiducialSpec("von_mises", 3.0), 5))),
             "json": (read_signal, json.dumps({"d": 2, "values": [[1, -1], 2]}).encode()),
             "matrix": (read_complex_matrix_csv, written_bytes(
                 format_complex_matrix_csv, rng.normal(size=(3, 3)))),
