@@ -121,10 +121,10 @@ _VECTORS = {
 
 
 def _resolve_symbol(text: str, d: int):
-    """Return (f, route) with the d x d symbol f and route(weight), its operator.
+    """Return (f, route) with the d x d symbol f, which no command writes, and route(weight).
 
-    A momentum or position symbol routes through its vector's fast path.  A route
-    looks its function up when called, so a traced run times the wrapper.
+    A momentum or position f is a read-only broadcast view of a vector with a fast path.  A
+    route looks its function up when called, so a traced run times the wrapper.
     """
     if text == "ones":
         f = np.ones((d, d), dtype=complex)
@@ -142,11 +142,11 @@ def _resolve_symbol(text: str, d: int):
         else:
             raise InputFormatError(f"unknown {prefix} symbol {arg!r}")
         if prefix == "momentum":
-            return np.tile(vec[:, None], (1, d)), lambda weight: quantize_momentum(vec, weight)
-        return np.tile(vec, (d, 1)), lambda weight: quantize_position(vec, weight)
+            return np.broadcast_to(vec[:, None], (d, d)), lambda w: quantize_momentum(vec, w)
+        return np.broadcast_to(vec, (d, d)), lambda w: quantize_position(vec, w)
     else:
         raise InputFormatError(f"unknown symbol selector {text!r}")
-    return f, lambda weight: quantize(f, weight)
+    return f, lambda w: quantize(f, w)
 
 
 def _check(key: str, residual: float, scale: float, relative=True, held=True) -> None:
@@ -228,16 +228,15 @@ def cmd_quantize(args) -> int:
 
 def cmd_portrait(args) -> int:
     weight = _resolve_weight(args.weight, args.d)
-    f, _ = _resolve_symbol(args.symbol, args.d)
+    f, route = _resolve_symbol(args.symbol, args.d)
     smoothed = portrait_of_symbol(f, weight)
-    scale = np.abs(weight.values).max() ** 2  # a portrait is quadratic in the weight
-    peak = np.abs(f).max()
-    _check("two_path_residual", np.abs(smoothed - portrait(quantize(f, weight), weight)).max(),
+    peak, scale = np.abs(f).max(), np.abs(weight.values).max() ** 2  # quadratic in the weight
+    _check("two_path_residual", np.abs(smoothed - portrait(route(weight), weight)).max(),
            peak * scale, relative=False)
-    f *= unit_scale(peak)  # by a power of two near 1 / max|f|, as scaled_sums scales S: exact
-    mass = weight.values[0, 0] ** 2 * f.sum()  # sum smoothed = (tr M_w)^2 sum f, tr M_w = w(0, 0)
+    # sum smoothed = (tr M_w)^2 sum f, tr M_w = w(0, 0); both sums times one exact unit_scale(peak)
+    mass = weight.values[0, 0] ** 2 * scaled_sums(f, peak)[0].sum()
     _check("smoothing_mass_residual", abs(scaled_sums(smoothed, peak)[0].sum() - mass),
-           np.abs(f).sum() * scale)
+           scaled_sums(np.abs(f), peak)[0].sum() * scale)
     _write(args.out, format_complex_matrix_csv, smoothed, row_label="m", col_label="n")
     return EXIT_OK
 

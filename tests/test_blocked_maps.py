@@ -207,14 +207,17 @@ class TestOperatorMemory:
         _, peak = traced_peak(weight.symmetry_defect)
         assert peak <= 2.25 * self.unit
 
+    @pytest.mark.parametrize("symbol,maps", [("momentum:index", 4.25), ("position:index2", 4.25),
+                                             ("ones", 5.25)])
     @pytest.mark.parametrize("command", ["quantize", "portrait"])
-    def test_command(self, tmp_path, command):
-        # weight, symbol, operator and check route, and the CSV writer's blocks
+    def test_command(self, tmp_path, command, symbol, maps):
+        # weight, symbol, operator and check route, and the CSV writer's blocks; a momentum
+        # or position symbol is a view of its vector, so it holds one map less than ``ones``
         code, peak = traced_peak(cli.main, [command, "--d", str(self.d), "--weight",
-                                            "cs:von_mises:3", "--symbol", "momentum:index",
+                                            "cs:von_mises:3", "--symbol", symbol,
                                             "--out", str(tmp_path / "out.csv")])
         assert code == 0
-        assert peak <= 5.25 * self.unit
+        assert peak <= maps * self.unit
 
 
 class TestTransformPasses:

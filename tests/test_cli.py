@@ -14,6 +14,7 @@ from torus_quant import (
     FiducialSpec,
     Weight,
     coherent_state_weight,
+    gabor_transform,
     husimi,
     overlap_distribution,
     parity_weight,
@@ -223,6 +224,10 @@ class TestGaborCommand:
         '{"values": [1, ["a", 2]]}',
         '{"d": "x", "values": [1, 2]}',
         '{"values": 5}',
+        "5",
+        '{"d": 3}',
+        "[[1, 2, 3]]",
+        "[]",
     ])
     def test_malformed_json_signal_is_input_error(self, tmp_path, capsys, payload):
         sig = tmp_path / "sig.json"
@@ -249,6 +254,16 @@ class TestGaborCommand:
         assert run("gabor", "--in", str(sig), "--d", "4", "--truncate",
                    "--fiducial", "constant", "--out", str(tmp_path / "o.csv")) == 0
         assert load_real_map(tmp_path / "o.csv").shape == (4, 4)
+
+    def test_padding_when_requested(self, tmp_path):
+        sig = tmp_path / "sig.csv"
+        write_signal(sig, np.ones(4))
+        assert run("gabor", "--in", str(sig), "--d", "6", "--pad",
+                   "--fiducial", "constant", "--out", str(tmp_path / "o.csv")) == 0
+        padded = np.concatenate([np.ones(4), np.zeros(2)])
+        window = realize_fiducial(FiducialSpec("constant"), 6)
+        expected = np.abs(gabor_transform(padded, window))
+        assert np.abs(load_real_map(tmp_path / "o.csv") - expected).max() < 1e-12
 
     def test_byte_identical_reruns(self, tmp_path):
         sig = tmp_path / "sig.csv"
@@ -616,6 +631,19 @@ class TestPortraitCommand:
         assert float(err[1].split()[1]) > 0.1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["quantize", "portrait"])
+    @pytest.mark.parametrize("symbol,route", [("momentum:index", "quantize_momentum"),
+                                              ("position:fourier", "quantize_position")])
+    def test_vector_symbol_takes_only_its_fast_path(self, tmp_path, monkeypatch, command,
+                                                    symbol, route):
+        # both commands quantize a momentum or position symbol through its vector's route
+        calls, real = [], getattr(cli, route)
+        monkeypatch.setattr(cli, route, lambda *args: calls.append(args) or real(*args))
+        monkeypatch.setattr(cli, "quantize", lambda *args: pytest.fail("general route taken"))
+        assert run(command, "--d", "6", "--symbol", symbol, "--weight", "cs:von_mises:3",
+                   "--out", str(tmp_path / "out.csv")) == 0
+        assert len(calls) == 1
+
     def test_mass_check_passes_a_weight_origin_within_its_bound(self, tmp_path, capsys, rng):
         # Weight accepts w(0, 0) within bound() of 1, and the mass is w(0, 0)^2 sum f
         d = 5
@@ -651,10 +679,15 @@ class TestStdout:
 
 
 class TestSelectorErrors:
-    def test_unknown_symbol(self, tmp_path, capsys):
-        assert run("quantize", "--d", "3", "--symbol", "angle:index",
+    @pytest.mark.parametrize("symbol,message", [
+        ("angle:index", "unknown symbol selector 'angle:index'"),
+        ("momentum:bogus", "unknown momentum symbol 'bogus'"),
+        ("position:bogus", "unknown position symbol 'bogus'"),
+    ], ids=["angle:index", "momentum:bogus", "position:bogus"])
+    def test_unknown_symbol(self, tmp_path, capsys, symbol, message):
+        assert run("quantize", "--d", "3", "--symbol", symbol,
                    "--weight", "parity", "--out", str(tmp_path / "x.csv")) == 2
-        assert "symbol" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
     def test_unknown_weight(self, tmp_path, capsys):
         assert run("quantize", "--d", "3", "--symbol", "ones",

@@ -1,9 +1,10 @@
 """Fault injection: a wrong operator or portrait is stopped before it is written.
 
 Each fault replaces one name for the length of a run.  An output mutant
-replaces the routes ``cli`` binds for ``quantize`` (``quantize``,
-``quantize_momentum``, ``quantize_position``) with the route followed by a
-corruption of its result.  An internal fault is built from the kernel the
+replaces the production routes ``cli`` binds for ``quantize`` (``quantize``,
+``quantize_momentum``, ``quantize_position``) or for ``portrait``
+(``portrait_of_symbol``) with the route followed by a corruption of its
+result.  An internal fault is built from the kernel the
 module that defines it holds, and replaces it in every package module that
 binds it; modules are reached through ``sys.modules`` because the package
 attribute ``torus_quant.quantize`` is the function, not the module.
@@ -109,9 +110,9 @@ def _faulty_kernel(name, make):
     return [(module, name, fault) for module in package if getattr(module, name, None) is real]
 
 
-def _output_mutant(mutate):
+def _output_mutant(mutate, names=("quantize", "quantize_momentum", "quantize_position")):
     return [(cli, name, (lambda route: lambda *args: mutate(route(*args)))(getattr(cli, name)))
-            for name in ("quantize", "quantize_momentum", "quantize_position")]
+            for name in names]
 
 
 def _run(argv, patches=()):
@@ -176,6 +177,12 @@ def escapes(cases, patches, commands=COMMANDS, stops=(4,)):
 @pytest.mark.parametrize("mutant", sorted(OUTPUT_MUTANTS))
 def test_output_mutant_of_quantize_exits_4(cases, mutant):
     assert escapes(cases, _output_mutant(OUTPUT_MUTANTS[mutant]), ("quantize",)) == set()
+
+
+@pytest.mark.parametrize("mutant", sorted(OUTPUT_MUTANTS))
+def test_output_mutant_of_portrait_exits_4(cases, mutant):
+    patches = _output_mutant(OUTPUT_MUTANTS[mutant], ("portrait_of_symbol",))
+    assert escapes(cases, patches, ("portrait",)) == set()
 
 
 @pytest.mark.parametrize("fault", sorted(INTERNAL_FAULTS))

@@ -133,21 +133,6 @@ class TestRealizations:
         with pytest.raises(ValueError, match="out of range"):
             realize_fiducial(FiducialSpec("plane_wave", 7), 4)
 
-    @pytest.mark.parametrize("bad_ctor", [
-        lambda: FiducialSpec("gaussian", 0.0),
-        lambda: FiducialSpec("gaussian", -2.0),
-        lambda: FiducialSpec("von_mises", -1.0),
-        lambda: FiducialSpec("dirichlet", -1),
-        lambda: FiducialSpec("kronecker", -2),
-        lambda: FiducialSpec("gaussian", float("inf")),
-        lambda: FiducialSpec("gaussian", float("nan")),
-        lambda: FiducialSpec("von_mises", float("inf")),
-        lambda: FiducialSpec("von_mises", float("nan")),
-    ])
-    def test_parameter_validation(self, bad_ctor):
-        with pytest.raises(ValueError):
-            bad_ctor()
-
     def test_custom_renormalizes_silently(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -244,6 +229,15 @@ class TestParsing:
         (lambda: FiducialSpec("kronecker"), None),
         (lambda: FiducialSpec("kronecker", float("inf")), None),
         (lambda: FiducialSpec("gaussian", 10**400), None),
+        (lambda: FiducialSpec("gaussian", 0.0), None),
+        (lambda: FiducialSpec("gaussian", -2.0), None),
+        (lambda: FiducialSpec("von_mises", -1.0), None),
+        (lambda: FiducialSpec("dirichlet", -1), None),
+        (lambda: FiducialSpec("kronecker", -2), None),
+        (lambda: FiducialSpec("gaussian", float("inf")), None),
+        (lambda: FiducialSpec("gaussian", float("nan")), None),
+        (lambda: FiducialSpec("von_mises", float("inf")), None),
+        (lambda: FiducialSpec("von_mises", float("nan")), None),
         (lambda: FiducialSpec("kronecker", np.int64(2)), 2),
         (lambda: FiducialSpec("dirichlet", 2.0), 2),
         (lambda: FiducialSpec("von_mises", np.float32(3)), 3.0),
@@ -251,8 +245,10 @@ class TestParsing:
     ], ids=["gaussian-negative", "von_mises-negative", "kronecker-fraction",
             "dirichlet-fraction", "kronecker-bool", "unknown-kind",
             "constant-with-parameter", "kronecker-without-parameter", "kronecker-inf",
-            "gaussian-overflowing-int", "kronecker-numpy-int", "dirichlet-integral-float",
-            "von_mises-float32", "gaussian-int"])
+            "gaussian-overflowing-int", "gaussian-zero", "gaussian-minus-two",
+            "von_mises-minus-one", "dirichlet-negative", "kronecker-negative", "gaussian-inf",
+            "gaussian-nan", "von_mises-inf", "von_mises-nan", "kronecker-numpy-int",
+            "dirichlet-integral-float", "von_mises-float32", "gaussian-int"])
     def test_spec_is_checked_when_built(self, build, param):
         # param None: the spec is rejected; else it is stored as the kind's type
         if param is None:

@@ -17,7 +17,7 @@ from torus_quant import (
     weight_from_operator,
 )
 
-from torus_quant.hilbert import cyclic_diagonals, scaled_sums
+from torus_quant.hilbert import as_state, cyclic_diagonals, scaled_sums
 
 from conftest import kronecker, plane_wave, random_map, random_state
 from oracles import cyclic_diagonals_entrywise, dft_matrix, inner
@@ -73,6 +73,16 @@ class TestMapGate:
         with pytest.raises(ValueError, match=re.escape(
                 f"must be {d} x {d} to match d={d}, got shape (4, 4)")):
             call(np.ones((4, 4)))
+
+
+class TestStateGate:
+    @pytest.mark.parametrize("values,message", [
+        (np.ones((2, 2)), "state must be one-dimensional, got shape (2, 2)"),
+        (np.ones(0), "state must have positive length"),
+    ], ids=["2-D", "empty"])
+    def test_rejected(self, values, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            as_state(values)
 
 
 class TestBases:

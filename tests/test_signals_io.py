@@ -268,6 +268,12 @@ class TestMatrixCsv:
         assert str(info.value) == ("row 5: expected an index followed by re,im pairs "
                                    "(as many as on row 3), got 3 fields")
 
+    def test_header_alone_is_rejected(self, tmp_path):
+        path = tmp_path / "mat.csv"
+        path.write_text("l,lp0_re,lp0_im\n\n")
+        with pytest.raises(InputFormatError, match="expected a header and at least one data row"):
+            read_complex_matrix_csv(path)
+
     def test_non_square_rejected(self, tmp_path):
         path = tmp_path / "mat.csv"
         mat = np.ones((2, 3), complex)
