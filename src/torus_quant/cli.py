@@ -123,30 +123,30 @@ _VECTORS = {
 def _resolve_symbol(text: str, d: int):
     """Return (f, route) with the d x d symbol f, which no command writes, and route(weight).
 
-    A momentum or position f is a read-only broadcast view of a vector with a fast path.  A
-    route looks its function up when called, so a traced run times the wrapper.
+    A momentum or position f, ``ones`` (momentum g = 1) too, is a read-only broadcast view of a
+    vector with a fast path.  Each route looks its function up when called (traced runs wrap it).
     """
+    prefix, _, arg = text.partition(":")
     if text == "ones":
-        f = np.ones((d, d), dtype=complex)
+        prefix, vec = "momentum", np.ones(d, dtype=complex)
     elif text == "delta":
         f = np.zeros((d, d), dtype=complex)
         f[0, 0] = d  # unit mass under the 1/d-weighted counting measure
+        return f, lambda w: quantize(f, w)
     elif text.startswith("file:"):
         f = _read_sized(read_complex_matrix_csv, text, d)
-    elif text.startswith(("momentum:", "position:")):
-        prefix, _, arg = text.partition(":")
-        if arg in _VECTORS:
-            vec = _VECTORS[arg](d)
-        elif arg.startswith("file:"):
-            vec = _read_sized(read_vector_csv, arg, d)
-        else:
-            raise InputFormatError(f"unknown {prefix} symbol {arg!r}")
-        if prefix == "momentum":
-            return np.broadcast_to(vec[:, None], (d, d)), lambda w: quantize_momentum(vec, w)
-        return np.broadcast_to(vec, (d, d)), lambda w: quantize_position(vec, w)
-    else:
+        return f, lambda w: quantize(f, w)
+    elif not text.startswith(("momentum:", "position:")):
         raise InputFormatError(f"unknown symbol selector {text!r}")
-    return f, lambda w: quantize(f, w)
+    elif arg in _VECTORS:
+        vec = _VECTORS[arg](d)
+    elif arg.startswith("file:"):
+        vec = _read_sized(read_vector_csv, arg, d)
+    else:
+        raise InputFormatError(f"unknown {prefix} symbol {arg!r}")
+    if prefix == "momentum":
+        return np.broadcast_to(vec[:, None], (d, d)), lambda w: quantize_momentum(vec, w)
+    return np.broadcast_to(vec, (d, d)), lambda w: quantize_position(vec, w)
 
 
 def _check(key: str, residual: float, scale: float, relative=True, held=True) -> None:
@@ -199,7 +199,7 @@ def cmd_husimi(args) -> int:
 def _coefficient_residual(op: np.ndarray, f: np.ndarray, weight: Weight) -> float:
     """max_q |Tr[D(q)^dag op] - w(q) F(q)|, F the conjugate symplectic transform of f.
 
-    F is formed here from two FFTs, not by ``symplectic_dft``, so a fault there shows.
+    A check route: F is two FFTs here, not ``symplectic_dft``, so a fault there shows.
     """
     F = np.fft.ifft(f, axis=0)
     F = np.fft.fft(F, axis=1, out=F).T

@@ -76,6 +76,7 @@ def portrait(op: np.ndarray, w: Weight) -> np.ndarray:
     (``_coefficients`` of op^T) is conj(chi(b, k)) times the FFT over b of
     op[b - k, b], and w(mu, k) chi(mu, k) is that of M_w[b, b - k].  The sign
     chi(b, k) chi(-b, k) is (-1)^k for b != 0 at even d, else 1.  O(d^2 log d).
+    A check route: its own FFTs and sign, so faults in ``symplectic_dft`` and the phases show.
     """
     s = _coefficients(as_map(op, w.d).T)  # c(b, k)
     s[0] *= w.values[0]  # at -b
@@ -116,17 +117,11 @@ def portrait_of_symbol(f: np.ndarray, w: Weight) -> np.ndarray:
     """Smoothed symbol (1/d) sum_q f(p - q) Tr[M_w(q) M_w].
 
     Agrees with ``portrait(quantize(f, w), w)``; the unit symbol is a
-    fixed point.  The 2-D DFT of the overlap distribution D of
-    :func:`overlap_distribution` is d P, P[a, b] = p(-b, a) with
-    p = ``_paired(w)``, so the smoothed symbol, the cyclic convolution of
-    D and f over d, is the inverse 2-D DFT of P times the 2-D DFT of f,
-    with no transform of D.  Each 2-D DFT runs in place as two 1-D passes,
-    axis 1 then axis 0.  O(d^2 log d).
+    fixed point.  The overlap distribution D of :func:`overlap_distribution`
+    is the symplectic transform F of p = ``_paired(w)``, and F, its own
+    inverse, turns the cyclic convolution of D and f over d into a product:
+    the smoothed symbol is F[F[f] p], with no transform of D.  O(d^2 log d).
     """
-    spectrum = np.fft.fft(as_map(f, w.d), axis=1)
-    np.fft.fft(spectrum, axis=0, out=spectrum)
-    p = _paired(w)
-    spectrum[:, 0] *= p[0]
-    spectrum[:, 1:] *= p[:0:-1].T
-    np.fft.ifft(spectrum, axis=1, out=spectrum)
-    return np.fft.ifft(spectrum, axis=0, out=spectrum)
+    spectrum = symplectic_dft(as_map(f, w.d))
+    spectrum *= _paired(w)
+    return symplectic_dft(spectrum)

@@ -147,9 +147,9 @@ def read_complex_matrix_csv(path: str | Path) -> np.ndarray:
     if len(rows) < 2:
         raise InputFormatError(f"{path}: expected a header and at least one data row")
     count = rows[1][1].count(",") + 1  # the index and re,im pairs: odd, and at least 3
-    mat = _table(rows[1:], 1, (count,) if count >= 3 and count % 2 else (),
-                 "row {}: expected an index followed by re,im pairs "
-                 f"(as many as on row {rows[1][0]}), got {{}} fields").view(complex)
+    same = f" (as many as on row {rows[1][0]})" if count >= 3 and count % 2 else ""
+    mat = _table(rows[1:], 1, (count,) if same else (), "row {}: expected an index followed by "
+                 f"re,im pairs{same}, got {{}} fields").view(complex)
     if mat.shape[0] != mat.shape[1]:
         raise InputFormatError(
             f"{path}: matrix must be square, got {mat.shape[0]} rows x {mat.shape[1]} columns")

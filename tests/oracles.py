@@ -3,7 +3,8 @@
 - Literal phase-space sums: each evaluates its defining sum over the d^2
   phase-space points term by term, O(d^4) in total.  The package computes
   the same quantities in closed form; ``test_oracles.py`` pins the two
-  against each other.
+  against each other, and pins that no sum calls a package route it
+  judges: each builds M_w with ``quantization_operator_sum``.
 - Per-point definitions that the package only ever uses summed over the
   phase space: the d-periodic displacement D(m, n), the transported
   operator D M D^dag, single coherent states and kernel values, the
@@ -33,7 +34,6 @@ from torus_quant import (
     as_state,
     displacement_apply,
     gabor_transform,
-    quantization_operator,
     quantize,
 )
 from torus_quant.distributions import realize_real
@@ -284,7 +284,7 @@ def weight_from_operator_sum(M) -> np.ndarray:
 def quantize_sum(f, w) -> np.ndarray:
     """A_f = (1/d) sum_{m,n} f(m, n) D(m,n) M_w D(m,n)^dag."""
     d = w.d
-    mw = quantization_operator(w)
+    mw = quantization_operator_sum(w)
     out = np.zeros((d, d), dtype=complex)
     for m in range(d):
         for n in range(d):
@@ -295,7 +295,7 @@ def quantize_sum(f, w) -> np.ndarray:
 def portrait_sum(op, w) -> np.ndarray:
     """A(m, n) = Tr[op D(m,n) M_w D(m,n)^dag]."""
     d = w.d
-    mw = quantization_operator(w)
+    mw = quantization_operator_sum(w)
     out = np.empty((d, d), dtype=complex)
     for m in range(d):
         for n in range(d):
@@ -306,7 +306,7 @@ def portrait_sum(op, w) -> np.ndarray:
 def portrait_of_symbol_sum(f, w) -> np.ndarray:
     """(1/d) sum_q f(p - q) Tr[M_w(q) M_w], M_w(q) = D(q) M_w D(q)^dag, one shifted copy of f per q."""
     d = w.d
-    mw = quantization_operator(w)
+    mw = quantization_operator_sum(w)
     out = np.zeros((d, d), dtype=complex)
     for m in range(d):
         for n in range(d):

@@ -208,11 +208,12 @@ class TestOperatorMemory:
         assert peak <= 2.25 * self.unit
 
     @pytest.mark.parametrize("symbol,maps", [("momentum:index", 4.25), ("position:index2", 4.25),
-                                             ("ones", 5.25)])
+                                             ("ones", 4.25), ("delta", 5.25)])
     @pytest.mark.parametrize("command", ["quantize", "portrait"])
     def test_command(self, tmp_path, command, symbol, maps):
         # weight, symbol, operator and check route, and the CSV writer's blocks; a momentum
-        # or position symbol is a view of its vector, so it holds one map less than ``ones``
+        # or position symbol (``ones`` is momentum g = 1) is a view of its vector, so it holds
+        # one map less than ``delta``
         code, peak = traced_peak(cli.main, [command, "--d", str(self.d), "--weight",
                                             "cs:von_mises:3", "--symbol", symbol,
                                             "--out", str(tmp_path / "out.csv")])
@@ -225,12 +226,13 @@ class TestTransformPasses:
 
     Wraps ``np.fft.fft``, ``ifft``, ``fft2`` and ``ifft2``, which the
     package looks up at each call.  A changed count is a transform added
-    or removed on some route.
+    or removed on some route.  ``ones``, the momentum symbol 1, takes the
+    O(d^2) route of ``quantize_momentum``, and ``delta`` the general one.
     """
 
     d = 31
-    PASSES = {"quantize": 217, "portrait": 341, "gabor": 32, "husimi": 31, "wigner": 32,
-              "fiducials": 0}
+    PASSES = {"quantize-ones": 125, "quantize-delta": 217, "portrait-ones": 249,
+              "portrait-delta": 341, "gabor": 32, "husimi": 31, "wigner": 32, "fiducials": 0}
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -248,20 +250,22 @@ class TestTransformPasses:
             monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), axes))
         return count
 
-    @pytest.mark.parametrize("command", sorted(PASSES))
-    def test_passes(self, rng, tmp_path, passes, command):
+    @pytest.mark.parametrize("case", sorted(PASSES))
+    def test_passes(self, rng, tmp_path, passes, case):
         signal = tmp_path / "signal.csv"
         signal.write_text("".join(f"{x:.17g}\n" for x in rng.normal(size=self.d)))
+        command, _, symbol = case.partition("-")
+        operator = ["--d", "31", "--weight", "cs:von_mises:3", "--symbol", symbol]
         argv = {
-            "quantize": ["--d", "31", "--weight", "cs:von_mises:3", "--symbol", "ones"],
-            "portrait": ["--d", "31", "--weight", "cs:von_mises:3", "--symbol", "ones"],
+            "quantize": operator,
+            "portrait": operator,
             "gabor": ["--in", str(signal)],
             "husimi": ["--in", str(signal), "--fiducial", "von_mises:3"],
             "wigner": ["--in", str(signal)],
             "fiducials": ["--d", "31", "--fiducial", "von_mises:3"],
         }[command]
         assert cli.main([command, *argv, "--out", str(tmp_path / "out")]) == 0
-        assert passes[0] == self.PASSES[command]
+        assert passes[0] == self.PASSES[case]
 
 
 def test_row_blocks_take_one_row_at_least():

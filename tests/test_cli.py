@@ -633,10 +633,12 @@ class TestPortraitCommand:
 
     @pytest.mark.parametrize("command", ["quantize", "portrait"])
     @pytest.mark.parametrize("symbol,route", [("momentum:index", "quantize_momentum"),
-                                              ("position:fourier", "quantize_position")])
+                                              ("position:fourier", "quantize_position"),
+                                              ("ones", "quantize_momentum")])
     def test_vector_symbol_takes_only_its_fast_path(self, tmp_path, monkeypatch, command,
                                                     symbol, route):
-        # both commands quantize a momentum or position symbol through its vector's route
+        # both commands quantize a momentum or position symbol, ``ones`` (the momentum
+        # symbol 1) included, through its vector's route
         calls, real = [], getattr(cli, route)
         monkeypatch.setattr(cli, route, lambda *args: calls.append(args) or real(*args))
         monkeypatch.setattr(cli, "quantize", lambda *args: pytest.fail("general route taken"))

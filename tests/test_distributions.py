@@ -142,13 +142,17 @@ class TestPortrait:
         f[0, 0] = d
         assert np.abs(portrait_of_symbol(f, w) - overlap_distribution(w)).max() < 1e-12
 
-    @pytest.mark.parametrize("d", [3, 4, 5])
+    @pytest.mark.parametrize("d", [3, 4, 5, 129, 256, 257])
     def test_convolution_and_trace_paths_agree(self, rng, d):
+        # a symmetric and an asymmetric complex weight; d > 128 spans several row blocks
         w = random_symmetric_weight(rng, d)
         f = random_map(rng, d)
-        conv = portrait_of_symbol(f, w)
-        trace = portrait(quantize(f, w), w)
-        assert np.abs(conv - trace).max() < 1e-12
+        values = random_map(rng, d)
+        values[0, 0] = 1.0
+        for weight in (w, Weight(values)):
+            conv = portrait_of_symbol(f, weight)
+            trace = portrait(quantize(f, weight), weight)
+            assert np.abs(conv - trace).max() < 1e-12 * np.abs(conv).max()
 
 
 class TestOverlapDistribution:

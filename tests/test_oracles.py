@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -92,3 +95,16 @@ def test_closed_form_matches_literal_sum(rng, case, d):
     closed, literal = case(rng, d)
     assert closed.shape == literal.shape == (d, d)
     assert np.abs(closed - literal).max() < 1e-12
+
+
+def test_literal_sums_call_no_route_they_judge():
+    """No ``*_sum`` oracle names a package route of the operators, so none shares its code."""
+    routes = {"quantization_operator", "quantize", "symplectic_dft", "portrait",
+              "portrait_of_symbol", "_coefficients"}
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    sums = [node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.endswith("_sum")]
+    assert {"quantize_sum", "portrait_sum", "portrait_of_symbol_sum"} <= {f.name for f in sums}
+    for function in sums:
+        named = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(function)}
+        assert not named & routes, function.name

@@ -267,6 +267,13 @@ class TestMatrixCsv:
             read_complex_matrix_csv(path)
         assert str(info.value) == ("row 5: expected an index followed by re,im pairs "
                                    "(as many as on row 3), got 3 fields")
+        # a first row that breaks the rule is held to the rule, not to itself
+        for row in ("0,1", "0,1,0,2"):
+            path.write_text(f"# operator\n\n{row}\n")
+            with pytest.raises(InputFormatError) as info:
+                read_complex_matrix_csv(path)
+            assert str(info.value) == ("row 3: expected an index followed by re,im pairs, "
+                                       f"got {row.count(',') + 1} fields")
 
     def test_header_alone_is_rejected(self, tmp_path):
         path = tmp_path / "mat.csv"
